@@ -39,30 +39,35 @@ def automorphism_group(g: Graph) -> AutGroup:
     previously assigned vertices.
     """
     n = g.n
-    adj = g.adj
     deg = [g.degree(v) for v in range(n)]
-    images = [-1] * n
-    used = [False] * n
     found: list[Permutation] = []
-
-    def extend(i: int):
-        if i == n:
-            found.append(tuple(images))
-            return
-        for j in range(n):
-            if used[j] or deg[j] != deg[i]:
-                continue
-            row_i = adj[i]
-            row_j = adj[j]
-            if all(row_i[k] == row_j[images[k]] for k in range(i)):
-                images[i] = j
-                used[j] = True
-                extend(i + 1)
-                used[j] = False
-        images[i] = -1
-
-    extend(0)
+    _extend(0, g.adj, deg, [-1] * n, [False] * n, found)
     return AutGroup(n, tuple(sorted(found)))
+
+
+def _extend(i: int, adj, deg, images: list[int], used: list[bool],
+            found: list[Permutation]) -> None:
+    """Append to ``found`` every automorphism agreeing with ``images[:i]``.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, which would keep ``found`` alive until
+    the next full garbage collection.
+    """
+    n = len(adj)
+    if i == n:
+        found.append(tuple(images))
+        return
+    row_i = adj[i]
+    for j in range(n):
+        if used[j] or deg[j] != deg[i]:
+            continue
+        row_j = adj[j]
+        if all(row_i[k] == row_j[images[k]] for k in range(i)):
+            images[i] = j
+            used[j] = True
+            _extend(i + 1, adj, deg, images, used, found)
+            used[j] = False
+    images[i] = -1
 
 
 def group_order(group: AutGroup) -> int:

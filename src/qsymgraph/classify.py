@@ -81,7 +81,7 @@ class VerdictKind(Enum):
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    fulton_max_power: int | None = None  # None: vertex count squared
+    fulton_max_power: int | None = None  # None: n - 1, which also caps larger values
     fulton_mode: str = "delete"  # or "relations"
     gb_start_bound: int = 4
     gb_bound_step: int = 2
@@ -96,6 +96,7 @@ class Verdict:
     aut_order: int
     disjoint_pair: tuple[Permutation, Permutation] | None = None
     algebra: CheckResult | None = None
+    pattern: ZeroPattern | None = None  # None when the algebra check did not run
 
     @property
     def qsym_output(self) -> int | None:
@@ -266,7 +267,7 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     """
     group = automorphism_group(g)
     pair = find_disjoint_pair(group)
-    algebra = None
+    algebra = pattern = None
     if pair is None or cfg.cross_check:
         pattern = zero_pattern(g, cfg.fulton_max_power)
         presentation = build_relations(g, pattern, cfg.fulton_mode)
@@ -279,7 +280,8 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
             raise CriteriaConflictError(
                 "disjoint automorphism pair coexists with a commutative algebra")
         return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order,
-                       disjoint_pair=pair, algebra=algebra)
+                       disjoint_pair=pair, algebra=algebra, pattern=pattern)
     if algebra.status is CheckStatus.COMMUTATIVE:
-        return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order, algebra=algebra)
-    return Verdict(VerdictKind.UNDECIDED, group.order, algebra=algebra)
+        return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,
+                       algebra=algebra, pattern=pattern)
+    return Verdict(VerdictKind.UNDECIDED, group.order, algebra=algebra, pattern=pattern)

@@ -24,8 +24,8 @@ from .groebner import EngineLimits, ResourceCapError
 from .pipeline import (
     FORMATS,
     RunConfig,
+    classify_with_record,
     read_records,
-    record_for,
     render_table,
     report_from_records,
     run_batch,
@@ -43,7 +43,7 @@ def _classify_config(args) -> ClassifyConfig:
 
 def _add_classify_flags(p: argparse.ArgumentParser):
     p.add_argument("--fulton-power", type=int, default=None, metavar="L",
-                   help="walk-count power cap (default: n^2)")
+                   help="walk-count power cap (default and maximum: n-1)")
     p.add_argument("--gb-cap", type=int, default=12, metavar="D",
                    help="max Groebner truncation degree (default: 12)")
     p.add_argument("--fulton-mode", choices=("delete", "relations"), default="delete",
@@ -78,7 +78,7 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        record = record_for(g, _classify_config(args))
+        verdict, record = classify_with_record(g, _classify_config(args))
     except ResourceCapError as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 2
@@ -94,7 +94,7 @@ def cmd_check(args) -> int:
         print(f"qsym:       {output}")
         print(f"verdict:    {record.verdict}")
         print("generators:")
-        pattern = zero_pattern(g, args.fulton_power)
+        pattern = verdict.pattern or zero_pattern(g, args.fulton_power)
         for line in render_pattern(pattern).splitlines():
             print(f"  {line}")
     else:

@@ -2,8 +2,11 @@
 
 If the i-th and j-th diagonal entries of some adjacency power differ, the
 magic-unitary generator u_ij must vanish, and by symmetry so must u_ji.
-Powers are compared up to a cap, n^2 by default.  The criterion is vacuous
-on walk-regular (in particular vertex-transitive) graphs.
+By Cayley-Hamilton every power A^l with l >= n is a fixed linear
+combination of A^0, ..., A^(n-1), and A^0 has a constant diagonal, so
+powers 1..n-1 decide every pair; the cap is n - 1 (at least 1) and a
+larger requested cap is lowered to it.  The criterion is vacuous on
+walk-regular (in particular vertex-transitive) graphs.
 """
 
 from __future__ import annotations
@@ -38,15 +41,18 @@ class ZeroPattern:
 
 
 def zero_pattern(g: Graph, max_power: int | None = None) -> ZeroPattern:
-    """Compare diagonal walk counts for every power up to ``max_power``.
+    """Compare diagonal walk counts for every power up to ``max_power``,
+    which is at most n - 1.
 
     Stops early once every off-diagonal entry is forced; diagonal entries
     are never forced.
     """
     n = g.n
-    cap = n * n if max_power is None else max_power
-    if cap < 1:
-        raise ValueError("max_power must be >= 1")
+    cap = max(n - 1, 1)
+    if max_power is not None:
+        if max_power < 1:
+            raise ValueError("max_power must be >= 1")
+        cap = min(cap, max_power)
     forced = [[False] * n for _ in range(n)]
     open_pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
     power = g.adj

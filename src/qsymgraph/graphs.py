@@ -8,15 +8,11 @@ Matrix powers use Python integers, so walk counts never overflow.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 MAX_VERTICES = 16
 
-# Brute-force canonical labeling enumerates all n! relabelings.
-MAX_BRUTE_FORCE_VERTICES = 8
-
-# Exhaustive edge-subset enumeration; n = 7 sweeps 2^21 masks (~10 s).
+# n = 8 would send 11,117 graphs through a Groebner run of unmeasured cost.
 MAX_ENUMERATE_VERTICES = 7
 
 
@@ -107,34 +103,6 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@functools.lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each permutation, the mask-bit image of every upper-triangle pair."""
-    pairs = _pairs(n)
-    k = len(pairs)
-    pos = {pair: p for p, pair in enumerate(pairs)}
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        tab = []
-        for i, j in pairs:
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            tab.append(1 << (k - 1 - pos[(a, b)]))
-        tables.append(tuple(tab))
-    return tuple(tables)
-
-
-def _remap(mask: int, table: tuple[int, ...], k: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        b = m & -m
-        out |= table[k - 1 - (b.bit_length() - 1)]
-        m ^= b
-    return out
-
-
 def permute(g: Graph, perm) -> Graph:
     """Relabel vertices: edge (i,j) becomes (perm[i], perm[j]), 0-based."""
     n = g.n
@@ -147,12 +115,50 @@ def permute(g: Graph, perm) -> Graph:
 
 def canonical_form(g: Graph) -> Graph:
     """Lexicographically minimal adjacency matrix over all relabelings."""
-    if g.n > MAX_BRUTE_FORCE_VERTICES:
-        raise GraphError(f"canonical_form is brute force, n <= {MAX_BRUTE_FORCE_VERTICES}")
-    k = len(_pairs(g.n))
-    mask = g.mask()
-    best = min(_remap(mask, table, k) for table in _perm_tables(g.n))
-    return Graph.from_mask(g.n, best)
+    return Graph.from_mask(g.n, _canonical_mask(_neighbour_masks(g)))
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    return [sum(1 << j for j, a in enumerate(row) if a) for row in g.adj]
+
+
+def _canonical_mask(nbr: list[int]) -> int:
+    """Minimal :meth:`Graph.mask` over all relabelings, from neighbour bitmasks.
+
+    The mask lists row 0 first, so positions are filled in order.  With
+    positions 0..t-1 placed, the unplaced vertices form an ordered
+    partition into cells, and position t takes a vertex of the first cell.
+    Row t is least when that vertex's non-neighbours precede its
+    neighbours in every cell, which fixes row t and splits each cell in
+    two.  Every state reaching the least row goes on to the next level,
+    once per distinct partition, since the partition fixes the future.
+    """
+    n = len(nbr)
+    states = {((1 << n) - 1,)}
+    mask = 0
+    for t in range(n - 1):
+        best = -1
+        survivors: set[tuple[int, ...]] = set()
+        for cells in states:
+            first = cells[0]
+            while first:
+                bit = first & -first
+                first ^= bit
+                nv = nbr[bit.bit_length() - 1]
+                rest = cells[0] ^ bit
+                parts = (rest,) + cells[1:] if rest else cells[1:]
+                row = 0
+                for c in parts:
+                    row = row << c.bit_count() | (1 << (c & nv).bit_count()) - 1
+                if 0 <= best < row:
+                    continue
+                if row != best:
+                    best = row
+                    survivors = set()
+                survivors.add(tuple(x for c in parts for x in (c & ~nv, c & nv) if x))
+        mask = mask << (n - 1 - t) | best
+        states = survivors
+    return mask
 
 
 def is_connected(g: Graph) -> bool:
@@ -192,50 +198,34 @@ def _mat_mul(a, b, n):
     )
 
 
-def _mask_connected(mask: int, n: int, pairs, k: int) -> bool:
-    nbr = [0] * n
-    for p, (i, j) in enumerate(pairs):
-        if mask >> (k - 1 - p) & 1:
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-    reach = frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= nbr[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach == (1 << n) - 1
-
-
 def enumerate_connected(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of connected graphs.
 
-    Sweeps all edge subsets in mask order and marks the whole isomorphism
-    orbit of each new representative, so the first unseen connected mask is
-    automatically the canonical (minimal) one.  Deterministic ascending order.
+    Representatives are the minimal masks, in ascending mask order.
     """
     if not 1 <= n <= MAX_ENUMERATE_VERTICES:
         raise GraphError(f"enumeration supports 1..{MAX_ENUMERATE_VERTICES} vertices")
+    return [Graph.from_mask(n, m) for m in _connected_masks(n)]
+
+
+def _connected_masks(n: int) -> list[int]:
+    """Canonical masks of the connected graphs on n vertices, ascending.
+
+    Removing a leaf of a spanning tree leaves a connected graph, so every
+    connected graph is a smaller representative plus a new vertex with a
+    non-empty neighbourhood.
+    """
     if n == 1:
-        return [Graph(1, ((0,),))]
-    pairs = _pairs(n)
-    k = len(pairs)
-    tables = _perm_tables(n)
-    seen = bytearray(1 << k)
-    out = []
-    for mask in range(1 << k):
-        if seen[mask]:
-            continue
-        if not _mask_connected(mask, n, pairs, k):
-            continue
-        for table in tables:
-            seen[_remap(mask, table, k)] = 1
-        out.append(Graph.from_mask(n, mask))
-    return out
+        return [0]
+    new = 1 << (n - 1)
+    found = set()
+    for m in _connected_masks(n - 1):
+        base = _neighbour_masks(Graph.from_mask(n - 1, m))
+        for hood in range(1, new):
+            nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
+            nbr.append(hood)
+            found.add(_canonical_mask(nbr))
+    return sorted(found)
 
 
 _G6_PREFIX = ">>graph6<<"

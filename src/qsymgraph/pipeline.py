@@ -116,11 +116,11 @@ class BatchReport:
         return sum(r.undecided for r in self.rows)
 
 
-def record_for(g: Graph, cfg: ClassifyConfig) -> GraphRecord:
+def classify_with_record(g: Graph, cfg: ClassifyConfig) -> tuple[Verdict, GraphRecord]:
     start = time.perf_counter()
     verdict = classify(g, cfg)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return _to_record(g, verdict, elapsed_ms)
+    return verdict, _to_record(g, verdict, elapsed_ms)
 
 
 def _to_record(g: Graph, verdict: Verdict, elapsed_ms: int) -> GraphRecord:
@@ -142,7 +142,7 @@ def _to_record(g: Graph, verdict: Verdict, elapsed_ms: int) -> GraphRecord:
 def _worker(args):
     g, cfg = args
     try:
-        return "ok", record_for(g, cfg)
+        return "ok", classify_with_record(g, cfg)[1]
     except ResourceCapError as exc:
         return "cap", f"{to_graph6(g)}: {exc}"
 
@@ -213,7 +213,7 @@ def run_batch(cfg: RunConfig) -> BatchReport:
     else:
         for g in graphs:
             try:
-                records.append(record_for(g, cfg.classify))
+                records.append(classify_with_record(g, cfg.classify)[1])
             except ResourceCapError as exc:
                 failures.append(f"{to_graph6(g)}: {exc}")
     report = BatchReport(tuple(records), aggregate(records),

@@ -1,0 +1,86 @@
+"""Brute-force canonical forms and enumeration, for tests only.
+
+The canonical mask is the minimum over all n! relabelings of the edge
+mask.  The enumeration sweeps every edge subset in mask order and marks
+the whole isomorphism orbit of each new connected graph, so the first
+unmarked connected mask of each class is its minimal one.  Both are
+exponential in n and meant for n <= 8 (canonical form) and n <= 7
+(enumeration, about 10 s at n = 7).
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+from qsymgraph import Graph
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each permutation, the mask-bit image of every upper-triangle pair."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    k = len(pairs)
+    pos = {pair: p for p, pair in enumerate(pairs)}
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        tab = []
+        for i, j in pairs:
+            a, b = sorted((perm[i], perm[j]))
+            tab.append(1 << (k - 1 - pos[(a, b)]))
+        tables.append(tuple(tab))
+    return tuple(tables)
+
+
+def _remap(mask: int, table: tuple[int, ...], k: int) -> int:
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= table[k - b.bit_length()]
+        mask ^= b
+    return out
+
+
+def _mask_connected(mask: int, n: int) -> bool:
+    nbr = [0] * n
+    k = n * (n - 1) // 2
+    p = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mask >> (k - 1 - p) & 1:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+            p += 1
+    reach = frontier = 1
+    while frontier:
+        nxt = 0
+        for v in range(n):
+            if frontier >> v & 1:
+                nxt |= nbr[v]
+        frontier = nxt & ~reach
+        reach |= frontier
+    return reach == (1 << n) - 1
+
+
+def brute_force_canonical_mask(g: Graph) -> int:
+    """Least edge mask over all n! relabelings of ``g``."""
+    k = g.n * (g.n - 1) // 2
+    mask = g.mask()
+    return min(_remap(mask, table, k) for table in _perm_tables(g.n))
+
+
+def orbit_sweep_masks(n: int) -> list[int]:
+    """Minimal mask of every connected class on n vertices, ascending."""
+    if n == 1:
+        return [0]
+    k = n * (n - 1) // 2
+    tables = _perm_tables(n)
+    seen = bytearray(1 << k)
+    out = []
+    for mask in range(1 << k):
+        if seen[mask] or not _mask_connected(mask, n):
+            continue
+        for table in tables:
+            seen[_remap(mask, table, k)] = 1
+        out.append(mask)
+    return out

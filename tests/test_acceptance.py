@@ -32,6 +32,7 @@ from qsymgraph.groebner import Reducer, complete, normal_form
 from qsymgraph.pipeline import OrderRow
 
 from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6
+from enumeration_oracle import orbit_sweep_masks
 from membership_oracle import SpanOracle
 
 NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"
@@ -247,6 +248,7 @@ def test_criterion_10_engine_property_suite():
 def test_extended_seven_vertex_enumeration():
     graphs = enumerate_connected(7)
     assert len(graphs) == 853
+    assert [g.mask() for g in graphs] == orbit_sweep_masks(7)
     hist = Counter(automorphism_group(g).order for g in graphs)
     assert hist[1] == 144
     assert hist[2] == 317
@@ -255,4 +257,5 @@ def test_extended_seven_vertex_enumeration():
         verdict = classify(g)
         assert verdict.kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
         assert verdict.qsym_output == 1
-    _pass("extended: 7-vertex totals, and all 461 small-group graphs are classical")
+    _pass("extended: 7-vertex classes match the orbit sweep, and all 461 "
+          "small-group graphs are classical")

@@ -1,6 +1,8 @@
 """Automorphism groups, group axioms, and the disjoint-pair search."""
 
+import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -35,6 +37,22 @@ def invert(s):
     for i, img in enumerate(s):
         out[img] = i
     return tuple(out)
+
+
+def test_group_is_freed_without_garbage_collection():
+    # a reference cycle would keep each call's 5,040 elements alive
+    # until a full collection
+    k7 = complete_graph(7)
+    automorphism_group(k7)
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(3):
+            assert automorphism_group(k7).order == 5040
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 1000
 
 
 def test_group_orders():

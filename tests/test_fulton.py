@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from qsymgraph import Graph, is_identity_forced, matrix_power, render_pattern, zero_pattern
+from qsymgraph import (
+    Graph,
+    enumerate_connected,
+    is_identity_forced,
+    matrix_power,
+    render_pattern,
+    zero_pattern,
+)
 
 from conftest import complete_graph, cycle_graph, rigid6
 
@@ -91,6 +98,43 @@ def test_square_diagonal_is_degree_sequence():
         g = Graph.from_edges(n, edges)
         sq = matrix_power(g, 2)
         assert [sq[i][i] for i in range(n)] == [g.degree(i) for i in range(n)]
+
+
+def _split_pairs(g, cap):
+    """Pairs whose closed-walk counts differ at some power 1..cap."""
+    n = g.n
+    split = set()
+    p = g.adj
+    for _ in range(cap):
+        split |= {(i, j) for i in range(n) for j in range(n) if p[i][i] != p[j][j]}
+        p = [[sum(p[i][k] * g.adj[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+    return split
+
+
+def _forced_pairs(pattern):
+    n = pattern.n
+    return {(i, j) for i in range(n) for j in range(n) if pattern.is_forced(i, j)}
+
+
+def test_default_cap_agrees_with_n_squared_powers():
+    # Cayley-Hamilton: powers beyond n - 1 split no further pairs
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        graphs.append(Graph.from_edges(n, [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if rng.random() < 0.4]))
+    for g in graphs:
+        pattern = zero_pattern(g)
+        assert pattern.max_power_used <= max(g.n - 1, 1)
+        assert _forced_pairs(pattern) == _split_pairs(g, g.n * g.n)
+
+
+def test_requested_cap_above_n_minus_one_is_lowered(house):
+    assert zero_pattern(house, 25).max_power_used <= 4
+    assert zero_pattern(house, 25) == zero_pattern(house)
 
 
 def test_power_cap_validation(house):

@@ -27,6 +27,7 @@ from conftest import (
     path_graph,
     rigid6,
 )
+from enumeration_oracle import brute_force_canonical_mask, orbit_sweep_masks
 
 HOUSE_ADJACENCY = """\
 0 1 1 1 1
@@ -257,9 +258,29 @@ def test_canonical_distinguishes_four_vertex_classes():
     assert len(forms) == 6
 
 
-def test_canonical_rejects_large_n():
-    with pytest.raises(GraphError, match="brute force"):
-        canonical_form(Graph.from_edges(9, [(1, 2)]))
+def test_canonical_matches_brute_force_oracle():
+    rng = random.Random(23)
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < density]
+        g = Graph.from_edges(n, edges)
+        assert canonical_form(g).mask() == brute_force_canonical_mask(g)
+
+
+def test_canonical_large_n_invariant_and_bounded():
+    rng = random.Random(29)
+    for n in range(9, 17):
+        for _ in range(3):
+            g = random_graph(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(permute(g, perm)) == canonical_form(g)
+    # the largest state sets: every vertex choice ties at every level
+    assert canonical_form(complete_graph(16)) == complete_graph(16)
+    empty = Graph.from_edges(16, [])
+    assert canonical_form(empty) == empty
 
 
 # enumeration
@@ -291,6 +312,11 @@ def test_enumerate_output_is_canonical_connected_and_distinct():
         for g in graphs:
             assert is_connected(g)
             assert canonical_form(g) == g
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_matches_orbit_sweep_oracle(n):
+    assert [g.mask() for g in enumerate_connected(n)] == orbit_sweep_masks(n)
 
 
 def test_enumerate_rejects_unsupported_n():

@@ -1,5 +1,6 @@
 """Batch runs, aggregation, rendering, persistence, and the CLI."""
 
+import importlib
 import json
 
 import pytest
@@ -182,6 +183,26 @@ def test_cli_check_shows_generator_pattern(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "generators:" in out
     assert "u_22" in out and out.count("0") >= 4
+
+
+def test_cli_check_computes_pattern_once(tmp_path, capsys, monkeypatch):
+    # the package exports a function named classify, so fetch the module
+    classify = importlib.import_module("qsymgraph.classify")
+    fulton = importlib.import_module("qsymgraph.fulton")
+    calls = []
+    original = fulton.zero_pattern
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "zero_pattern", counting)
+    monkeypatch.setattr(fulton, "zero_pattern", counting)
+    src = tmp_path / "p3.g6"
+    src.write_text("Bw\n")
+    assert cli_main(["check", "--input", str(src)]) == 0
+    assert "generators:" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_cli_check_out_writes_record(tmp_path, capsys):
