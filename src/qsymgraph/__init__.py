@@ -45,11 +45,9 @@ from .groebner import (
     EngineLimits,
     GBasis,
     Membership,
-    Obstruction,
     Reducer,
     ResourceCapError,
     complete,
-    find_obstructions,
     ideal_member,
     membership_certificate,
     normal_form,

@@ -104,7 +104,8 @@ def exact_div(c, d):
         q, r = divmod(c, d)
         if r == 0:
             return q
-    return Fraction(c) / Fraction(d)
+    q = Fraction(c) / Fraction(d)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Poly:

@@ -13,9 +13,10 @@ ambiguities, i.e. the basis is a genuine Groebner basis.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .freealg import DEGLEX, EMPTY_WORD, Generators, Poly, Word, WordOrder, exact_div
 
@@ -38,26 +39,6 @@ class Membership(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    """Ambiguity word in which two leading words overlap.
-
-    ``word[left_shift:]`` starts with the left leading word and
-    ``word[right_shift:]`` with the right one; for proper overlaps
-    ``left_shift`` is 0, for containments the whole left lead is the word.
-    """
-
-    left: int
-    right: int
-    left_shift: int
-    right_shift: int
-    word: Word
-
-    @property
-    def degree(self) -> int:
-        return len(self.word)
-
-
 @dataclass
 class GBasis:
     polys: list[Poly]
@@ -71,39 +52,74 @@ class GBasis:
 
 
 class Reducer:
-    """Two-sided rewriting by a fixed list of monic polynomials."""
+    """Two-sided rewriting by a fixed list of monic polynomials.
+
+    Leads are looked up by hash: at each position of a word, the slice of
+    every length some lead has is looked up in ``by_lead``.  The list need
+    not be interreduced; of the leads matching at the leftmost reducible
+    position, the one with the lowest rule id rewrites.
+    """
 
     def __init__(self, polys, order: WordOrder = DEGLEX):
         self.order = order
-        self.leads: list[Word] = []
-        self.tails: list[dict] = []
-        self.index: dict[int, list[int]] = {}
+        self.leads: dict[int, Word] = {}
+        self.tails: dict[int, dict] = {}
+        self.by_lead: dict[Word, int] = {}  # nonempty lead -> lowest rule id
+        self.lengths: list[int] = []  # distinct lengths in by_lead, ascending
+        self.length_count: dict[int, int] = {}
         self.unit_rule: int | None = None
         for rid, p in enumerate(polys):
             lw, lc = p.leading_term(order)
             if lc != 1:
                 raise ValueError(f"basis element {rid} is not monic")
-            tail = {w: c for w, c in p.terms.items() if w != lw}
-            self.leads.append(lw)
-            self.tails.append(tail)
-            if lw == EMPTY_WORD:
-                if self.unit_rule is None:
-                    self.unit_rule = rid
-            else:
-                self.index.setdefault(lw[0], []).append(rid)
+            self._add(rid, lw, {w: c for w, c in p.terms.items() if w != lw})
+
+    def _add(self, rid: int, lead: Word, tail: dict) -> None:
+        self.leads[rid] = lead
+        self.tails[rid] = tail
+        if not lead:
+            if self.unit_rule is None:
+                self.unit_rule = rid
+            return
+        self.by_lead.setdefault(lead, rid)
+        size = len(lead)
+        count = self.length_count.get(size, 0)
+        self.length_count[size] = count + 1
+        if not count:
+            self.lengths = sorted(self.length_count)
+
+    def _drop(self, rid: int) -> tuple[Word, dict]:
+        """Undo ``_add`` of a rule whose lead no other rule has (never the
+        unit rule); return its lead and tail."""
+        lead = self.leads.pop(rid)
+        tail = self.tails.pop(rid)
+        del self.by_lead[lead]
+        size = len(lead)
+        count = self.length_count.pop(size) - 1
+        if count:
+            self.length_count[size] = count
+        else:
+            self.lengths = sorted(self.length_count)
+        return lead, tail
 
     def find(self, w: Word):
         """Leftmost reducible position, lowest rule id; None if irreducible."""
         if self.unit_rule is not None:
             return self.unit_rule, 0, EMPTY_WORD
-        for pos in range(len(w)):
-            bucket = self.index.get(w[pos])
-            if not bucket:
-                continue
-            for rid in bucket:
-                lead = self.leads[rid]
-                if w.startswith(lead, pos):
-                    return rid, pos, lead
+        by_lead = self.by_lead
+        lengths = self.lengths
+        n = len(w)
+        for pos in range(n):
+            hit = None
+            for size in lengths:
+                end = pos + size
+                if end > n:
+                    break
+                rid = by_lead.get(w[pos:end])
+                if rid is not None and (hit is None or rid < hit):
+                    hit = rid
+            if hit is not None:
+                return hit, pos, self.leads[hit]
         return None
 
     def find_all(self, w: Word):
@@ -111,12 +127,8 @@ class Reducer:
         if self.unit_rule is not None:
             hits.append((self.unit_rule, 0, EMPTY_WORD))
         for pos in range(len(w)):
-            bucket = self.index.get(w[pos])
-            if not bucket:
-                continue
-            for rid in bucket:
-                lead = self.leads[rid]
-                if w.startswith(lead, pos):
+            for rid, lead in self.leads.items():
+                if lead and w.startswith(lead, pos):
                     hits.append((rid, pos, lead))
         return hits
 
@@ -125,27 +137,33 @@ class Reducer:
         return Poly(out, _trusted=True)
 
 
-def _inv(w: Word) -> bytes:
-    return bytes(255 - x for x in w)
+# Maps letter x to 255 - x: heap keys (-len(w), w.translate(_INV)) pop
+# the largest word first in deglex.
+_INV = bytes(range(255, -1, -1))
 
 
-def _reduce_terms(terms: dict, rules, *, trace=None, chooser=None) -> dict:
+def _reduce_terms(terms: dict, rules: Reducer, *, trace=None, chooser=None) -> dict:
     """Worklist normal form; each rewrite strictly decreases in the order.
 
     Terms are processed largest first.  Rewriting a word produces only
     strictly smaller words, so finished words are never revisited.
+    Integral ``Fraction`` results are folded back to ``int``.
     """
     work = dict(terms)
-    heap = [(-len(w), _inv(w), w) for w in work]
+    heap = [(-len(w), w.translate(_INV), w) for w in work]
     heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    find = rules.find
+    tails = rules.tails
     out: dict = {}
     while heap:
-        _, _, w = heapq.heappop(heap)
+        _, _, w = heappop(heap)
         c = work.pop(w, 0)
         if not c:
             continue
         if chooser is None:
-            hit = rules.find(w)
+            hit = find(w)
         else:
             hits = rules.find_all(w)
             hit = chooser(hits) if hits else None
@@ -157,14 +175,16 @@ def _reduce_terms(terms: dict, rules, *, trace=None, chooser=None) -> dict:
             trace.append((c, w[:pos], rid, w[pos + len(lead):]))
         a = w[:pos]
         b = w[pos + len(lead):]
-        for tw, tc in rules.tails[rid].items():
+        for tw, tc in tails[rid].items():
             nw = a + tw + b
             prev = work.get(nw)
             acc = (prev if prev is not None else 0) - c * tc
             if acc:
+                if type(acc) is Fraction and acc.denominator == 1:
+                    acc = acc.numerator
                 work[nw] = acc
                 if prev is None:
-                    heapq.heappush(heap, (-len(nw), _inv(nw), nw))
+                    heappush(heap, (-len(nw), nw.translate(_INV), nw))
             else:
                 work.pop(nw, None)
     return out
@@ -183,51 +203,33 @@ def normal_form(f: Poly, basis, order: WordOrder = DEGLEX, *,
     return rules.normal_form(f, trace=trace, chooser=chooser)
 
 
-def _proper_overlaps(left_lead: Word, right_lead: Word):
-    """Overlap lengths k where a proper suffix of left equals a proper prefix of right."""
-    top = min(len(left_lead), len(right_lead))
-    for k in range(1, top):
-        if left_lead[-k:] == right_lead[:k]:
-            yield k
+def _subwords(w: Word) -> set[Word]:
+    return {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
 
 
-def find_obstructions(basis, order: WordOrder = DEGLEX) -> list[Obstruction]:
-    """All minimal ambiguities among leading words, containments included."""
-    polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    leads = [p.leading_term(order)[0] for p in polys]
-    found: list[Obstruction] = []
-    for i, a in enumerate(leads):
-        for k in _proper_overlaps(a, a):
-            found.append(Obstruction(i, i, 0, len(a) - k, a + a[k:]))
-        for j, b in enumerate(leads):
-            if i == j:
-                continue
-            for k in _proper_overlaps(a, b):
-                found.append(Obstruction(i, j, 0, len(a) - k, a + b[k:]))
-            if len(b) < len(a) or (len(b) == len(a) and i < j):
-                start = 0
-                while True:
-                    pos = a.find(b, start)
-                    if pos < 0:
-                        break
-                    found.append(Obstruction(i, j, 0, pos, a))
-                    start = pos + 1
-    found.sort(key=lambda o: (len(o.word), o.left, o.right, o.right_shift))
-    return found
+def _discard(index: dict, key: Word, rid: int) -> None:
+    bucket = index[key]
+    bucket.discard(rid)
+    if not bucket:
+        del index[key]
 
 
-class _Engine:
-    """Mutable completion state; single run, exclusively owned."""
+class _Engine(Reducer):
+    """Mutable completion state; single run, exclusively owned.
+
+    The live basis is the rule set of the Reducer it extends, so ``leads``
+    holds live elements only.  Beside ``by_lead`` it indexes every live
+    lead by its proper prefixes and suffixes (to find overlaps) and by
+    all its subwords (to find the leads a new lead divides).
+    """
 
     def __init__(self, order: WordOrder, bound: int, limits: EngineLimits):
-        self.order = order
+        super().__init__((), order)
         self.bound = bound
         self.limits = limits
-        self.leads: dict[int, Word] = {}
-        self.tails: dict[int, dict] = {}
-        self.live: set[int] = set()
-        self.index: dict[int, list[int]] = {}
-        self.unit_rid: int | None = None
+        self.prefix: defaultdict[Word, set[int]] = defaultdict(set)
+        self.suffix: defaultdict[Word, set[int]] = defaultdict(set)
+        self.sub: defaultdict[Word, set[int]] = defaultdict(set)
         self.heap: list[tuple[int, int, int, int]] = []
         self.deferred: list[tuple[int, int, int, int]] = []
         self.pending: deque = deque()
@@ -235,31 +237,37 @@ class _Engine:
         self.term_count = 0
         self.overflow = False
 
-    # Reducer protocol: find / tails
-    def find(self, w: Word):
-        if self.unit_rid is not None:
-            return self.unit_rid, 0, EMPTY_WORD
-        for pos in range(len(w)):
-            bucket = self.index.get(w[pos])
-            if not bucket:
-                continue
-            for rid in bucket:
-                if rid in self.live and w.startswith(self.leads[rid], pos):
-                    return rid, pos, self.leads[rid]
-        return None
+    def _add(self, rid: int, lead: Word, tail: dict) -> None:
+        super()._add(rid, lead, tail)
+        for k in range(1, len(lead)):
+            self.prefix[lead[:k]].add(rid)
+            self.suffix[lead[-k:]].add(rid)
+        for key in _subwords(lead):
+            self.sub[key].add(rid)
+
+    def _drop(self, rid: int) -> tuple[Word, dict]:
+        lead, tail = super()._drop(rid)
+        for k in range(1, len(lead)):
+            _discard(self.prefix, lead[:k], rid)
+            _discard(self.suffix, lead[-k:], rid)
+        for key in _subwords(lead):
+            _discard(self.sub, key, rid)
+        return lead, tail
+
+    def _overlaps(self, rid: int):
+        """(i, j, k) for every live pair with ``rid`` as i or j (or both)
+        where the last k letters of lead i are the first k of lead j,
+        0 < k < min of the two lengths."""
+        a = self.leads[rid]
+        for k in range(1, len(a)):
+            for s in self.prefix.get(a[-k:], ()):
+                yield rid, s, k
+            for s in self.suffix.get(a[:k], ()):
+                if s != rid:
+                    yield s, rid, k
 
     def _nf(self, terms: dict) -> dict:
         return _reduce_terms(terms, self)
-
-    def _push_overlaps(self, i: int, j: int):
-        a = self.leads[i]
-        b = self.leads[j]
-        for k in _proper_overlaps(a, b):
-            entry = (len(a) + len(b) - k, i, j, k)
-            if entry[0] <= self.bound:
-                heapq.heappush(self.heap, entry)
-            else:
-                self.deferred.append(entry)
 
     def insert(self, terms: dict):
         nf = self._nf(terms)
@@ -276,34 +284,26 @@ class _Engine:
         self.next_rid += 1
         # interreduction, step 1: retire elements whose lead the new lead divides
         if lw:
-            for s in sorted(self.live):
-                if lw in self.leads[s]:
-                    self.live.discard(s)
-                    full = dict(self.tails[s])
-                    full[self.leads[s]] = 1
-                    self.term_count -= len(full)
-                    self.pending.append(full)
+            for s in sorted(self.sub.get(lw, ())):
+                lead, full = self._drop(s)
+                full[lead] = 1
+                self.term_count -= len(full)
+                self.pending.append(full)
         else:
             # constant 1 entered the ideal: everything reduces to zero
-            for s in sorted(self.live):
-                self.live.discard(s)
-                self.term_count -= len(self.tails[s]) + 1
-        self.leads[rid] = lw
-        self.tails[rid] = nf
-        self.live.add(rid)
+            for s in sorted(self.leads):
+                _, tail = self._drop(s)
+                self.term_count -= len(tail) + 1
+        self._add(rid, lw, nf)
         self.term_count += len(nf) + 1
-        if lw == EMPTY_WORD:
-            self.unit_rid = rid
-        else:
-            self.index.setdefault(lw[0], []).append(rid)
-        if len(self.live) > self.limits.max_basis:
+        if len(self.leads) > self.limits.max_basis:
             raise ResourceCapError(
                 f"basis size cap exceeded ({self.limits.max_basis})")
         if self.term_count > self.limits.max_terms:
             raise ResourceCapError(
                 f"total term cap exceeded ({self.limits.max_terms})")
         # interreduction, step 2: re-reduce tails the new lead touches
-        for s in sorted(self.live):
+        for s in sorted(self.leads):
             if s == rid:
                 continue
             tail = self.tails[s]
@@ -312,30 +312,26 @@ class _Engine:
                 new_tail = self._nf(dict(tail))
                 self.tails[s] = new_tail
                 self.term_count += len(new_tail)
-        for s in sorted(self.live):
-            if s == rid:
-                self._push_overlaps(rid, rid)
+        leads = self.leads
+        for i, j, k in self._overlaps(rid):
+            entry = (len(leads[i]) + len(leads[j]) - k, i, j, k)
+            if entry[0] <= self.bound:
+                heapq.heappush(self.heap, entry)
             else:
-                self._push_overlaps(rid, s)
-                self._push_overlaps(s, rid)
+                self.deferred.append(entry)
 
     def spoly(self, i: int, j: int, k: int) -> dict:
         a = self.leads[i]
         b = self.leads[j]
         right = b[k:]
         left = a[:len(a) - k]
-        out: dict = {}
-        for w, c in self.tails[i].items():
-            nw = w + right
-            acc = out.get(nw, 0) + c
-            if acc:
-                out[nw] = acc
-            else:
-                del out[nw]
+        out = {w + right: c for w, c in self.tails[i].items()}
         for w, c in self.tails[j].items():
             nw = left + w
             acc = out.get(nw, 0) - c
             if acc:
+                if type(acc) is Fraction and acc.denominator == 1:
+                    acc = acc.numerator
                 out[nw] = acc
             else:
                 del out[nw]
@@ -350,7 +346,7 @@ class _Engine:
             entry = None
             while self.heap:
                 cand = heapq.heappop(self.heap)
-                if cand[1] in self.live and cand[2] in self.live:
+                if cand[1] in self.leads and cand[2] in self.leads:
                     entry = cand
                     break
             if entry is None:
@@ -362,12 +358,12 @@ class _Engine:
         if self.overflow:
             return False
         return not any(
-            i in self.live and j in self.live for _, i, j, _ in self.deferred
+            i in self.leads and j in self.leads for _, i, j, _ in self.deferred
         )
 
     def basis_polys(self) -> list[Poly]:
         out = []
-        for rid in sorted(self.live, key=lambda r: self.order.key(self.leads[r])):
+        for rid in sorted(self.leads, key=lambda r: self.order.key(self.leads[r])):
             terms = dict(self.tails[rid])
             terms[self.leads[rid]] = 1
             out.append(Poly(terms, _trusted=True))

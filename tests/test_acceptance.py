@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, strict expected values.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
-per criterion.  The 7-vertex enumeration check takes about a minute and
-only runs when RUN_NIGHTLY=1 is set; everything else runs by default.
+per criterion.  The 7-vertex enumeration check and the Petersen graph
+take about a minute each and only run when RUN_NIGHTLY=1 is set;
+everything else runs by default.
 """
 
 import os
@@ -259,3 +260,20 @@ def test_extended_seven_vertex_enumeration():
         assert verdict.qsym_output == 1
     _pass("extended: 7-vertex classes match the orbit sweep, and all 461 "
           "small-group graphs are classical")
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_petersen_graph_has_no_quantum_symmetry():
+    # Schmidt, "The Petersen graph has no quantum symmetry" (BLMS 2018)
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    from qsymgraph import parse_graph6
+
+    line = "IheA@GUAo"
+    external = nx.from_graph6_bytes(line.encode())
+    assert sum(1 for _ in GraphMatcher(external, external).isomorphisms_iter()) == 120
+    verdict = classify(parse_graph6(line))
+    assert verdict.kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
+    assert verdict.aut_order == 120
+    _pass("extended: the Petersen graph has no quantum symmetry, |Aut| = 120")

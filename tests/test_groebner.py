@@ -8,6 +8,7 @@ relation.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,13 +18,13 @@ from qsymgraph.groebner import (
     EngineLimits,
     GBasis,
     Membership,
-    Obstruction,
     Reducer,
     ResourceCapError,
+    _Engine,
     complete,
-    find_obstructions,
     normal_form,
 )
+from overlap_oracle import Obstruction, find_obstructions, obstructions_of_leads
 
 X, Y = 0, 1
 
@@ -75,6 +76,62 @@ def test_normal_form_trace_reconstructs_the_difference():
         assert f - nf == rebuilt
 
 
+def _linear_find(polys, w):
+    """Reference scan: the unit rule if any, else the leftmost position
+    and, there, the lowest rule id whose lead matches."""
+    leads = [f.leading_term()[0] for f in polys]
+    for rid, lead in enumerate(leads):
+        if not lead:
+            return rid, 0, EMPTY_WORD
+    for pos in range(len(w)):
+        for rid, lead in enumerate(leads):
+            if w.startswith(lead, pos):
+                return rid, pos, lead
+    return None
+
+
+def test_find_agrees_with_linear_scan_on_non_interreduced_rules():
+    rng = random.Random(83)
+    for case in range(300):
+        letters = rng.randint(2, 3)
+        leads = [bytes(rng.choices(range(letters), k=rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):
+            lead = rng.choice(leads)
+            extra = bytes(rng.choices(range(letters), k=rng.randint(0, 2)))
+            leads.insert(rng.randrange(len(leads) + 1), lead + extra)  # duplicate or extension
+        if case % 25 == 0:
+            leads.insert(rng.randrange(len(leads) + 1), EMPTY_WORD)
+        polys = []
+        for lead in leads:
+            terms = {lead: 1}
+            if lead:
+                tail = bytes(rng.choices(range(letters), k=rng.randrange(len(lead))))
+                terms[tail] = rng.choice((-2, -1, 1, 3))
+            polys.append(p(terms))
+        reducer = Reducer(polys)
+        for _ in range(20):
+            w = bytes(rng.choices(range(letters), k=rng.randint(0, 7)))
+            assert reducer.find(w) == _linear_find(polys, w)
+
+
+def test_integral_coefficients_fold_back_to_int():
+    # yy - x/2: rewriting by it makes halves, and whole numbers from halves
+    half = p({word(Y, Y): 1, word(X): Fraction(-1, 2)})
+    f = p({word(Y, Y): 2, word(X): 1, word(X, Y, Y): 4, word(Y): 3, word(Y, Y, X): 1})
+    nf = normal_form(f, [half])
+    reference = f - half.scale(2) - Poly.gen(X) * half.scale(4) - half * Poly.gen(X)
+    assert nf == reference
+    assert nf.terms[word(X, X)] == Fraction(5, 2)
+    for w, c in nf.terms.items():
+        if Fraction(c).denominator == 1:
+            assert type(c) is int, (w, c)
+    gens = [p({word(Y, Y): 2, word(X): -1}), p({word(Y, X): 2, word(X, Y): -4, word(X): 2})]
+    for g in complete(gens, DEGLEX, degree_bound=6).polys:
+        for c in g.terms.values():
+            assert type(c) is int or Fraction(c).denominator != 1, g
+
+
 def test_normal_form_idempotence():
     rng = random.Random(67)
     basis = [idempotent(X), p({word(Y, Y): 1, EMPTY_WORD: -1})]
@@ -124,6 +181,37 @@ def test_obstructions_sorted_by_degree():
     ])
     degrees = [o.degree for o in obs]
     assert degrees == sorted(degrees)
+
+
+def test_indexed_overlaps_match_all_pairs_oracle():
+    # the engine pushes (i, j, k) for each new lead against the live ones
+    # through its prefix/suffix indexes; the oracle tries every pair
+    rng = random.Random(79)
+    for _ in range(150):
+        letters = rng.randint(3, 4)
+        engine = _Engine(DEGLEX, 99, EngineLimits())
+        all_leads: list[bytes] = []
+        for rid in range(rng.randint(1, 14)):
+            live = sorted(engine.leads)
+            if live and rng.random() < 0.25:
+                engine._drop(rng.choice(live))
+            lead = b""
+            while not lead or lead in engine.by_lead:  # live leads are distinct
+                lead = bytes(rng.choices(range(letters), k=rng.randint(1, 5)))
+            all_leads.append(lead)
+            engine._add(rid, lead, {})
+            pushed = sorted(engine._overlaps(rid))
+            live = sorted(engine.leads)
+            leads = [all_leads[s] for s in live]
+            expected = sorted(
+                (live[o.left], live[o.right], len(leads[o.left]) - o.right_shift)
+                for o in obstructions_of_leads(leads)
+                if len(o.word) > len(leads[o.left]) and rid in (live[o.left], live[o.right])
+            )
+            assert pushed == expected
+            probe = bytes(rng.choices(range(letters), k=rng.randint(1, 3)))
+            assert sorted(engine.sub.get(probe, ())) == [
+                s for s in live if probe in all_leads[s]]
 
 
 # completion
