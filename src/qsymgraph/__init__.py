@@ -13,7 +13,6 @@ from .automorphisms import (
     automorphism_group,
     cycle_notation,
     find_disjoint_pair,
-    group_order,
 )
 from .classify import (
     CheckResult,

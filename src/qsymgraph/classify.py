@@ -134,7 +134,8 @@ def build_relations(g: Graph, pattern: ZeroPattern, mode: str = "delete") -> Pre
     seen: set = set()
 
     def add(p: Poly):
-        k = p.key()
+        # every coefficient is an int, so the term items hash as they are
+        k = frozenset(p.terms.items())
         if k not in seen:
             seen.add(k)
             relations.append(p)

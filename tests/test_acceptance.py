@@ -22,6 +22,7 @@ from qsymgraph import (
     automorphism_group,
     classify,
     enumerate_connected,
+    find_disjoint_pair,
     matrix_power,
     run_batch,
     zero_pattern,
@@ -32,6 +33,7 @@ from qsymgraph.fulton import is_identity_forced
 from qsymgraph.groebner import Reducer, complete, normal_form
 from qsymgraph.pipeline import OrderRow
 
+import automorphism_oracle
 from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6
 from enumeration_oracle import orbit_sweep_masks
 from membership_oracle import SpanOracle
@@ -250,16 +252,19 @@ def test_extended_seven_vertex_enumeration():
     graphs = enumerate_connected(7)
     assert len(graphs) == 853
     assert [g.mask() for g in graphs] == orbit_sweep_masks(7)
-    hist = Counter(automorphism_group(g).order for g in graphs)
+    groups = [automorphism_group(g) for g in graphs]
+    for g, group in zip(graphs, groups):
+        assert (group.order, find_disjoint_pair(group)) == automorphism_oracle.order_and_pair(g)
+    hist = Counter(group.order for group in groups)
     assert hist[1] == 144
     assert hist[2] == 317
-    small = [g for g in graphs if automorphism_group(g).order in (1, 2)]
+    small = [g for g, group in zip(graphs, groups) if group.order in (1, 2)]
     for g in small:
         verdict = classify(g)
         assert verdict.kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
         assert verdict.qsym_output == 1
-    _pass("extended: 7-vertex classes match the orbit sweep, and all 461 "
-          "small-group graphs are classical")
+    _pass("extended: 7-vertex classes match the orbit sweep, orders and pairs "
+          "match the element lists, and all 461 small-group graphs are classical")
 
 
 @pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")

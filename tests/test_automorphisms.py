@@ -1,25 +1,29 @@
 """Automorphism groups, group axioms, and the disjoint-pair search."""
 
 import gc
+import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
 
 from qsymgraph import (
     Graph,
+    VerdictKind,
     are_disjoint,
     automorphism_group,
+    classify,
     cycle_notation,
     enumerate_connected,
     find_disjoint_pair,
-    group_order,
     permute,
 )
 from qsymgraph.automorphisms import is_automorphism, moved_points
 from qsymgraph.fulton import zero_pattern
 
+import automorphism_oracle
 from conftest import complete_graph, cycle_graph, four_vertex_path, star4
 
 
@@ -40,15 +44,17 @@ def invert(s):
 
 
 def test_group_is_freed_without_garbage_collection():
-    # a reference cycle would keep each call's 5,040 elements alive
-    # until a full collection
+    # a reference cycle would keep each call's search state alive until
+    # a full collection
     k7 = complete_graph(7)
-    automorphism_group(k7)
+    find_disjoint_pair(automorphism_group(k7))
     gc.disable()
     try:
         before = sys.getallocatedblocks()
         for _ in range(3):
-            assert automorphism_group(k7).order == 5040
+            group = automorphism_group(k7)
+            assert group.order == 5040
+            assert find_disjoint_pair(group) is not None
         grown = sys.getallocatedblocks() - before
     finally:
         gc.enable()
@@ -60,22 +66,25 @@ def test_group_orders():
     assert automorphism_group(complete_graph(4)).order == 24
     assert automorphism_group(star4()).order == 6
     assert automorphism_group(four_vertex_path()).order == 2
-    assert group_order(automorphism_group(Graph(1, ((0,),)))) == 1
+    assert automorphism_group(Graph(1, ((0,),))).order == 1
 
 
 def test_house_contains_expected_transpositions(house):
-    group = automorphism_group(house)
+    elements = automorphism_oracle.elements(house)
     swap23 = (0, 2, 1, 3, 4)
     swap14 = (3, 1, 2, 0, 4)
-    assert swap23 in group.elements
-    assert swap14 in group.elements
+    assert swap23 in elements
+    assert swap14 in elements
+    assert automorphism_group(house).order == len(elements)
 
 
 def test_every_element_commutes_with_adjacency():
     rng = random.Random(3)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 6))
-        for s in automorphism_group(g).elements:
+        elements = automorphism_oracle.elements(g)
+        assert automorphism_group(g).order == len(elements)
+        for s in elements:
             assert is_automorphism(g, s)
             assert permute(g, s) == g
 
@@ -84,9 +93,9 @@ def test_group_axioms_exhaustively():
     rng = random.Random(5)
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 5))
-        group = automorphism_group(g)
-        elems = set(group.elements)
-        assert group.identity() in elems
+        elems = set(automorphism_oracle.elements(g))
+        assert automorphism_group(g).order == len(elems)
+        assert tuple(range(g.n)) in elems
         for s in elems:
             assert invert(s) in elems
             for t in elems:
@@ -138,9 +147,11 @@ def test_find_disjoint_pair_never_identity():
         g = random_graph(rng, rng.randint(2, 6))
         group = automorphism_group(g)
         pair = find_disjoint_pair(group)
+        # the pair is the first in lex order, so it depends on the labelling
+        assert (group.order, pair) == automorphism_oracle.order_and_pair(g)
         if pair is not None:
             s, t = pair
-            assert s != group.identity() and t != group.identity()
+            assert s != tuple(range(g.n)) and t != tuple(range(g.n))
             assert are_disjoint(s, t)
 
 
@@ -149,10 +160,43 @@ def test_forced_zero_blocks_automorphism_images():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 6))
         pattern = zero_pattern(g)
-        group = automorphism_group(g)
-        for s in group.elements:
+        for s in automorphism_oracle.elements(g):
             for i in range(g.n):
                 assert not pattern.is_forced(i, s[i])
+
+
+def test_order_and_pair_match_oracle_on_connected_graphs():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            group = automorphism_group(g)
+            assert (group.order, find_disjoint_pair(group)) == automorphism_oracle.order_and_pair(g)
+
+
+def disjoint_edges(k):
+    return Graph.from_edges(2 * k, [(2 * i + 1, 2 * i + 2) for i in range(k)])
+
+
+@pytest.mark.parametrize("name, g, order", [
+    ("K10", complete_graph(10), math.factorial(10)),
+    ("K12", complete_graph(12), math.factorial(12)),
+    ("K16", complete_graph(16), math.factorial(16)),
+    ("empty16", Graph.from_edges(16, []), math.factorial(16)),
+    ("8K2", disjoint_edges(8), 2 ** 8 * math.factorial(8)),
+])
+def test_large_groups_without_listing_elements(name, g, order):
+    start = time.perf_counter()
+    group = automorphism_group(g)
+    pair = find_disjoint_pair(group)
+    verdict = classify(g)
+    elapsed = time.perf_counter() - start
+    assert group.order == order
+    assert pair is not None
+    s, t = pair
+    assert is_automorphism(g, s) and is_automorphism(g, t)
+    assert are_disjoint(s, t) and moved_points(s) and moved_points(t)
+    assert verdict.kind is VerdictKind.QUANTUM_SYMMETRIC
+    assert verdict.aut_order == order and verdict.disjoint_pair == pair
+    assert elapsed < 1.0, f"{name} took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("n, expected", [

@@ -1,5 +1,6 @@
 """Relation building, the commutativity check, and full classification."""
 
+import hashlib
 import random
 
 import pytest
@@ -75,6 +76,25 @@ def test_relations_deduplicated(house):
     pres = build_relations(house, zero_pattern(house))
     keys = [rel.key() for rel in pres.relations]
     assert len(set(keys)) == len(keys)
+
+
+def test_relations_pinned_on_small_graphs():
+    # SHA-256 over every relation list, in order, for all connected graphs
+    # on <= 6 vertices in both modes, as deduplicated through Poly.key
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            pattern = zero_pattern(g)
+            for mode in ("delete", "relations"):
+                relations = build_relations(g, pattern, mode).relations
+                count += len(relations)
+                for rel in relations:
+                    digest.update(repr(sorted(rel.terms.items())).encode() + b";")
+                digest.update(b"|")
+    assert count == 117960
+    assert digest.hexdigest() == (
+        "fafc460e7edee5031744cdf898eccb0b98ea9c7cda0a4acdc4a4e7643865944e")
 
 
 def test_broken_house_block_matches_triangle_system(broken_house):

@@ -10,7 +10,16 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from qsymgraph import Graph, automorphism_group, enumerate_connected, parse_graph6, to_graph6
+from qsymgraph import (
+    Graph,
+    automorphism_group,
+    enumerate_connected,
+    find_disjoint_pair,
+    parse_graph6,
+    to_graph6,
+)
+
+import automorphism_oracle
 
 
 def random_graph(rng, n):
@@ -31,8 +40,6 @@ def test_graph6_codec_against_networkx():
 
 
 def test_automorphism_orders_against_vf2():
-    from networkx.algorithms.isomorphism import GraphMatcher
-
     rng = random.Random(101)
     for _ in range(120):
         n = rng.randint(2, 7)
@@ -40,8 +47,39 @@ def test_automorphism_orders_against_vf2():
         G = nx.Graph()
         G.add_nodes_from(range(n))
         G.add_edges_from(edges)
-        vf2_count = sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
-        assert automorphism_group(g).order == vf2_count
+        assert automorphism_group(g).order == vf2_order(G)
+
+
+def vf2_order(G) -> int:
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    return sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+
+
+def test_order_and_pair_match_oracle_on_atlas_labellings():
+    # the pair is the first in lex order, so it depends on the labelling
+    checked = 0
+    for G in nx.graph_atlas_g():
+        n = G.number_of_nodes()
+        if n == 0 or not nx.is_connected(G):
+            continue
+        g = Graph.from_edges(n, list(G.edges()), one_based=False)
+        group = automorphism_group(g)
+        assert (group.order, find_disjoint_pair(group)) == automorphism_oracle.order_and_pair(g)
+        checked += 1
+    assert checked == 996
+
+
+@pytest.mark.parametrize("name, G", [
+    ("Paley(13)", nx.paley_graph(13).to_undirected()),
+    ("C16", nx.cycle_graph(16)),
+])
+def test_vertex_transitive_graphs_without_pair(name, G):
+    n = G.number_of_nodes()
+    g = Graph.from_edges(n, list(G.edges()), one_based=False)
+    group = automorphism_group(g)
+    assert group.order == vf2_order(G)
+    assert find_disjoint_pair(group) is None
 
 
 def test_enumeration_classes_pairwise_nonisomorphic():

@@ -166,6 +166,17 @@ def test_cli_check_text(tmp_path, capsys):
     assert "|Aut|:      24" in out
 
 
+def test_cli_check_k12_json(tmp_path, capsys):
+    # 12! automorphisms: found from the stabiliser chain, never listed
+    src = tmp_path / "k12.g6"
+    src.write_text(to_graph6(complete_graph(12)) + "\n")
+    assert cli_main(["check", "--input", str(src), "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["aut_order"] == 479001600
+    assert record["disjoint_pair"] == ["(11,12)", "(9,10)"]
+    assert record["verdict"] == "QuantumSymmetric"
+
+
 def test_cli_check_adjacency_json(tmp_path, capsys):
     src = tmp_path / "p2.adj"
     src.write_text("0 1\n1 0\n")
