@@ -234,21 +234,15 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     last_size = None
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, DEGLEX, degree_bound=bound, limits=cfg.limits)
+        # one Reducer for every commutator, so that they share its
+        # memoised per-word normal forms
         reducer = Reducer(basis.polys, DEGLEX)
-        witness = None
-        unresolved = False
-        for c in coms:
-            if reducer.normal_form(c).is_zero():
-                continue
-            if basis.complete:
-                witness = c
-            unresolved = True
-            break
-        if not unresolved:
+        witness = next((c for c in coms if not reducer.normal_form(c).is_zero()), None)
+        if witness is None:
             return CheckResult(
                 CheckStatus.COMMUTATIVE, len(coms),
                 degree_bound=bound, basis_size=basis.size)
-        if witness is not None:
+        if basis.complete:
             return CheckResult(
                 CheckStatus.NOT_SHOWN_COMMUTATIVE, len(coms),
                 degree_bound=bound, basis_size=basis.size, witness=witness)

@@ -249,18 +249,3 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.terms!r})"
 
-
-def poly_add(f: Poly, g: Poly) -> Poly:
-    return f + g
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def scalar_mul(c, f: Poly) -> Poly:
-    return f.scale(c)
-
-
-def leading_term(f: Poly, order: WordOrder = DEGLEX) -> tuple[Word, Coeff]:
-    return f.leading_term(order)

@@ -58,6 +58,12 @@ class Reducer:
     every length some lead has is looked up in ``by_lead``.  The list need
     not be interreduced; of the leads matching at the leftmost reducible
     position, the one with the lowest rule id rewrites.
+
+    Which rule rewrites a word depends on the word alone, so reduction is
+    linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
+    N(w) is the normal form of the word w.  ``normal_form`` keeps every
+    N(w) it meets in ``word_nf``, which is valid as long as the rules do
+    not change.
     """
 
     def __init__(self, polys, order: WordOrder = DEGLEX):
@@ -68,6 +74,7 @@ class Reducer:
         self.lengths: list[int] = []  # distinct lengths in by_lead, ascending
         self.length_count: dict[int, int] = {}
         self.unit_rule: int | None = None
+        self.word_nf: dict[Word, dict] = {}
         for rid, p in enumerate(polys):
             lw, lc = p.leading_term(order)
             if lc != 1:
@@ -122,19 +129,55 @@ class Reducer:
                 return hit, pos, self.leads[hit]
         return None
 
-    def find_all(self, w: Word):
-        hits = []
-        if self.unit_rule is not None:
-            hits.append((self.unit_rule, 0, EMPTY_WORD))
-        for pos in range(len(w)):
-            for rid, lead in self.leads.items():
-                if lead and w.startswith(lead, pos):
-                    hits.append((rid, pos, lead))
-        return hits
-
-    def normal_form(self, f: Poly, *, trace: list | None = None, chooser=None) -> Poly:
-        out = _reduce_terms(f.terms, self, trace=trace, chooser=chooser)
+    def normal_form(self, f: Poly, *, trace: list | None = None) -> Poly:
+        """Normal form of ``f``; with ``trace``, by the worklist, which
+        records each rewrite (see the module function ``normal_form``)."""
+        if trace is not None:
+            return Poly(_reduce_terms(f.terms, self, trace=trace), _trusted=True)
+        out: dict = {}
+        for w, c in f.terms.items():
+            _add_scaled(out, self._word_nf(w), c)
         return Poly(out, _trusted=True)
+
+    def _word_nf(self, w: Word) -> dict:
+        """N(w), built bottom-up on an explicit stack and kept in ``word_nf``.
+
+        A reducible word waits on the stack until the normal forms of the
+        words its rewrite produces are known; those are strictly smaller,
+        so the stack empties.
+        """
+        memo = self.word_nf
+        find = self.find
+        tails = self.tails
+        waiting: dict[Word, list] = {}  # word -> [(rewritten word, coeff), ...]
+        stack = [w]
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            parts = waiting.get(v)
+            if parts is None:
+                hit = find(v)
+                if hit is None:
+                    memo[v] = {v: 1}
+                    stack.pop()
+                    continue
+                rid, pos, lead = hit
+                a = v[:pos]
+                b = v[pos + len(lead):]
+                parts = waiting[v] = [(a + tw + b, tc) for tw, tc in tails[rid].items()]
+                missing = [u for u, _ in parts if u not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+            stack.pop()
+            del waiting[v]
+            out: dict = {}
+            for u, tc in parts:
+                _add_scaled(out, memo[u], -tc)
+            memo[v] = out
+        return memo[w]
 
 
 # Maps letter x to 255 - x: heap keys (-len(w), w.translate(_INV)) pop
@@ -142,7 +185,19 @@ class Reducer:
 _INV = bytes(range(255, -1, -1))
 
 
-def _reduce_terms(terms: dict, rules: Reducer, *, trace=None, chooser=None) -> dict:
+def _add_scaled(out: dict, terms: dict, c) -> None:
+    """out += c * terms, dropping zeros and folding integral Fractions."""
+    for w, tc in terms.items():
+        acc = out.get(w, 0) + c * tc
+        if acc:
+            if type(acc) is Fraction and acc.denominator == 1:
+                acc = acc.numerator
+            out[w] = acc
+        else:
+            out.pop(w, None)
+
+
+def _reduce_terms(terms: dict, rules: Reducer, *, trace=None) -> dict:
     """Worklist normal form; each rewrite strictly decreases in the order.
 
     Terms are processed largest first.  Rewriting a word produces only
@@ -162,11 +217,7 @@ def _reduce_terms(terms: dict, rules: Reducer, *, trace=None, chooser=None) -> d
         c = work.pop(w, 0)
         if not c:
             continue
-        if chooser is None:
-            hit = find(w)
-        else:
-            hits = rules.find_all(w)
-            hit = chooser(hits) if hits else None
+        hit = find(w)
         if hit is None:
             out[w] = c
             continue
@@ -191,7 +242,7 @@ def _reduce_terms(terms: dict, rules: Reducer, *, trace=None, chooser=None) -> d
 
 
 def normal_form(f: Poly, basis, order: WordOrder = DEGLEX, *,
-                trace: list | None = None, chooser=None) -> Poly:
+                trace: list | None = None) -> Poly:
     """Fully reduce ``f`` by a list of monic polynomials (or a GBasis).
 
     With ``trace`` a list, appends ``(coeff, left, rule_index, right)``
@@ -200,7 +251,7 @@ def normal_form(f: Poly, basis, order: WordOrder = DEGLEX, *,
     """
     polys = basis.polys if isinstance(basis, GBasis) else list(basis)
     rules = Reducer(polys, order)
-    return rules.normal_form(f, trace=trace, chooser=chooser)
+    return rules.normal_form(f, trace=trace)
 
 
 def _subwords(w: Word) -> set[Word]:
@@ -220,7 +271,11 @@ class _Engine(Reducer):
     The live basis is the rule set of the Reducer it extends, so ``leads``
     holds live elements only.  Beside ``by_lead`` it indexes every live
     lead by its proper prefixes and suffixes (to find overlaps) and by
-    all its subwords (to find the leads a new lead divides).
+    all its subwords (to find the leads a new lead divides), and every
+    live tail by the subwords of its words (to find the tails a new lead
+    reduces), counting for each rule how many of its tail words contain
+    the subword.  The rules change as it runs, so it reduces by the
+    worklist and never through ``normal_form``'s memo.
     """
 
     def __init__(self, order: WordOrder, bound: int, limits: EngineLimits):
@@ -230,6 +285,7 @@ class _Engine(Reducer):
         self.prefix: defaultdict[Word, set[int]] = defaultdict(set)
         self.suffix: defaultdict[Word, set[int]] = defaultdict(set)
         self.sub: defaultdict[Word, set[int]] = defaultdict(set)
+        self.tail_sub: defaultdict[Word, dict[int, int]] = defaultdict(dict)
         self.heap: list[tuple[int, int, int, int]] = []
         self.deferred: list[tuple[int, int, int, int]] = []
         self.pending: deque = deque()
@@ -244,6 +300,7 @@ class _Engine(Reducer):
             self.suffix[lead[-k:]].add(rid)
         for key in _subwords(lead):
             self.sub[key].add(rid)
+        self._count_tail_words(rid, tail, 1)
 
     def _drop(self, rid: int) -> tuple[Word, dict]:
         lead, tail = super()._drop(rid)
@@ -252,7 +309,23 @@ class _Engine(Reducer):
             _discard(self.suffix, lead[-k:], rid)
         for key in _subwords(lead):
             _discard(self.sub, key, rid)
+        self._count_tail_words(rid, tail, -1)
         return lead, tail
+
+    def _count_tail_words(self, rid: int, words, step: int) -> None:
+        """Add ``step`` to the count of ``rid`` under every subword of
+        each of ``words``."""
+        tail_sub = self.tail_sub
+        for w in words:
+            for key in _subwords(w):
+                bucket = tail_sub[key]
+                count = bucket.get(rid, 0) + step
+                if count:
+                    bucket[rid] = count
+                else:
+                    del bucket[rid]
+                    if not bucket:
+                        del tail_sub[key]
 
     def _overlaps(self, rid: int):
         """(i, j, k) for every live pair with ``rid`` as i or j (or both)
@@ -302,16 +375,15 @@ class _Engine(Reducer):
         if self.term_count > self.limits.max_terms:
             raise ResourceCapError(
                 f"total term cap exceeded ({self.limits.max_terms})")
-        # interreduction, step 2: re-reduce tails the new lead touches
-        for s in sorted(self.leads):
-            if s == rid:
-                continue
+        # interreduction, step 2: re-reduce the tails that contain the new
+        # lead (never the new element's own: its tail words are smaller)
+        for s in sorted(self.tail_sub.get(lw, ())):
             tail = self.tails[s]
-            if any(lw in w for w in tail):
-                self.term_count -= len(tail)
-                new_tail = self._nf(dict(tail))
-                self.tails[s] = new_tail
-                self.term_count += len(new_tail)
+            new_tail = self._nf(tail)
+            self.tails[s] = new_tail
+            self.term_count += len(new_tail) - len(tail)
+            self._count_tail_words(s, [w for w in tail if w not in new_tail], -1)
+            self._count_tail_words(s, [w for w in new_tail if w not in tail], 1)
         leads = self.leads
         for i, j, k in self._overlaps(rid):
             entry = (len(leads[i]) + len(leads[j]) - k, i, j, k)

@@ -1,16 +1,20 @@
-"""All-pairs obstruction search among leading words, for tests only.
+"""All-pairs obstruction search and random rewriting, for tests only.
 
 The completion engine finds overlaps through prefix and suffix indexes
 of the live leads.  This oracle re-derives them the direct way, by
 trying every ordered pair of leads and every overlap length, and also
 lists containments, which the engine handles by interreduction.
+
+``random_normal_form`` rewrites at a randomly chosen term and occurrence
+at every step, where ``Reducer`` always rewrites the same way; on a
+complete basis both must end at the same normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qsymgraph.freealg import DEGLEX, Word, WordOrder
+from qsymgraph.freealg import DEGLEX, Poly, Word, WordOrder
 from qsymgraph.groebner import GBasis
 
 
@@ -69,3 +73,24 @@ def obstructions_of_leads(leads: list[Word]) -> list[Obstruction]:
                     start = pos + 1
     found.sort(key=lambda o: (len(o.word), o.left, o.right, o.right_shift))
     return found
+
+
+def random_normal_form(f: Poly, polys, rng, order: WordOrder = DEGLEX) -> Poly:
+    """Rewrite ``f`` by the monic ``polys`` until no leading word divides
+    any of its words, each time at a term, a rule and a position drawn
+    by ``rng`` among all that match, with plain ``Poly`` arithmetic."""
+    rules = [(p.leading_term(order)[0], p) for p in polys]
+    while True:
+        hits = [
+            (w, pos, lead, p)
+            for w in sorted(f.terms, key=order.key)
+            for lead, p in rules
+            for pos in range(len(w) - len(lead) + 1)
+            if w.startswith(lead, pos)
+        ]
+        if not hits:
+            return f
+        w, pos, lead, p = hits[rng.randrange(len(hits))]
+        left = Poly.term(w[:pos], f.terms[w])
+        right = Poly.term(w[pos + len(lead):], 1)
+        f = f - left * p * right

@@ -7,6 +7,7 @@ so the system is already a Groebner basis after reorienting the first
 relation.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,10 +22,16 @@ from qsymgraph.groebner import (
     Reducer,
     ResourceCapError,
     _Engine,
+    _reduce_terms,
     complete,
     normal_form,
 )
-from overlap_oracle import Obstruction, find_obstructions, obstructions_of_leads
+from overlap_oracle import (
+    Obstruction,
+    find_obstructions,
+    obstructions_of_leads,
+    random_normal_form,
+)
 
 X, Y = 0, 1
 
@@ -113,6 +120,41 @@ def test_find_agrees_with_linear_scan_on_non_interreduced_rules():
         for _ in range(20):
             w = bytes(rng.choices(range(letters), k=rng.randint(0, 7)))
             assert reducer.find(w) == _linear_find(polys, w)
+
+
+def test_memoised_normal_form_equals_worklist_on_non_interreduced_rules():
+    # normal_form sums per-word normal forms kept across calls; the
+    # worklist rewrites the whole polynomial, largest word first
+    rng = random.Random(89)
+    coeffs = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))
+    for case in range(200):
+        letters = rng.randint(2, 3)
+        leads = [bytes(rng.choices(range(letters), k=rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 3)):
+            lead = rng.choice(leads)
+            extra = bytes(rng.choices(range(letters), k=rng.randint(0, 2)))
+            leads.insert(rng.randrange(len(leads) + 1), lead + extra)  # duplicate or extension
+        if case % 25 == 0:
+            leads.insert(rng.randrange(len(leads) + 1), EMPTY_WORD)
+        polys = []
+        for lead in leads:
+            terms = {lead: 1}
+            for _ in range(rng.randint(0, 3)):
+                tail = bytes(rng.choices(range(letters), k=rng.randint(0, len(lead))))
+                if DEGLEX.key(tail) < DEGLEX.key(lead):
+                    terms[tail] = rng.choice(coeffs)
+            polys.append(p(terms))
+        reducer = Reducer(polys)
+        for _ in range(15):
+            f = p({
+                bytes(rng.choices(range(letters), k=rng.randint(0, 7))): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 4))
+            })
+            memoised = sorted(reducer.normal_form(f).terms.items())
+            worklist = sorted(_reduce_terms(f.terms, reducer).items())
+            assert repr(memoised) == repr(worklist)  # equal values, same int/Fraction types
+        assert reducer.word_nf
 
 
 def test_integral_coefficients_fold_back_to_int():
@@ -214,6 +256,56 @@ def test_indexed_overlaps_match_all_pairs_oracle():
                 s for s in live if probe in all_leads[s]]
 
 
+class _ScanCheckedEngine(_Engine):
+    """Checks, whenever an element is added, that the tail index holds
+    exactly the rules the old scan over every live tail would re-reduce
+    for that lead in ``insert`` step 2."""
+
+    checked = 0
+    touched = 0
+
+    def _add(self, rid, lead, tail):
+        super()._add(rid, lead, tail)
+        scanned = [s for s in sorted(self.leads)
+                   if s != rid and any(lead in w for w in self.tails[s])]
+        assert sorted(self.tail_sub.get(lead, ())) == scanned
+        self.checked += 1
+        self.touched += len(scanned)
+
+
+def test_tail_index_matches_scan_during_random_completions():
+    rng = random.Random(97)
+    checked = touched = 0
+    for _ in range(200):
+        letters = rng.randint(2, 3)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            poly = p({
+                bytes(rng.choices(range(letters), k=rng.randint(1, 3))): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 3))
+            })
+            if poly:
+                gens.append(poly)
+        if not gens:
+            continue
+        bound = max(rng.randint(4, 6), max(g.degree() for g in gens))
+        engine = _ScanCheckedEngine(DEGLEX, bound, EngineLimits())
+        engine.run(dict(g.terms) for g in gens)
+        assert engine.basis_polys() == complete(gens, DEGLEX, degree_bound=bound).polys
+        # after drops and re-reductions: each count is the number of the
+        # rule's tail words that contain the subword
+        rebuilt: dict = {}
+        for s, tail in engine.tails.items():
+            for w in tail:
+                for key in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
+                    bucket = rebuilt.setdefault(key, {})
+                    bucket[s] = bucket.get(s, 0) + 1
+        assert rebuilt == engine.tail_sub
+        checked += engine.checked
+        touched += engine.touched
+    assert checked > 600 and touched > 100  # adds, and tails step 2 re-reduced
+
+
 # completion
 
 
@@ -280,6 +372,32 @@ def test_complete_graph_relations_prove_noncommutativity():
     commutator = p({word(a, b): 1, word(b, a): -1})
     assert not normal_form(commutator, basis).is_zero()
     assert ideal_member(commutator, basis) is Membership.NON_MEMBER
+
+
+def test_bases_pinned_on_small_graphs():
+    # SHA-256 over the degree-4 basis of every connected graph on <= 6
+    # vertices with no disjoint automorphism pair, in enumeration order:
+    # the graphs classify hands to the engine, and 9 whose commutator
+    # list is empty, so that classify completes no basis for them
+    from qsymgraph import automorphism_group, enumerate_connected, find_disjoint_pair
+    from qsymgraph.classify import build_relations
+    from qsymgraph.fulton import zero_pattern
+
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            if find_disjoint_pair(automorphism_group(g)) is not None:
+                continue
+            count += 1
+            relations = build_relations(g, zero_pattern(g)).relations
+            basis = complete(relations, DEGLEX, degree_bound=4)
+            for f in basis.polys:
+                digest.update(repr(sorted(f.terms.items())).encode() + b";")
+            digest.update(b"|" + str(basis.complete).encode())
+    assert count == 75
+    assert digest.hexdigest() == (
+        "602badf11c18c25ad78f1eb474d84c88a885c5f14f0beb03b25174a431c6e946")
 
 
 def test_complete_validates_input():
@@ -431,6 +549,5 @@ def test_church_rosser_on_complete_basis(commuting_pair_basis):
             for _ in range(rng.randint(1, 4))
         })
         deterministic = reducer.normal_form(f)
-        chooser = lambda hits: hits[rng.randrange(len(hits))]
-        randomized = reducer.normal_form(f, chooser=chooser)
+        randomized = random_normal_form(f, commuting_pair_basis.polys, rng)
         assert randomized == deterministic
