@@ -179,19 +179,19 @@ def build_relations(g: Graph, pattern: ZeroPattern, mode: str = "delete") -> Pre
             acc = acc + Poly.gen(b)
         add(acc - 1)
 
-    # products vanish whenever adjacency disagrees between source and image
+    # products vanish whenever adjacency disagrees between source and image;
+    # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
     adj = g.adj
+    alive_rows = [[(k, flat[(i, k)]) for k in range(n) if (i, k) in alive]
+                  for i in range(n)]
     for i in range(n):
         for j in range(n):
             eij = adj[i][j]
-            for k in range(n):
-                if (i, k) not in alive:
-                    continue
-                a = flat[(i, k)]
-                for l in range(n):
-                    if adj[k][l] != eij:
-                        if (j, l) in alive:
-                            add(Poly.gen(a) * Poly.gen(flat[(j, l)]))
+            for k, a in alive_rows[i]:
+                adjk = adj[k]
+                for l, b in alive_rows[j]:
+                    if adjk[l] != eij:
+                        add(Poly({bytes((a, b)): 1}, _trusted=True))
 
     if mode == "relations":
         for i in range(n):
@@ -218,13 +218,34 @@ def commutators(p: Presentation) -> list[Poly]:
     return out
 
 
+# Results of qsym_check, keyed by presentation and config, oldest first.
+# A check reads only the generator labels, the relations and the config,
+# so a stored result is exactly what a fresh check would return.
+QSYM_MEMO_MAX = 1024
+_qsym_memo: dict = {}
+
+
 def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> CheckResult:
     """Decide commutativity of the presented algebra by iterative deepening.
 
     Zero normal forms are conclusive at any truncation degree, so the
     bound is raised only while some commutator stays unresolved under an
-    incomplete basis.
+    incomplete basis.  A presentation already checked under the same
+    config returns its stored result; a ``ResourceCapError`` is never
+    stored, so it is raised again on every call.
     """
+    # the repr of the term dicts is exact and far smaller than the Polys
+    key = (p.gens.labels, repr([r.terms for r in p.relations]), cfg)
+    result = _qsym_memo.get(key)
+    if result is None:
+        result = _check(p, cfg)
+        if len(_qsym_memo) >= QSYM_MEMO_MAX:
+            del _qsym_memo[next(iter(_qsym_memo))]
+        _qsym_memo[key] = result
+    return result
+
+
+def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
     coms = commutators(p)
     if not coms:
         return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)

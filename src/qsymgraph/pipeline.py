@@ -8,7 +8,6 @@ a fixed configuration except for the wall_time_ms fields.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -203,6 +202,8 @@ def run_batch(cfg: RunConfig) -> BatchReport:
     records: list[GraphRecord] = []
     failures: list[str] = []
     if cfg.jobs > 1 and len(graphs) > 1:
+        import multiprocessing  # only worker pools need it
+
         with multiprocessing.Pool(cfg.jobs) as pool:
             results = pool.map(_worker, [(g, cfg.classify) for g in graphs])
         for kind, payload in results:

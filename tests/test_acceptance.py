@@ -111,6 +111,25 @@ def test_criterion_4_six_vertex_table():
     _pass("criterion 4: 6-vertex table column exact, zero undecided")
 
 
+def test_seven_vertex_table_pinned():
+    # a regression pin: the rows were derived from this implementation, not
+    # checked against a published 7-vertex table
+    report = run_batch(RunConfig(n=7))
+    expected = (
+        OrderRow(5040, 1, 1, 0), OrderRow(720, 1, 1, 0), OrderRow(240, 3, 3, 0),
+        OrderRow(144, 3, 3, 0), OrderRow(120, 1, 1, 0), OrderRow(72, 2, 2, 0),
+        OrderRow(48, 14, 14, 0), OrderRow(36, 3, 3, 0), OrderRow(24, 14, 14, 0),
+        OrderRow(20, 2, 2, 0), OrderRow(16, 10, 10, 0), OrderRow(14, 2, 0, 0),
+        OrderRow(12, 51, 49, 0), OrderRow(10, 1, 0, 0), OrderRow(8, 55, 55, 0),
+        OrderRow(6, 31, 0, 0), OrderRow(4, 198, 188, 0), OrderRow(2, 317, 0, 0),
+        OrderRow(1, 144, 0, 0),
+    )
+    assert report.rows == expected
+    assert (report.total, report.total_qsym, report.total_undecided) == (853, 346, 0)
+    assert report.cap_failures == () and report.input_errors == ()
+    _pass("7-vertex table pinned by |Aut|, zero undecided")
+
+
 def test_criterion_5_worked_example_regressions():
     house = house_x()
     assert matrix_power(house, 2) == (

@@ -1,6 +1,7 @@
 """Relation building, the commutativity check, and full classification."""
 
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -10,16 +11,23 @@ from qsymgraph import (
     ClassifyConfig,
     Graph,
     VerdictKind,
+    automorphism_group,
     build_relations,
     classify,
     commutators,
     enumerate_connected,
+    find_disjoint_pair,
     qsym_check,
     zero_pattern,
 )
-from qsymgraph.classify import CriteriaConflictError, DegenerateAlgebraError
-from qsymgraph.freealg import EMPTY_WORD, Poly
+from qsymgraph.classify import (
+    CriteriaConflictError,
+    DegenerateAlgebraError,
+    Presentation,
+)
+from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
+from qsymgraph.groebner import EngineLimits, ResourceCapError
 
 from conftest import (
     FOUR_VERTEX_CASES,
@@ -293,3 +301,107 @@ def test_commutative_spot_check_against_span_oracle():
         coms = commutators(pres)
         for c in rng.sample(coms, min(3, len(coms))):
             assert oracle.contains(c)
+
+
+# The package exports a function named classify, so fetch the module.
+classify_module = importlib.import_module("qsymgraph.classify")
+
+
+def _fields(r):
+    return (r.status, r.degree_bound, r.basis_size, r.commutator_count,
+            r.vacuous, r.witness)
+
+
+def _counting_complete(monkeypatch):
+    calls = []
+    original = classify_module.complete
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "complete", counting)
+    return calls
+
+
+def _checked_presentations(max_n):
+    """The presentation of every connected graph on <= max_n vertices whose
+    algebra check classify runs, i.e. with no disjoint pair."""
+    out = []
+    for n in range(1, max_n + 1):
+        for g in enumerate_connected(n):
+            if find_disjoint_pair(automorphism_group(g)) is None:
+                out.append(build_relations(g, zero_pattern(g)))
+    return out
+
+
+def test_memo_hit_equals_fresh_check_on_small_graphs(monkeypatch):
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    calls = _counting_complete(monkeypatch)
+    presentations = _checked_presentations(6)
+    assert len(presentations) == 75
+    memoised = [qsym_check(p) for p in presentations]
+    # 37 distinct presentations, so 38 hits: the 66 that reach the engine
+    # carry 35, each completed once, and the 9 vacuous ones (the 1-vertex
+    # graph and 8 rigid 6-vertex graphs) carry 2
+    assert len(classify_module._qsym_memo) == 37
+    assert len(calls) == 35
+    for p, got in zip(presentations, memoised):
+        classify_module._qsym_memo.clear()
+        assert _fields(qsym_check(p)) == _fields(got)
+
+
+def test_memo_separates_configs_generators_and_relation_orders(monkeypatch):
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    g = cycle_graph(4)
+    p = build_relations(g, zero_pattern(g))
+    reordered = Presentation(p.n, p.gens, p.relations[::-1], p.graph)
+    default = ClassifyConfig()
+    capped = ClassifyConfig(gb_start_bound=2, gb_degree_cap=2)
+    limited = ClassifyConfig(limits=EngineLimits(max_basis=19999))
+    assert qsym_check(p, default).status is CheckStatus.NOT_SHOWN_COMMUTATIVE
+    # a shared entry would hand the default config's verdict to the capped one
+    assert qsym_check(p, capped).status is CheckStatus.TRUNCATED
+    calls = _counting_complete(monkeypatch)
+    assert _fields(qsym_check(p, limited)) == _fields(qsym_check(p, default))
+    assert qsym_check(reordered, default).status is CheckStatus.NOT_SHOWN_COMMUTATIVE
+    assert len(classify_module._qsym_memo) == 4
+    assert len(calls) == 2  # limited and reordered ran; default was a hit
+
+    # the same relations over the diagonal and over the anti-diagonal of a
+    # 2 x 2 table: only the labels tell the vacuous check from the other
+    u0, u1 = Poly.gen(0), Poly.gen(1)
+    relations = (u0 * u0 - u0, u1 * u1 - u1, u0 - 1, u1 - 1)
+    g = path_graph(2)
+    diagonal = Presentation(2, Generators(((1, 1), (2, 2))), relations, g)
+    anti = Presentation(2, Generators(((1, 2), (2, 1))), relations, g)
+    assert qsym_check(diagonal).vacuous
+    assert not qsym_check(anti).vacuous
+
+
+def test_memo_never_stores_resource_cap_errors(monkeypatch):
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    calls = _counting_complete(monkeypatch)
+    g = cycle_graph(4)
+    p = build_relations(g, zero_pattern(g))
+    tight = ClassifyConfig(limits=EngineLimits(max_basis=1))
+    for attempt in (1, 2):
+        with pytest.raises(ResourceCapError):
+            qsym_check(p, tight)
+        assert len(calls) == attempt
+    assert classify_module._qsym_memo == {}
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    monkeypatch.setattr(classify_module, "QSYM_MEMO_MAX", 3)
+    presentations = _checked_presentations(5)
+    results = []
+    for p in presentations:
+        results.append(qsym_check(p))
+        assert len(classify_module._qsym_memo) <= 3
+    assert len(presentations) > 3
+    # entries evicted to keep the bound give the same result when checked again
+    for p, first in zip(presentations, results):
+        assert _fields(qsym_check(p)) == _fields(first)
+        assert len(classify_module._qsym_memo) <= 3
