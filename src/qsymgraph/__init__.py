@@ -26,8 +26,8 @@ from .classify import (
     commutators,
     qsym_check,
 )
-from .freealg import DEGLEX, Generators, Poly, Word, WordOrder, word, word_cmp
-from .fulton import ZeroPattern, is_identity_forced, render_pattern, zero_pattern
+from .freealg import Generators, Poly, Word, word
+from .fulton import ZeroPattern, render_pattern, zero_pattern
 from .graphs import (
     Graph,
     GraphError,

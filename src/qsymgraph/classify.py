@@ -10,10 +10,7 @@ The decision combines two one-sided criteria:
   proves it has NONE.
 
 Walk-count zero patterns shrink the presentation before the Groebner
-engine runs: forced generators are deleted from the presentation by
-default, or kept and pinned to zero by explicit relations in the
-"relations" mode, which exists so the two treatments can be checked
-against each other.
+engine runs: forced generators are deleted from the presentation.
 
 If neither criterion fires the graph stays Undecided.
 """
@@ -30,7 +27,7 @@ from .automorphisms import (
     find_disjoint_pair,
     is_automorphism,
 )
-from .freealg import DEGLEX, Generators, Poly
+from .freealg import Generators, Poly
 from .fulton import ZeroPattern, zero_pattern
 from .graphs import Graph
 from .groebner import EngineLimits, Reducer, complete
@@ -40,19 +37,12 @@ class DegenerateAlgebraError(ValueError):
     """A row or column lost all generators, so the algebra collapses to zero."""
 
 
-class CriteriaConflictError(RuntimeError):
-    """Both positive criteria fired on the same graph; this must never happen."""
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Relation ideal of the universal algebra over the surviving generators."""
 
-    n: int
     gens: Generators
     relations: tuple[Poly, ...]
-    graph: Graph
-    fulton_mode: str = "delete"
 
 
 class CheckStatus(Enum):
@@ -79,15 +69,21 @@ class VerdictKind(Enum):
     UNDECIDED = "Undecided"
 
 
+# The algebra check tries truncation degrees GB_START_BOUND,
+# GB_START_BOUND + GB_BOUND_STEP, ... up to the configured cap.
+GB_START_BOUND = 4
+GB_BOUND_STEP = 2
+
+
 @dataclass(frozen=True)
 class ClassifyConfig:
-    fulton_max_power: int | None = None  # None: n - 1, which also caps larger values
-    fulton_mode: str = "delete"  # or "relations"
-    gb_start_bound: int = 4
-    gb_bound_step: int = 2
     gb_degree_cap: int = 12
     limits: EngineLimits = field(default_factory=EngineLimits)
-    cross_check: bool = False
+
+    def __post_init__(self):
+        # every presentation has degree-2 relations (the idempotents)
+        if self.gb_degree_cap < 2:
+            raise ValueError("gb_degree_cap must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -110,22 +106,15 @@ class Verdict:
         return None
 
 
-def build_relations(g: Graph, pattern: ZeroPattern, mode: str = "delete") -> Presentation:
+def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     """Emit the defining relations over the generators the pattern leaves alive.
 
-    In "delete" mode forced generators are removed from the presentation
-    (products containing them vanish, sums simply omit them).  In
-    "relations" mode all n^2 generators stay and each forced one
-    contributes an explicit vanishing relation.  The relation list is
+    Forced generators are removed from the presentation: products
+    containing them vanish, sums simply omit them.  The relation list is
     deduplicated structurally.
     """
     n = g.n
-    if mode == "delete":
-        positions = pattern.alive()
-    elif mode == "relations":
-        positions = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        raise ValueError(f"unknown fulton mode {mode!r}")
+    positions = pattern.alive()
     alive = set(positions)
     gens = Generators.from_alive(positions)
     flat = {pos: gens.index(pos[0] + 1, pos[1] + 1) for pos in positions}
@@ -193,13 +182,7 @@ def build_relations(g: Graph, pattern: ZeroPattern, mode: str = "delete") -> Pre
                     if adjk[l] != eij:
                         add(Poly({bytes((a, b)): 1}, _trusted=True))
 
-    if mode == "relations":
-        for i in range(n):
-            for j in range(n):
-                if pattern.is_forced(i, j):
-                    add(Poly.gen(flat[(i, j)]))
-
-    return Presentation(n, gens, tuple(relations), g, mode)
+    return Presentation(gens, tuple(relations))
 
 
 def commutators(p: Presentation) -> list[Poly]:
@@ -250,14 +233,14 @@ def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
     if not coms:
         return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
     rel_degree = max(r.degree() for r in p.relations)
-    bound = max(min(cfg.gb_start_bound, cfg.gb_degree_cap), rel_degree)
+    bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
     last_bound = bound
     last_size = None
     while bound <= cfg.gb_degree_cap:
-        basis = complete(p.relations, DEGLEX, degree_bound=bound, limits=cfg.limits)
+        basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
         # one Reducer for every commutator, so that they share its
         # memoised per-word normal forms
-        reducer = Reducer(basis.polys, DEGLEX)
+        reducer = Reducer(basis.polys)
         witness = next((c for c in coms if not reducer.normal_form(c).is_zero()), None)
         if witness is None:
             return CheckResult(
@@ -268,7 +251,7 @@ def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
                 CheckStatus.NOT_SHOWN_COMMUTATIVE, len(coms),
                 degree_bound=bound, basis_size=basis.size, witness=witness)
         last_bound, last_size = bound, basis.size
-        bound += cfg.gb_bound_step
+        bound += GB_BOUND_STEP
     return CheckResult(
         CheckStatus.TRUNCATED, len(coms),
         degree_bound=last_bound, basis_size=last_size)
@@ -278,25 +261,17 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     """Full per-graph decision.
 
     The cheap automorphism-pair certificate is tried first; the algebra
-    check runs only when no pair exists, unless ``cross_check`` forces
-    both channels and asserts they never both fire.
+    check runs only when no pair exists.
     """
     group = automorphism_group(g)
     pair = find_disjoint_pair(group)
-    algebra = pattern = None
-    if pair is None or cfg.cross_check:
-        pattern = zero_pattern(g, cfg.fulton_max_power)
-        presentation = build_relations(g, pattern, cfg.fulton_mode)
-        algebra = qsym_check(presentation, cfg)
     if pair is not None:
         s, t = pair
         if not (are_disjoint(s, t) and is_automorphism(g, s) and is_automorphism(g, t)):
             raise AssertionError("disjoint pair evidence failed validation")
-        if algebra is not None and algebra.status is CheckStatus.COMMUTATIVE:
-            raise CriteriaConflictError(
-                "disjoint automorphism pair coexists with a commutative algebra")
-        return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order,
-                       disjoint_pair=pair, algebra=algebra, pattern=pattern)
+        return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order, disjoint_pair=pair)
+    pattern = zero_pattern(g)
+    algebra = qsym_check(build_relations(g, pattern), cfg)
     if algebra.status is CheckStatus.COMMUTATIVE:
         return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,
                        algebra=algebra, pattern=pattern)

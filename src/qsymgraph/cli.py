@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .classify import ClassifyConfig
 from .graphs import GraphError, parse_adjacency, parse_graph6
-from .groebner import EngineLimits, ResourceCapError
+from .groebner import ResourceCapError
 from .pipeline import (
     FORMATS,
     RunConfig,
@@ -32,22 +32,9 @@ from .pipeline import (
 )
 
 
-def _classify_config(args) -> ClassifyConfig:
-    return ClassifyConfig(
-        fulton_max_power=args.fulton_power,
-        fulton_mode=args.fulton_mode,
-        gb_degree_cap=args.gb_cap,
-        limits=EngineLimits(),
-    )
-
-
 def _add_classify_flags(p: argparse.ArgumentParser):
-    p.add_argument("--fulton-power", type=int, default=None, metavar="L",
-                   help="walk-count power cap (default and maximum: n-1)")
     p.add_argument("--gb-cap", type=int, default=12, metavar="D",
-                   help="max Groebner truncation degree (default: 12)")
-    p.add_argument("--fulton-mode", choices=("delete", "relations"), default="delete",
-                   help="apply forced zeros by deleting generators or by relations")
+                   help="max Groebner truncation degree, at least 2 (default: 12)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -73,12 +60,13 @@ def _read_single_graph(path: Path):
 
 def cmd_check(args) -> int:
     try:
+        cfg = ClassifyConfig(gb_degree_cap=args.gb_cap)
         g = _read_single_graph(args.input)
-    except (GraphError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        verdict, record = classify_with_record(g, _classify_config(args))
+        verdict, record = classify_with_record(g, cfg)
     except ResourceCapError as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 2
@@ -94,7 +82,7 @@ def cmd_check(args) -> int:
         print(f"qsym:       {output}")
         print(f"verdict:    {record.verdict}")
         print("generators:")
-        pattern = verdict.pattern or zero_pattern(g, args.fulton_power)
+        pattern = verdict.pattern or zero_pattern(g)
         for line in render_pattern(pattern).splitlines():
             print(f"  {line}")
     else:
@@ -106,15 +94,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    cfg = RunConfig(
-        n=args.n,
-        graph6_path=None if args.input is None or _input_is_adjacency(args.input) else args.input,
-        adjacency_path=args.input if args.input is not None and _input_is_adjacency(args.input) else None,
-        classify=_classify_config(args),
-        jobs=args.jobs,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    try:
+        cfg = RunConfig(
+            n=args.n,
+            graph6_path=None if args.input is None or _input_is_adjacency(args.input) else args.input,
+            adjacency_path=args.input if args.input is not None and _input_is_adjacency(args.input) else None,
+            classify=ClassifyConfig(gb_degree_cap=args.gb_cap),
+            jobs=args.jobs,
+            fmt=args.fmt,
+            out=args.out,
+        )
+    except ValueError as exc:  # a bad --gb-cap or --jobs
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         report = run_batch(cfg)
     except (GraphError, OSError) as exc:

@@ -5,9 +5,9 @@ and the empty word is the unit.  Generator indices refer to a
 :class:`Generators` table mapping them to matrix positions (row, col),
 ordered row-major so that byte order equals generator precedence.
 
-The word order is deglex: degree first, then letters left to right.  It is
-admissible (total, multiplicative, 1 minimal), which is all the completion
-machinery needs.
+The one word order is deglex: degree first, then letters left to right.
+It is admissible (total, multiplicative, 1 minimal), which is all the
+completion machinery needs.
 
 Coefficients are exact: ``int`` where possible, ``fractions.Fraction``
 after non-integral division.  No floating point anywhere.
@@ -22,6 +22,11 @@ Word = bytes
 Coeff = int | Fraction
 
 EMPTY_WORD: Word = b""
+
+
+def _deglex_key(w: Word):
+    """Sort key of the deglex order."""
+    return (len(w), w)
 
 
 @dataclass(frozen=True)
@@ -58,32 +63,6 @@ class Generators:
     def gen_name(self, idx: int) -> str:
         r, c = self.labels[idx]
         return f"u({r},{c})"
-
-
-@dataclass(frozen=True)
-class WordOrder:
-    """Admissible word order; only deglex is currently provided."""
-
-    name: str
-
-    def key(self, w: Word):
-        return (len(w), w)
-
-    def leading_word(self, words) -> Word:
-        return max(words, key=self.key)
-
-
-DEGLEX = WordOrder("deglex")
-
-
-def word_cmp(a: Word, b: Word, order: WordOrder = DEGLEX) -> int:
-    """-1, 0, or 1 as ``a`` compares to ``b``."""
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def word(*letters: int) -> Word:
@@ -152,10 +131,10 @@ class Poly:
         """Maximal word length; -1 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def leading_term(self, order: WordOrder = DEGLEX) -> tuple[Word, Coeff]:
+    def leading_term(self) -> tuple[Word, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        w = order.leading_word(self.terms)
+        w = max(self.terms, key=_deglex_key)
         return w, self.terms[w]
 
     def coefficient(self, w: Word):
@@ -163,7 +142,7 @@ class Poly:
 
     def key(self) -> tuple:
         """Canonical hashable form: terms sorted by descending word order."""
-        items = sorted(self.terms.items(), key=lambda t: DEGLEX.key(t[0]), reverse=True)
+        items = sorted(self.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True)
         return tuple((w, Fraction(c)) for w, c in items)
 
     def __bool__(self) -> bool:
@@ -216,8 +195,8 @@ class Poly:
             return Poly.zero()
         return Poly({w: cc * c for w, cc in self.terms.items()}, _trusted=True)
 
-    def monic(self, order: WordOrder = DEGLEX) -> "Poly":
-        lw, lc = self.leading_term(order)
+    def monic(self) -> "Poly":
+        lw, lc = self.leading_term()
         if lc == 1:
             return self
         return Poly({w: exact_div(c, lc) for w, c in self.terms.items()}, _trusted=True)
@@ -227,7 +206,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for w, c in sorted(self.terms.items(), key=lambda t: DEGLEX.key(t[0]), reverse=True):
+        for w, c in sorted(self.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True):
             if w:
                 body = "*".join(gens.gen_name(idx) for idx in w)
                 if c == 1:

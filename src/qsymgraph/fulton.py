@@ -4,9 +4,8 @@ If the i-th and j-th diagonal entries of some adjacency power differ, the
 magic-unitary generator u_ij must vanish, and by symmetry so must u_ji.
 By Cayley-Hamilton every power A^l with l >= n is a fixed linear
 combination of A^0, ..., A^(n-1), and A^0 has a constant diagonal, so
-powers 1..n-1 decide every pair; the cap is n - 1 (at least 1) and a
-larger requested cap is lowered to it.  The criterion is vacuous on
-walk-regular (in particular vertex-transitive) graphs.
+powers 1..n-1 (at least power 1) decide every pair.  The criterion is
+vacuous on walk-regular (in particular vertex-transitive) graphs.
 """
 
 from __future__ import annotations
@@ -40,27 +39,20 @@ class ZeroPattern:
         ]
 
 
-def zero_pattern(g: Graph, max_power: int | None = None) -> ZeroPattern:
-    """Compare diagonal walk counts for every power up to ``max_power``,
-    which is at most n - 1.
+def zero_pattern(g: Graph) -> ZeroPattern:
+    """Compare diagonal walk counts for every power up to n - 1 (at least 1).
 
     Stops early once every off-diagonal entry is forced; diagonal entries
     are never forced.
     """
     n = g.n
     cap = max(n - 1, 1)
-    if max_power is not None:
-        if max_power < 1:
-            raise ValueError("max_power must be >= 1")
-        cap = min(cap, max_power)
     forced = [[False] * n for _ in range(n)]
     open_pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
     power = g.adj
-    used = 1
-    for l in range(1, cap + 1):
-        if l > 1:
+    for used in range(1, cap + 1):
+        if used > 1:
             power = _mat_mul(power, g.adj, n)
-        used = l
         diag = [power[i][i] for i in range(n)]
         for i, j in list(open_pairs):
             if diag[i] != diag[j]:
@@ -69,20 +61,6 @@ def zero_pattern(g: Graph, max_power: int | None = None) -> ZeroPattern:
         if not open_pairs:
             break
     return ZeroPattern(n, tuple(tuple(row) for row in forced), used)
-
-
-def is_identity_forced(pattern: ZeroPattern) -> bool:
-    """True iff every off-diagonal generator is forced to zero.
-
-    Callers may then conclude the algebra is trivial (every diagonal
-    generator equals 1) without any further computation.
-    """
-    return all(
-        pattern.forced_zero[i][j]
-        for i in range(pattern.n)
-        for j in range(pattern.n)
-        if i != j
-    )
 
 
 def render_pattern(pattern: ZeroPattern) -> str:

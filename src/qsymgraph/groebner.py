@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .freealg import DEGLEX, EMPTY_WORD, Generators, Poly, Word, WordOrder, exact_div
+from .freealg import EMPTY_WORD, Generators, Poly, Word, _deglex_key, exact_div
 
 
 class ResourceCapError(RuntimeError):
@@ -42,7 +42,6 @@ class Membership(Enum):
 @dataclass
 class GBasis:
     polys: list[Poly]
-    order: WordOrder
     degree_bound: int
     complete: bool
 
@@ -66,8 +65,7 @@ class Reducer:
     not change.
     """
 
-    def __init__(self, polys, order: WordOrder = DEGLEX):
-        self.order = order
+    def __init__(self, polys):
         self.leads: dict[int, Word] = {}
         self.tails: dict[int, dict] = {}
         self.by_lead: dict[Word, int] = {}  # nonempty lead -> lowest rule id
@@ -76,7 +74,7 @@ class Reducer:
         self.unit_rule: int | None = None
         self.word_nf: dict[Word, dict] = {}
         for rid, p in enumerate(polys):
-            lw, lc = p.leading_term(order)
+            lw, lc = p.leading_term()
             if lc != 1:
                 raise ValueError(f"basis element {rid} is not monic")
             self._add(rid, lw, {w: c for w, c in p.terms.items() if w != lw})
@@ -241,8 +239,7 @@ def _reduce_terms(terms: dict, rules: Reducer, *, trace=None) -> dict:
     return out
 
 
-def normal_form(f: Poly, basis, order: WordOrder = DEGLEX, *,
-                trace: list | None = None) -> Poly:
+def normal_form(f: Poly, basis, *, trace: list | None = None) -> Poly:
     """Fully reduce ``f`` by a list of monic polynomials (or a GBasis).
 
     With ``trace`` a list, appends ``(coeff, left, rule_index, right)``
@@ -250,7 +247,7 @@ def normal_form(f: Poly, basis, order: WordOrder = DEGLEX, *,
     coeff * left * basis[rule_index] * right.
     """
     polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    rules = Reducer(polys, order)
+    rules = Reducer(polys)
     return rules.normal_form(f, trace=trace)
 
 
@@ -278,8 +275,8 @@ class _Engine(Reducer):
     worklist and never through ``normal_form``'s memo.
     """
 
-    def __init__(self, order: WordOrder, bound: int, limits: EngineLimits):
-        super().__init__((), order)
+    def __init__(self, bound: int, limits: EngineLimits):
+        super().__init__(())
         self.bound = bound
         self.limits = limits
         self.prefix: defaultdict[Word, set[int]] = defaultdict(set)
@@ -346,7 +343,7 @@ class _Engine(Reducer):
         nf = self._nf(terms)
         if not nf:
             return
-        lw = max(nf, key=self.order.key)
+        lw = max(nf, key=_deglex_key)
         lc = nf.pop(lw)
         if lc != 1:
             nf = {w: exact_div(c, lc) for w, c in nf.items()}
@@ -435,14 +432,14 @@ class _Engine(Reducer):
 
     def basis_polys(self) -> list[Poly]:
         out = []
-        for rid in sorted(self.leads, key=lambda r: self.order.key(self.leads[r])):
+        for rid in sorted(self.leads, key=lambda r: _deglex_key(self.leads[r])):
             terms = dict(self.tails[rid])
             terms[self.leads[rid]] = 1
             out.append(Poly(terms, _trusted=True))
         return out
 
 
-def complete(gens, order: WordOrder = DEGLEX, *, degree_bound: int,
+def complete(gens, *, degree_bound: int,
              limits: EngineLimits = EngineLimits()) -> GBasis:
     """Complete a generating set into a degree-truncated Groebner basis.
 
@@ -460,9 +457,9 @@ def complete(gens, order: WordOrder = DEGLEX, *, degree_bound: int,
     if degree_bound < max_deg:
         raise ValueError(
             f"degree bound {degree_bound} below generator degree {max_deg}")
-    engine = _Engine(order, degree_bound, limits)
+    engine = _Engine(degree_bound, limits)
     engine.run(dict(g.terms) for g in gen_list)
-    return GBasis(engine.basis_polys(), order, degree_bound, engine.is_complete())
+    return GBasis(engine.basis_polys(), degree_bound, engine.is_complete())
 
 
 def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
@@ -473,7 +470,7 @@ def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
     irreducible normal form.  Stable across runs.
     """
     trace: list = []
-    reducer = Reducer(basis.polys, basis.order)
+    reducer = Reducer(basis.polys)
     nf = reducer.normal_form(f, trace=trace)
 
     def word_str(w: Word) -> str:
@@ -495,7 +492,7 @@ def ideal_member(f: Poly, basis: GBasis, reducer: Reducer | None = None) -> Memb
     A zero normal form is conclusive at any truncation degree; a nonzero
     one is conclusive only for a complete basis.
     """
-    rules = reducer if reducer is not None else Reducer(basis.polys, basis.order)
+    rules = reducer if reducer is not None else Reducer(basis.polys)
     nf = rules.normal_form(f)
     if nf.is_zero():
         return Membership.MEMBER

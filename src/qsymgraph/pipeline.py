@@ -40,10 +40,6 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.classify.gb_degree_cap < 1 or (
-                self.classify.fulton_max_power is not None
-                and self.classify.fulton_max_power < 1):
-            raise ValueError("caps must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,23 @@
-"""Shared fixture graphs.
+"""Shared fixture graphs, the n <= 5 run of both criteria, and the word order.
 
 The two 5-vertex "house" graphs are K4 plus an apex vertex joined to two
 (resp. one) of its vertices; the rigid 6-vertex graph has trivial
 automorphism group and a fully split walk-count spectrum.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from qsymgraph import Graph
+from qsymgraph import (
+    Graph,
+    Poly,
+    build_relations,
+    classify,
+    enumerate_connected,
+    qsym_check,
+    zero_pattern,
+)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -81,3 +91,31 @@ def house():
 @pytest.fixture(scope="session")
 def broken_house():
     return house_x_broken()
+
+
+@pytest.fixture(scope="session")
+def five_vertex_run():
+    """Every connected graph on <= 5 vertices with both criteria computed.
+
+    ``classify`` skips the algebra check once it finds a disjoint pair;
+    here the check result and the zero pattern are filled in for those
+    graphs too.
+    """
+    results = []
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            verdict = classify(g)
+            if verdict.algebra is None:
+                pattern = zero_pattern(g)
+                verdict = replace(verdict, pattern=pattern,
+                                  algebra=qsym_check(build_relations(g, pattern)))
+            results.append((g, verdict))
+    return results
+
+
+def word_cmp(a: bytes, b: bytes) -> int:
+    """-1, 0 or 1 as ``a`` compares to ``b`` in the order that picks
+    leading terms, which is the one order the engine uses."""
+    if a == b:
+        return 0
+    return 1 if Poly({a: 1, b: 1}).leading_term()[0] == a else -1

@@ -45,6 +45,7 @@ class SpanOracle:
         self.max_pivots = max_pivots
         self.pivots: dict[bytes, dict] = {}
         self._forbidden_by_first: dict[int, list[bytes]] = {}
+        self._forbidden_memo: dict[bytes, bool] = {}  # word -> _is_forbidden
         rows = []
         for rel in relations:
             row = _as_int_terms(rel)
@@ -74,8 +75,17 @@ class SpanOracle:
 
     def _forbid(self, w: bytes) -> None:
         self._forbidden_by_first.setdefault(w[0], []).append(w)
+        self._forbidden_memo.clear()
 
     def _is_forbidden(self, w: bytes) -> bool:
+        """Whether some forbidden word occurs in ``w``; memoised per word
+        until the forbidden set changes."""
+        hit = self._forbidden_memo.get(w)
+        if hit is None:
+            hit = self._forbidden_memo[w] = self._contains_forbidden(w)
+        return hit
+
+    def _contains_forbidden(self, w: bytes) -> bool:
         buckets = self._forbidden_by_first
         for pos in range(len(w)):
             bucket = buckets.get(w[pos])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qsymgraph.freealg import DEGLEX, Poly, Word, WordOrder
+from qsymgraph.freealg import Poly, Word
 from qsymgraph.groebner import GBasis
 
 
@@ -46,10 +46,10 @@ def proper_overlaps(left_lead: Word, right_lead: Word):
             yield k
 
 
-def find_obstructions(basis, order: WordOrder = DEGLEX) -> list[Obstruction]:
+def find_obstructions(basis) -> list[Obstruction]:
     """All minimal ambiguities among leading words, containments included."""
     polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    leads = [p.leading_term(order)[0] for p in polys]
+    leads = [p.leading_term()[0] for p in polys]
     return obstructions_of_leads(leads)
 
 
@@ -75,15 +75,15 @@ def obstructions_of_leads(leads: list[Word]) -> list[Obstruction]:
     return found
 
 
-def random_normal_form(f: Poly, polys, rng, order: WordOrder = DEGLEX) -> Poly:
+def random_normal_form(f: Poly, polys, rng) -> Poly:
     """Rewrite ``f`` by the monic ``polys`` until no leading word divides
     any of its words, each time at a term, a rule and a position drawn
     by ``rng`` among all that match, with plain ``Poly`` arithmetic."""
-    rules = [(p.leading_term(order)[0], p) for p in polys]
+    rules = [(p.leading_term()[0], p) for p in polys]
     while True:
         hits = [
             (w, pos, lead, p)
-            for w in sorted(f.terms, key=order.key)
+            for w in sorted(f.terms, key=lambda w: (len(w), w))  # deglex
             for lead, p in rules
             for pos in range(len(w) - len(lead) + 1)
             if w.startswith(lead, pos)

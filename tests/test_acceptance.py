@@ -14,8 +14,6 @@ from fractions import Fraction
 import pytest
 
 from qsymgraph import (
-    ClassifyConfig,
-    Graph,
     Poly,
     RunConfig,
     VerdictKind,
@@ -28,13 +26,12 @@ from qsymgraph import (
     zero_pattern,
 )
 from qsymgraph.classify import build_relations, commutators
-from qsymgraph.freealg import DEGLEX, EMPTY_WORD, word, word_cmp
-from qsymgraph.fulton import is_identity_forced
+from qsymgraph.freealg import EMPTY_WORD, word
 from qsymgraph.groebner import Reducer, complete, normal_form
 from qsymgraph.pipeline import OrderRow
 
 import automorphism_oracle
-from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6
+from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6, word_cmp
 from enumeration_oracle import orbit_sweep_masks
 from membership_oracle import SpanOracle
 
@@ -43,16 +40,6 @@ NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"
 
 def _pass(label: str):
     print(f"[PASS] {label}")
-
-
-@pytest.fixture(scope="session")
-def five_vertex_run():
-    """Every connected graph on <= 5 vertices, both criteria computed."""
-    results = []
-    for n in range(1, 6):
-        for g in enumerate_connected(n):
-            results.append((g, classify(g, ClassifyConfig(cross_check=True))))
-    return results
 
 
 def test_criterion_1_small_graphs(five_vertex_run):
@@ -150,7 +137,7 @@ def test_criterion_5_worked_example_regressions():
     assert tuple(p4[i][i] for i in range(6)) == (3, 12, 8, 13, 6, 2)
     verdict = classify(g6)
     assert verdict.kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
-    assert is_identity_forced(zero_pattern(g6))
+    assert zero_pattern(g6).alive() == [(i, i) for i in range(6)]  # identity forced
     assert verdict.algebra.vacuous and verdict.algebra.commutator_count == 0
     _pass("criterion 5: worked-example regressions exact")
 
@@ -198,7 +185,7 @@ def test_criterion_8_oracle_equivalence():
         for d in (4, 6):
             if d == 6 and name == "complete":
                 continue
-            basis = complete(pres.relations, DEGLEX, degree_bound=d)
+            basis = complete(pres.relations, degree_bound=d)
             reducer = Reducer(basis.polys)
             oracle = SpanOracle(pres.relations, m, d)
             for c in coms:
@@ -240,7 +227,7 @@ def test_criterion_10_engine_property_suite():
 
     bases = [
         complete([Poly({word(0, 1): 1, word(1, 0): -1}),
-                  Poly({word(0, 0): 1, EMPTY_WORD: -1})], DEGLEX, degree_bound=8).polys,
+                  Poly({word(0, 0): 1, EMPTY_WORD: -1})], degree_bound=8).polys,
         [Poly({word(0, 0): 1, word(0): -1}),
          Poly({word(1, 1): 1, word(1): -1}),
          Poly({word(2, 2): 1, EMPTY_WORD: -1})],

@@ -18,13 +18,10 @@ from qsymgraph import (
     enumerate_connected,
     find_disjoint_pair,
     qsym_check,
+    to_graph6,
     zero_pattern,
 )
-from qsymgraph.classify import (
-    CriteriaConflictError,
-    DegenerateAlgebraError,
-    Presentation,
-)
+from qsymgraph.classify import DegenerateAlgebraError, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.groebner import EngineLimits, ResourceCapError
@@ -38,6 +35,7 @@ from conftest import (
     rigid6,
     star4,
 )
+from relations_oracle import explicit_zero_relations
 
 
 def brute_force_relation_count(g: Graph) -> int:
@@ -88,14 +86,15 @@ def test_relations_deduplicated(house):
 
 def test_relations_pinned_on_small_graphs():
     # SHA-256 over every relation list, in order, for all connected graphs
-    # on <= 6 vertices in both modes, as deduplicated through Poly.key
+    # on <= 6 vertices, with the forced generators deleted and then kept
+    # under explicit zero relations, as deduplicated through Poly.key
     digest = hashlib.sha256()
     count = 0
     for n in range(1, 7):
         for g in enumerate_connected(n):
             pattern = zero_pattern(g)
-            for mode in ("delete", "relations"):
-                relations = build_relations(g, pattern, mode).relations
+            for build in (build_relations, explicit_zero_relations):
+                relations = build(g, pattern).relations
                 count += len(relations)
                 for rel in relations:
                     digest.update(repr(sorted(rel.terms.items())).encode() + b";")
@@ -163,13 +162,12 @@ def test_degenerate_pattern_is_reported():
 
 
 def test_relations_mode_keeps_all_generators(broken_house):
+    # the "relations" mode, now a test oracle: forced zeros as relations
     pattern = zero_pattern(broken_house)
-    pres = build_relations(broken_house, pattern, mode="relations")
+    pres = explicit_zero_relations(broken_house, pattern)
     assert len(pres.gens) == 25
     singles = {rel.key() for rel in pres.relations if rel.degree() == 1 and len(rel.terms) == 1}
     assert len(singles) == pattern.forced_count()
-    with pytest.raises(ValueError, match="mode"):
-        build_relations(broken_house, pattern, mode="bogus")
 
 
 # commutativity check
@@ -197,17 +195,16 @@ def test_cycle4_is_not_shown_commutative():
 
 def test_truncated_when_cap_too_low():
     g = complete_graph(4)
-    cfg = ClassifyConfig(gb_start_bound=2, gb_degree_cap=2)
+    cfg = ClassifyConfig(gb_degree_cap=2)
     result = qsym_check(build_relations(g, zero_pattern(g)), cfg)
     assert result.status is CheckStatus.TRUNCATED
 
 
 def test_broken_house_commutators_reduce_to_zero(broken_house):
     from qsymgraph.groebner import Reducer, complete as gb_complete
-    from qsymgraph.freealg import DEGLEX
 
     pres = build_relations(broken_house, zero_pattern(broken_house))
-    basis = gb_complete(pres.relations, DEGLEX, degree_bound=6)
+    basis = gb_complete(pres.relations, degree_bound=6)
     reducer = Reducer(basis.polys)
     a = pres.gens.index(2, 2)
     b = pres.gens.index(3, 3)
@@ -252,18 +249,18 @@ def test_small_graphs_never_quantum_symmetric():
 
 def test_four_vertex_appendix_verdicts():
     for name, build, order, qsym in FOUR_VERTEX_CASES:
-        verdict = classify(build(), ClassifyConfig(cross_check=True))
+        verdict = classify(build())
         assert verdict.aut_order == order, name
         expected = VerdictKind.QUANTUM_SYMMETRIC if qsym else VerdictKind.NOT_QUANTUM_SYMMETRIC
         assert verdict.kind is expected, name
         if qsym:
-            assert verdict.qsym_output == 0, name
+            assert verdict.qsym_output is None, name  # the pair settles it first
         else:
             assert verdict.qsym_output == 1, name
 
 
 def test_undecided_when_pairless_and_truncated():
-    cfg = ClassifyConfig(gb_start_bound=2, gb_degree_cap=2)
+    cfg = ClassifyConfig(gb_degree_cap=2)
     verdict = classify(star4(), cfg)
     assert verdict.kind in (VerdictKind.NOT_QUANTUM_SYMMETRIC, VerdictKind.UNDECIDED)
     # with such a low cap the star may still resolve; force a real truncation
@@ -274,18 +271,32 @@ def test_undecided_when_pairless_and_truncated():
 
 
 def test_fulton_mode_equivalence_through_five_vertices():
+    # deleting the forced generators and pinning them by relations give
+    # the same algebra check; classify runs it only without a disjoint pair
     for n in range(1, 6):
         for g in enumerate_connected(n):
-            delete = classify(g, ClassifyConfig(fulton_mode="delete"))
-            relations = classify(g, ClassifyConfig(fulton_mode="relations"))
-            assert delete.kind is relations.kind
-            assert delete.qsym_output == relations.qsym_output
+            if find_disjoint_pair(automorphism_group(g)) is not None:
+                continue
+            pattern = zero_pattern(g)
+            deleted = qsym_check(build_relations(g, pattern))
+            explicit = qsym_check(explicit_zero_relations(g, pattern))
+            assert deleted.status is explicit.status, to_graph6(g)
 
 
-def test_cross_check_never_conflicts_up_to_five():
-    for n in range(1, 6):
-        for g in enumerate_connected(n):
-            classify(g, ClassifyConfig(cross_check=True))  # raises on conflict
+def test_cross_check_never_conflicts_up_to_five(five_vertex_run):
+    # both criteria on every connected graph with n <= 5: a disjoint pair
+    # never comes with an algebra shown commutative
+    for g, verdict in five_vertex_run:
+        if verdict.disjoint_pair is not None:
+            assert verdict.algebra.status is not CheckStatus.COMMUTATIVE, to_graph6(g)
+    # the quantum-symmetric 4-vertex cases, one graph per |Aut|, come with
+    # an algebra shown noncommutative
+    four = {v.aut_order: v for g, v in five_vertex_run
+            if g.n == 4 and v.disjoint_pair is not None}
+    expected = {order: name for name, _, order, qsym in FOUR_VERTEX_CASES if qsym}
+    assert four.keys() == expected.keys()
+    for order, name in expected.items():
+        assert four[order].qsym_output == 0, name
 
 
 def test_commutative_spot_check_against_span_oracle():
@@ -355,9 +366,9 @@ def test_memo_separates_configs_generators_and_relation_orders(monkeypatch):
     monkeypatch.setattr(classify_module, "_qsym_memo", {})
     g = cycle_graph(4)
     p = build_relations(g, zero_pattern(g))
-    reordered = Presentation(p.n, p.gens, p.relations[::-1], p.graph)
+    reordered = Presentation(p.gens, p.relations[::-1])
     default = ClassifyConfig()
-    capped = ClassifyConfig(gb_start_bound=2, gb_degree_cap=2)
+    capped = ClassifyConfig(gb_degree_cap=2)
     limited = ClassifyConfig(limits=EngineLimits(max_basis=19999))
     assert qsym_check(p, default).status is CheckStatus.NOT_SHOWN_COMMUTATIVE
     # a shared entry would hand the default config's verdict to the capped one
@@ -372,9 +383,8 @@ def test_memo_separates_configs_generators_and_relation_orders(monkeypatch):
     # 2 x 2 table: only the labels tell the vacuous check from the other
     u0, u1 = Poly.gen(0), Poly.gen(1)
     relations = (u0 * u0 - u0, u1 * u1 - u1, u0 - 1, u1 - 1)
-    g = path_graph(2)
-    diagonal = Presentation(2, Generators(((1, 1), (2, 2))), relations, g)
-    anti = Presentation(2, Generators(((1, 2), (2, 1))), relations, g)
+    diagonal = Presentation(Generators(((1, 1), (2, 2))), relations)
+    anti = Presentation(Generators(((1, 2), (2, 1))), relations)
     assert qsym_check(diagonal).vacuous
     assert not qsym_check(anti).vacuous
 

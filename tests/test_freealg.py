@@ -1,13 +1,16 @@
 """Free-algebra arithmetic, the deglex word order, and rendering."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsymgraph import DEGLEX, Generators, Poly, word, word_cmp
+from qsymgraph import Generators, Poly, word
 from qsymgraph.freealg import EMPTY_WORD
+
+from conftest import word_cmp
 
 words = st.builds(bytes, st.lists(st.integers(0, 3), max_size=5))
 coeffs = st.one_of(
@@ -35,7 +38,7 @@ def test_ties_break_left_to_right():
 def test_degree_two_words_on_three_generators_sort_row_major():
     all_words = [word(a, b) for a in range(3) for b in range(3)]
     shuffled = sorted(all_words, key=lambda w: (w[1], w[0]))
-    assert sorted(shuffled, key=DEGLEX.key) == all_words
+    assert sorted(shuffled, key=cmp_to_key(word_cmp)) == all_words
 
 
 @given(words, words, words, words)
@@ -104,7 +107,6 @@ def test_canonical_no_zero_terms():
 def test_leading_term_prefers_longer_word():
     f = Poly({word(0): 1, word(0, 1): 1})
     assert f.leading_term() == (word(0, 1), 1)
-    assert f.leading_term(DEGLEX) == (word(0, 1), 1)
 
 
 def test_leading_term_constant_vs_generator():

@@ -48,8 +48,10 @@ def test_run_config_validation(tmp_path):
         RunConfig(n=4, jobs=0)
     with pytest.raises(ValueError, match="format"):
         RunConfig(n=4, fmt="yaml")
-    with pytest.raises(ValueError, match="positive"):
-        RunConfig(n=4, classify=ClassifyConfig(fulton_max_power=0))
+    for cap in (1, 0, -1):
+        with pytest.raises(ValueError, match="gb_degree_cap"):
+            ClassifyConfig(gb_degree_cap=cap)
+    assert ClassifyConfig(gb_degree_cap=2).gb_degree_cap == 2
 
 
 def test_four_vertex_batch_matches_expected_rows(n4_report):
@@ -148,7 +150,7 @@ def test_persistence_and_reaggregation(tmp_path, n4_report):
 def test_resource_cap_produces_partial_report(tmp_path):
     src = tmp_path / "graphs.g6"
     src.write_text(to_graph6(house_x()) + "\n" + "Bw" + "\n")  # house then triangle
-    tight = ClassifyConfig(limits=EngineLimits(max_basis=1), cross_check=True)
+    tight = ClassifyConfig(limits=EngineLimits(max_basis=1))
     report = run_batch(RunConfig(graph6_path=src, classify=tight))
     assert len(report.cap_failures) >= 1
     assert len(report.records) + len(report.cap_failures) == 2
@@ -255,3 +257,26 @@ def test_cli_batch_malformed_line_exits_one(tmp_path, capsys):
 def test_cli_missing_file_exits_one(tmp_path, capsys):
     assert cli_main(["batch", "--input", str(tmp_path / "absent.g6")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["1", "0"])
+def test_cli_check_rejects_a_gb_cap_below_two(tmp_path, capsys, cap):
+    src = tmp_path / "p3.g6"
+    src.write_text("Bw\n")
+    assert cli_main(["check", "--input", str(src), "--gb-cap", cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "gb_degree_cap" in captured.err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gb-cap", "0", "gb_degree_cap"),
+    ("--jobs", "0", "jobs"),
+])
+def test_cli_batch_rejects_bad_config(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "n3"
+    assert cli_main(["batch", "--n", "3", flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not (tmp_path / "n3.ndjson").exists()
