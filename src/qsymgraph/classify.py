@@ -111,68 +111,57 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
     Forced generators are removed from the presentation: products
     containing them vanish, sums simply omit them.  The relation list is
-    deduplicated structurally.
+    deduplicated structurally.  Relations are built straight from words
+    of generator indices, without polynomial arithmetic.
     """
     n = g.n
     positions = pattern.alive()
-    alive = set(positions)
     gens = Generators.from_alive(positions)
-    flat = {pos: gens.index(pos[0] + 1, pos[1] + 1) for pos in positions}
+    # alive (column, index) pairs per row; row_at[i][k] and col_at[j][k]
+    # are the indices at (i, k) and (k, j), or -1 where forced
+    alive_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    row_at = [[-1] * n for _ in range(n)]
+    col_at = [[-1] * n for _ in range(n)]
+    for a, (i, j) in enumerate(positions):  # row-major, as the table is
+        alive_rows[i].append((j, a))
+        row_at[i][j] = col_at[j][i] = a
 
     relations: list[Poly] = []
-    seen: set = set()
+    seen: set[bytes] = set()  # the product words emitted so far
 
-    def add(p: Poly):
-        # every coefficient is an int, so the term items hash as they are
-        k = frozenset(p.terms.items())
-        if k not in seen:
-            seen.add(k)
-            relations.append(p)
-
-    # orthogonality within each row and each column, diagonal cases idempotent
+    # orthogonality within each row and each column: for u_ij and each k,
+    # u_ij * u_ik, then u_ij * u_kj; these words are pairwise distinct, and
+    # u_ij meets itself twice (k = j, then k = i) for one idempotent relation
     for i in range(n):
-        for j in range(n):
-            if (i, j) not in alive:
-                continue
-            a = flat[(i, j)]
-            ga = Poly.gen(a)
-            for k in range(n):
-                if (i, k) in alive:
-                    b = flat[(i, k)]
-                    if j == k:
-                        add(ga * ga - ga)
-                    else:
-                        add(ga * Poly.gen(b))
-                if (k, j) in alive:
-                    b = flat[(k, j)]
-                    if i == k:
-                        add(ga * ga - ga)
-                    else:
-                        add(ga * Poly.gen(b))
+        ri = row_at[i]
+        for j, a in alive_rows[i]:
+            idempotent = False
+            for b in [b for pair in zip(ri, col_at[j]) for b in pair if b >= 0]:
+                if b != a:
+                    w = bytes((a, b))
+                    seen.add(w)
+                    relations.append(Poly({w: 1}, _trusted=True))
+                elif not idempotent:
+                    idempotent = True
+                    relations.append(
+                        Poly({bytes((a, a)): 1, bytes((a,)): -1}, _trusted=True))
 
     # each row and column sums to 1
-    for i in range(n):
-        row = [flat[(i, k)] for k in range(n) if (i, k) in alive]
-        if not row:
-            raise DegenerateAlgebraError(f"row {i + 1} has no generators left")
-        acc = Poly.zero()
-        for b in row:
-            acc = acc + Poly.gen(b)
-        add(acc - 1)
-    for j in range(n):
-        col = [flat[(k, j)] for k in range(n) if (k, j) in alive]
-        if not col:
-            raise DegenerateAlgebraError(f"column {j + 1} has no generators left")
-        acc = Poly.zero()
-        for b in col:
-            acc = acc + Poly.gen(b)
-        add(acc - 1)
+    sums: set[bytes] = set()
+    for kind, at in (("row", row_at), ("column", col_at)):
+        for i in range(n):
+            line = bytes(b for b in at[i] if b >= 0)
+            if not line:
+                raise DegenerateAlgebraError(f"{kind} {i + 1} has no generators left")
+            if line not in sums:
+                sums.add(line)
+                terms = {bytes((b,)): 1 for b in line}
+                terms[b""] = -1
+                relations.append(Poly(terms, _trusted=True))
 
     # products vanish whenever adjacency disagrees between source and image;
     # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
     adj = g.adj
-    alive_rows = [[(k, flat[(i, k)]) for k in range(n) if (i, k) in alive]
-                  for i in range(n)]
     for i in range(n):
         for j in range(n):
             eij = adj[i][j]
@@ -180,7 +169,10 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 adjk = adj[k]
                 for l, b in alive_rows[j]:
                     if adjk[l] != eij:
-                        add(Poly({bytes((a, b)): 1}, _trusted=True))
+                        w = bytes((a, b))
+                        if w not in seen:
+                            seen.add(w)
+                            relations.append(Poly({w: 1}, _trusted=True))
 
     return Presentation(gens, tuple(relations))
 

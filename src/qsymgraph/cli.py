@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .classify import ClassifyConfig
-from .graphs import GraphError, parse_adjacency, parse_graph6
+from .graphs import GraphError, looks_like_adjacency, parse_adjacency, parse_graph6
 from .groebner import ResourceCapError
 from .pipeline import (
     FORMATS,
@@ -43,14 +43,9 @@ def _add_output_flags(p: argparse.ArgumentParser):
                    help="base path for <out>.ndjson and <out>.summary.<ext>")
 
 
-def _looks_like_adjacency(text: str) -> bool:
-    stripped = text.strip()
-    return bool(stripped) and all(c in "01 \t\n\r" for c in stripped)
-
-
 def _read_single_graph(path: Path):
     text = Path(path).read_text()
-    if _looks_like_adjacency(text):
+    if looks_like_adjacency(text):
         return parse_adjacency(text)
     for line in text.splitlines():
         if line.strip():
@@ -97,8 +92,8 @@ def cmd_batch(args) -> int:
     try:
         cfg = RunConfig(
             n=args.n,
-            graph6_path=None if args.input is None or _input_is_adjacency(args.input) else args.input,
-            adjacency_path=args.input if args.input is not None and _input_is_adjacency(args.input) else None,
+            # load_graphs tells graph6 lines from adjacency blocks as it reads
+            graph6_path=args.input,
             classify=ClassifyConfig(gb_degree_cap=args.gb_cap),
             jobs=args.jobs,
             fmt=args.fmt,
@@ -122,13 +117,6 @@ def cmd_batch(args) -> int:
     if report.input_errors:
         return 1
     return 0
-
-
-def _input_is_adjacency(path: Path) -> bool:
-    try:
-        return _looks_like_adjacency(Path(path).read_text())
-    except OSError:
-        return False
 
 
 def cmd_table(args) -> int:

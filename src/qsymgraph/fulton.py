@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _mat_mul
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,28 @@ def zero_pattern(g: Graph) -> ZeroPattern:
 
     Stops early once every off-diagonal entry is forced; diagonal entries
     are never forced.
+
+    Row i of A^k is one int with a w-bit field per column, so that
+    row_i(A^k) is the sum of row_l(A^(k-1)) over the neighbours l of i.
+    No entry up to power n - 1 exceeds (n-1)^(n-1), so no field carries
+    into the next; w is at most 59 for n <= 16.
     """
     n = g.n
     cap = max(n - 1, 1)
-    forced = [[False] * n for _ in range(n)]
-    open_pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    power = g.adj
+    w = ((n - 1) ** (n - 1)).bit_length()
+    mask = (1 << w) - 1
+    nbrs = [[l for l in range(n) if row[l]] for row in g.adj]
+    rows = [sum(1 << (w * l) for l in nb) for nb in nbrs]
+    # vertices keep equal keys while all their diagonal counts agree
+    keys = [()] * n
     for used in range(1, cap + 1):
         if used > 1:
-            power = _mat_mul(power, g.adj, n)
-        diag = [power[i][i] for i in range(n)]
-        for i, j in list(open_pairs):
-            if diag[i] != diag[j]:
-                forced[i][j] = forced[j][i] = True
-                open_pairs.remove((i, j))
-        if not open_pairs:
+            rows = [sum([rows[l] for l in nb]) for nb in nbrs]
+        keys = [key + ((rows[i] >> (w * i)) & mask,) for i, key in enumerate(keys)]
+        if len(set(keys)) == n:
             break
-    return ZeroPattern(n, tuple(tuple(row) for row in forced), used)
+    forced = tuple(tuple(ki != kj for kj in keys) for ki in keys)
+    return ZeroPattern(n, forced, used)
 
 
 def render_pattern(pattern: ZeroPattern) -> str:

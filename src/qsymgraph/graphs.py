@@ -287,6 +287,13 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
+def looks_like_adjacency(text: str) -> bool:
+    """True for text of 0/1 digits and whitespace, which no graph6 line
+    can be (graph6 characters lie in the range '?'..'~')."""
+    stripped = text.strip()
+    return bool(stripped) and all(c in "01 \t\n\r" for c in stripped)
+
+
 def parse_adjacency(text: str) -> Graph:
     """Parse a 0/1 adjacency matrix, one row per line, whitespace tolerant."""
     rows = []

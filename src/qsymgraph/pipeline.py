@@ -14,7 +14,14 @@ from pathlib import Path
 
 from .automorphisms import cycle_notation
 from .classify import ClassifyConfig, Verdict, classify
-from .graphs import Graph, GraphError, parse_adjacency, parse_graph6, to_graph6
+from .graphs import (
+    Graph,
+    GraphError,
+    looks_like_adjacency,
+    parse_adjacency,
+    parse_graph6,
+    to_graph6,
+)
 from .groebner import ResourceCapError
 
 FORMATS = ("text", "json", "csv")
@@ -22,7 +29,11 @@ FORMATS = ("text", "json", "csv")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One input source, classification knobs, and output destination."""
+    """One input source, classification knobs, and output destination.
+
+    A ``graph6_path`` file whose text is only 0/1 digits and whitespace
+    holds adjacency blocks, since no graph6 line can, and is read as such.
+    """
 
     n: int | None = None
     graph6_path: Path | None = None
@@ -150,24 +161,24 @@ def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
         from .graphs import enumerate_connected
 
         graphs = enumerate_connected(cfg.n)
-    elif cfg.graph6_path is not None:
-        for lineno, line in enumerate(
-                Path(cfg.graph6_path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append(parse_graph6(line))
-            except GraphError as exc:
-                errors.append(f"line {lineno}: {exc}")
     else:
-        blocks = Path(cfg.adjacency_path).read_text().split("\n\n")
-        for bno, block in enumerate(blocks, start=1):
-            if not block.strip():
-                continue
-            try:
-                graphs.append(parse_adjacency(block))
-            except GraphError as exc:
-                errors.append(f"block {bno}: {exc}")
+        text = Path(cfg.graph6_path or cfg.adjacency_path).read_text()
+        if cfg.adjacency_path is not None or looks_like_adjacency(text):
+            for bno, block in enumerate(text.split("\n\n"), start=1):
+                if not block.strip():
+                    continue
+                try:
+                    graphs.append(parse_adjacency(block))
+                except GraphError as exc:
+                    errors.append(f"block {bno}: {exc}")
+        else:
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if not line.strip():
+                    continue
+                try:
+                    graphs.append(parse_graph6(line))
+                except GraphError as exc:
+                    errors.append(f"line {lineno}: {exc}")
     return graphs, errors
 
 

@@ -6,6 +6,8 @@ take about a minute each and only run when RUN_NIGHTLY=1 is set;
 everything else runs by default.
 """
 
+import hashlib
+import json
 import os
 import random
 from collections import Counter
@@ -114,7 +116,15 @@ def test_seven_vertex_table_pinned():
     assert report.rows == expected
     assert (report.total, report.total_qsym, report.total_undecided) == (853, 346, 0)
     assert report.cap_failures == () and report.input_errors == ()
-    _pass("7-vertex table pinned by |Aut|, zero undecided")
+    # every NDJSON record in order, byte for byte, apart from its timing
+    digest = hashlib.sha256()
+    for rec in report.records:
+        fields = rec.to_json_dict()
+        del fields["wall_time_ms"]
+        digest.update(json.dumps(fields).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "bd33ce97d5907305ff45ae0d95adce36a54f8f7e827de01c3866bc23c67eac2a")
+    _pass("7-vertex table and records pinned, zero undecided")
 
 
 def test_criterion_5_worked_example_regressions():

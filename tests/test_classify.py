@@ -10,6 +10,7 @@ from qsymgraph import (
     CheckStatus,
     ClassifyConfig,
     Graph,
+    RunConfig,
     VerdictKind,
     automorphism_group,
     build_relations,
@@ -18,13 +19,16 @@ from qsymgraph import (
     enumerate_connected,
     find_disjoint_pair,
     qsym_check,
+    render_table,
+    run_batch,
     to_graph6,
     zero_pattern,
 )
-from qsymgraph.classify import DegenerateAlgebraError, Presentation
+from qsymgraph.classify import CheckResult, DegenerateAlgebraError, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.groebner import EngineLimits, ResourceCapError
+from qsymgraph.pipeline import OrderRow, classify_with_record
 
 from conftest import (
     FOUR_VERTEX_CASES,
@@ -35,7 +39,7 @@ from conftest import (
     rigid6,
     star4,
 )
-from relations_oracle import explicit_zero_relations
+from relations_oracle import explicit_zero_relations, reference_relations
 
 
 def brute_force_relation_count(g: Graph) -> int:
@@ -102,6 +106,47 @@ def test_relations_pinned_on_small_graphs():
     assert count == 117960
     assert digest.hexdigest() == (
         "fafc460e7edee5031744cdf898eccb0b98ea9c7cda0a4acdc4a4e7643865944e")
+
+
+def _assert_matches_reference(g, pattern):
+    """build_relations equals the Poly-arithmetic builder: the same
+    generators, the same relations in the same order, and each relation's
+    terms in the same dict order (or the same degeneracy error)."""
+    try:
+        ref = reference_relations(g, pattern)
+    except DegenerateAlgebraError as exc:
+        with pytest.raises(DegenerateAlgebraError) as raised:
+            build_relations(g, pattern)
+        assert str(raised.value) == str(exc)
+        return
+    pres = build_relations(g, pattern)
+    assert pres.gens == ref.gens
+    assert [repr(r.terms) for r in pres.relations] == [repr(r.terms) for r in ref.relations]
+
+
+def test_relations_match_reference_on_pairless_graphs():
+    # every graph with n <= 7 that classify sends to the relation builder
+    count = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            if find_disjoint_pair(automorphism_group(g)) is None:
+                _assert_matches_reference(g, zero_pattern(g))
+                count += 1
+    assert count == 582
+
+
+def test_relations_match_reference_on_random_graphs_and_patterns():
+    # walk-count patterns of random graphs up to n = 10, and arbitrary
+    # patterns, some of which empty a row or column
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < rng.choice((0.2, 0.5, 0.8))]
+        g = Graph.from_edges(n, edges)
+        _assert_matches_reference(g, zero_pattern(g))
+        forced = tuple(tuple(rng.random() < 0.3 for _ in range(n)) for _ in range(n))
+        _assert_matches_reference(g, ZeroPattern(n, forced, 1))
 
 
 def test_broken_house_block_matches_triangle_system(broken_house):
@@ -259,15 +304,27 @@ def test_four_vertex_appendix_verdicts():
             assert verdict.qsym_output == 1, name
 
 
-def test_undecided_when_pairless_and_truncated():
+def test_undecided_when_pairless_and_truncated(monkeypatch, tmp_path):
+    # no real graph reaches Undecided (every connected graph with n <= 7
+    # resolves at caps 2 and 3), so the branch runs on a stubbed check
     cfg = ClassifyConfig(gb_degree_cap=2)
-    verdict = classify(star4(), cfg)
-    assert verdict.kind in (VerdictKind.NOT_QUANTUM_SYMMETRIC, VerdictKind.UNDECIDED)
-    # with such a low cap the star may still resolve; force a real truncation
-    # on the pairless paw by capping below the relation degree is invalid, so
-    # assert the Undecided contract on the result status instead
-    if verdict.kind is VerdictKind.UNDECIDED:
-        assert verdict.algebra.status is CheckStatus.TRUNCATED
+    assert classify(star4(), cfg).kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
+    truncated = CheckResult(CheckStatus.TRUNCATED, 15, degree_bound=2, basis_size=7)
+    monkeypatch.setattr(classify_module, "qsym_check", lambda p, cfg: truncated)
+
+    verdict, record = classify_with_record(star4(), cfg)
+    assert verdict.kind is VerdictKind.UNDECIDED
+    assert verdict.algebra is truncated and verdict.qsym_output is None
+    assert verdict.disjoint_pair is None and verdict.pattern == zero_pattern(star4())
+    assert (record.verdict, record.qsym_output, record.gb_degree_bound, record.gb_size) == (
+        "Undecided", None, 2, 7)
+
+    src = tmp_path / "star-k4.g6"
+    src.write_text(to_graph6(star4()) + "\n" + to_graph6(complete_graph(4)) + "\n")
+    report = run_batch(RunConfig(graph6_path=src, classify=cfg))
+    assert report.rows == (OrderRow(24, 1, 1, 0), OrderRow(6, 1, 0, 1))
+    assert render_table(report, "csv").splitlines() == [
+        "order,total,qsym,undecided", "24,1,1,0", "6,1,0,1", "total,2,1,1"]
 
 
 def test_fulton_mode_equivalence_through_five_vertices():

@@ -114,6 +114,15 @@ def test_default_cap_agrees_with_n_squared_powers():
         graphs.append(Graph.from_edges(n, [
             (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
             if rng.random() < 0.4]))
+    # dense graphs up to n = 16, where walk counts come closest to the
+    # (n-1)^(n-1) bound that sets the field width of the packed rows
+    graphs.append(complete_graph(16))
+    graphs.append(Graph.from_edges(16, [
+        (i, j) for i in range(1, 17) for j in range(i + 1, 17) if (i + 1) // 2 != (j + 1) // 2]))
+    for n in (12, 14, 16, 16):
+        graphs.append(Graph.from_edges(n, [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if rng.random() < 0.9]))
     for g in graphs:
         pattern = zero_pattern(g)
         assert pattern.max_power_used <= max(g.n - 1, 1)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +253,27 @@ def test_cli_batch_malformed_line_exits_one(tmp_path, capsys):
     assert cli_main(["batch", "--input", str(src)]) == 1
     captured = capsys.readouterr()
     assert "input error" in captured.err
+
+
+@pytest.mark.parametrize("name, text, rows", [
+    ("two.g6", "C~\nBw\n", ["24,1,1,0", "6,1,0,0"]),
+    ("two.adj", "0 1\n1 0\n\n010\n101\n010\n", ["2,2,0,0"]),
+])
+def test_cli_batch_reads_its_input_once(tmp_path, capsys, monkeypatch, name, text, rows):
+    # the input kind is decided from the same read that loads the graphs
+    src = tmp_path / name
+    src.write_text(text)
+    reads = []
+    original = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    assert cli_main(["batch", "--input", str(src), "--format", "csv"]) == 0
+    assert reads == [src]
+    assert capsys.readouterr().out.splitlines()[1:-1] == rows
 
 
 def test_cli_missing_file_exits_one(tmp_path, capsys):
