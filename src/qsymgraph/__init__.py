@@ -40,17 +40,7 @@ from .graphs import (
     permute,
     to_graph6,
 )
-from .groebner import (
-    EngineLimits,
-    GBasis,
-    Membership,
-    Reducer,
-    ResourceCapError,
-    complete,
-    ideal_member,
-    membership_certificate,
-    normal_form,
-)
+from .groebner import EngineLimits, GBasis, Reducer, ResourceCapError, complete
 from .pipeline import BatchReport, GraphRecord, OrderRow, RunConfig, render_table, run_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

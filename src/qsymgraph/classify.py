@@ -209,8 +209,8 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     config returns its stored result; a ``ResourceCapError`` is never
     stored, so it is raised again on every call.
     """
-    # the repr of the term dicts is exact and far smaller than the Polys
-    key = (p.gens.labels, repr([r.terms for r in p.relations]), cfg)
+    # every relation's terms in order: exact, and hashed without building text
+    key = (p.gens.labels, tuple(tuple(r.terms.items()) for r in p.relations), cfg)
     result = _qsym_memo.get(key)
     if result is None:
         result = _check(p, cfg)

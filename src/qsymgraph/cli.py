@@ -29,6 +29,7 @@ from .pipeline import (
     render_table,
     report_from_records,
     run_batch,
+    write_records,
 )
 
 
@@ -83,8 +84,7 @@ def cmd_check(args) -> int:
     else:
         print(json.dumps(record.to_json_dict()))
     if args.out is not None:
-        Path(str(args.out) + ".ndjson").write_text(
-            json.dumps(record.to_json_dict()) + "\n")
+        write_records([record], Path(str(args.out) + ".ndjson"))
     return 0
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .freealg import EMPTY_WORD, Generators, Poly, Word, _deglex_key, exact_div
+from .freealg import EMPTY_WORD, Poly, Word, _deglex_key, exact_div
 
 
 class ResourceCapError(RuntimeError):
@@ -31,12 +30,6 @@ class EngineLimits:
 
     max_basis: int = 20000
     max_terms: int = 2_000_000
-
-
-class Membership(Enum):
-    MEMBER = "member"
-    NON_MEMBER = "non_member"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -60,9 +53,9 @@ class Reducer:
 
     Which rule rewrites a word depends on the word alone, so reduction is
     linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
-    N(w) is the normal form of the word w.  ``normal_form`` keeps every
-    N(w) it meets in ``word_nf``, which is valid as long as the rules do
-    not change.
+    N(w) is the normal form of the word w.  Reduction keeps every N(w) it
+    meets in ``word_nf``, which ``_add`` and ``_drop`` empty, since it is
+    valid only as long as the rules do not change.
     """
 
     def __init__(self, polys):
@@ -80,6 +73,7 @@ class Reducer:
             self._add(rid, lw, {w: c for w, c in p.terms.items() if w != lw})
 
     def _add(self, rid: int, lead: Word, tail: dict) -> None:
+        self.word_nf.clear()
         self.leads[rid] = lead
         self.tails[rid] = tail
         if not lead:
@@ -96,6 +90,7 @@ class Reducer:
     def _drop(self, rid: int) -> tuple[Word, dict]:
         """Undo ``_add`` of a rule whose lead no other rule has (never the
         unit rule); return its lead and tail."""
+        self.word_nf.clear()
         lead = self.leads.pop(rid)
         tail = self.tails.pop(rid)
         del self.by_lead[lead]
@@ -127,15 +122,16 @@ class Reducer:
                 return hit, pos, self.leads[hit]
         return None
 
-    def normal_form(self, f: Poly, *, trace: list | None = None) -> Poly:
-        """Normal form of ``f``; with ``trace``, by the worklist, which
-        records each rewrite (see the module function ``normal_form``)."""
-        if trace is not None:
-            return Poly(_reduce_terms(f.terms, self, trace=trace), _trusted=True)
+    def normal_form(self, f: Poly) -> Poly:
+        """Normal form of ``f`` by the current rules."""
+        return Poly(self._reduce(f.terms), _trusted=True)
+
+    def _reduce(self, terms: dict) -> dict:
+        """Normal form of a term dict: the sum of c * N(w) over its terms."""
         out: dict = {}
-        for w, c in f.terms.items():
+        for w, c in terms.items():
             _add_scaled(out, self._word_nf(w), c)
-        return Poly(out, _trusted=True)
+        return out
 
     def _word_nf(self, w: Word) -> dict:
         """N(w), built bottom-up on an explicit stack and kept in ``word_nf``.
@@ -178,11 +174,6 @@ class Reducer:
         return memo[w]
 
 
-# Maps letter x to 255 - x: heap keys (-len(w), w.translate(_INV)) pop
-# the largest word first in deglex.
-_INV = bytes(range(255, -1, -1))
-
-
 def _add_scaled(out: dict, terms: dict, c) -> None:
     """out += c * terms, dropping zeros and folding integral Fractions."""
     for w, tc in terms.items():
@@ -193,62 +184,6 @@ def _add_scaled(out: dict, terms: dict, c) -> None:
             out[w] = acc
         else:
             out.pop(w, None)
-
-
-def _reduce_terms(terms: dict, rules: Reducer, *, trace=None) -> dict:
-    """Worklist normal form; each rewrite strictly decreases in the order.
-
-    Terms are processed largest first.  Rewriting a word produces only
-    strictly smaller words, so finished words are never revisited.
-    Integral ``Fraction`` results are folded back to ``int``.
-    """
-    work = dict(terms)
-    heap = [(-len(w), w.translate(_INV), w) for w in work]
-    heapq.heapify(heap)
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    find = rules.find
-    tails = rules.tails
-    out: dict = {}
-    while heap:
-        _, _, w = heappop(heap)
-        c = work.pop(w, 0)
-        if not c:
-            continue
-        hit = find(w)
-        if hit is None:
-            out[w] = c
-            continue
-        rid, pos, lead = hit
-        if trace is not None:
-            trace.append((c, w[:pos], rid, w[pos + len(lead):]))
-        a = w[:pos]
-        b = w[pos + len(lead):]
-        for tw, tc in tails[rid].items():
-            nw = a + tw + b
-            prev = work.get(nw)
-            acc = (prev if prev is not None else 0) - c * tc
-            if acc:
-                if type(acc) is Fraction and acc.denominator == 1:
-                    acc = acc.numerator
-                work[nw] = acc
-                if prev is None:
-                    heappush(heap, (-len(nw), nw.translate(_INV), nw))
-            else:
-                work.pop(nw, None)
-    return out
-
-
-def normal_form(f: Poly, basis, *, trace: list | None = None) -> Poly:
-    """Fully reduce ``f`` by a list of monic polynomials (or a GBasis).
-
-    With ``trace`` a list, appends ``(coeff, left, rule_index, right)``
-    rewrite records such that f - normal_form(f) equals the sum of
-    coeff * left * basis[rule_index] * right.
-    """
-    polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    rules = Reducer(polys)
-    return rules.normal_form(f, trace=trace)
 
 
 def _subwords(w: Word) -> set[Word]:
@@ -271,8 +206,8 @@ class _Engine(Reducer):
     all its subwords (to find the leads a new lead divides), and every
     live tail by the subwords of its words (to find the tails a new lead
     reduces), counting for each rule how many of its tail words contain
-    the subword.  The rules change as it runs, so it reduces by the
-    worklist and never through ``normal_form``'s memo.
+    the subword.  It reduces through the same per-word memo as
+    ``normal_form``, which is emptied whenever a rule changes.
     """
 
     def __init__(self, bound: int, limits: EngineLimits):
@@ -336,11 +271,8 @@ class _Engine(Reducer):
                 if s != rid:
                     yield s, rid, k
 
-    def _nf(self, terms: dict) -> dict:
-        return _reduce_terms(terms, self)
-
     def insert(self, terms: dict):
-        nf = self._nf(terms)
+        nf = self._reduce(terms)
         if not nf:
             return
         lw = max(nf, key=_deglex_key)
@@ -376,8 +308,9 @@ class _Engine(Reducer):
         # lead (never the new element's own: its tail words are smaller)
         for s in sorted(self.tail_sub.get(lw, ())):
             tail = self.tails[s]
-            new_tail = self._nf(tail)
+            new_tail = self._reduce(tail)
             self.tails[s] = new_tail
+            self.word_nf.clear()
             self.term_count += len(new_tail) - len(tail)
             self._count_tail_words(s, [w for w in tail if w not in new_tail], -1)
             self._count_tail_words(s, [w for w in new_tail if w not in tail], 1)
@@ -460,40 +393,3 @@ def complete(gens, *, degree_bound: int,
     engine = _Engine(degree_bound, limits)
     engine.run(dict(g.terms) for g in gen_list)
     return GBasis(engine.basis_polys(), degree_bound, engine.is_complete())
-
-
-def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
-    """Printable evidence for a membership answer.
-
-    For members, the cofactor decomposition f = sum of
-    coeff * left * element * right over basis elements; otherwise the
-    irreducible normal form.  Stable across runs.
-    """
-    trace: list = []
-    reducer = Reducer(basis.polys)
-    nf = reducer.normal_form(f, trace=trace)
-
-    def word_str(w: Word) -> str:
-        return "*".join(gens.gen_name(x) for x in w) if w else "1"
-
-    if nf.is_zero():
-        lines = ["member"]
-        for coeff, left, rid, right in trace:
-            element = basis.polys[rid].render(gens)
-            lines.append(f"({coeff}) * {word_str(left)} * [{element}] * {word_str(right)}")
-        return "\n".join(lines)
-    status = "non_member" if basis.complete else "unknown"
-    return f"{status}\nnormal_form: {nf.render(gens)}"
-
-
-def ideal_member(f: Poly, basis: GBasis, reducer: Reducer | None = None) -> Membership:
-    """Tri-state ideal membership via normal form.
-
-    A zero normal form is conclusive at any truncation degree; a nonzero
-    one is conclusive only for a complete basis.
-    """
-    rules = reducer if reducer is not None else Reducer(basis.polys)
-    nf = rules.normal_form(f)
-    if nf.is_zero():
-        return Membership.MEMBER
-    return Membership.NON_MEMBER if basis.complete else Membership.UNKNOWN

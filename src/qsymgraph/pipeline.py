@@ -206,24 +206,21 @@ def run_batch(cfg: RunConfig) -> BatchReport:
     ``cap_failures``; the remaining records still form a partial report.
     """
     graphs, errors = load_graphs(cfg)
-    records: list[GraphRecord] = []
-    failures: list[str] = []
+    tasks = [(g, cfg.classify) for g in graphs]
     if cfg.jobs > 1 and len(graphs) > 1:
         import multiprocessing  # only worker pools need it
 
         with multiprocessing.Pool(cfg.jobs) as pool:
-            results = pool.map(_worker, [(g, cfg.classify) for g in graphs])
-        for kind, payload in results:
-            if kind == "ok":
-                records.append(payload)
-            else:
-                failures.append(payload)
+            results = pool.map(_worker, tasks)
     else:
-        for g in graphs:
-            try:
-                records.append(classify_with_record(g, cfg.classify)[1])
-            except ResourceCapError as exc:
-                failures.append(f"{to_graph6(g)}: {exc}")
+        results = map(_worker, tasks)
+    records: list[GraphRecord] = []
+    failures: list[str] = []
+    for kind, payload in results:
+        if kind == "ok":
+            records.append(payload)
+        else:
+            failures.append(payload)
     report = BatchReport(tuple(records), aggregate(records),
                          tuple(errors), tuple(failures))
     if sum(r.total for r in report.rows) != len(records):

@@ -13,24 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from qsymgraph import ideal_member
 from qsymgraph.freealg import EMPTY_WORD, Poly, word
-from qsymgraph.groebner import (
-    EngineLimits,
-    Membership,
-    Reducer,
-    ResourceCapError,
-    _Engine,
-    _reduce_terms,
-    complete,
-    normal_form,
-)
+from qsymgraph.groebner import EngineLimits, Reducer, ResourceCapError, _Engine, complete
 from overlap_oracle import (
     Obstruction,
     find_obstructions,
     obstructions_of_leads,
     random_normal_form,
 )
+from worklist_oracle import membership_certificate, normal_form, reduce_terms
 
 X, Y = 0, 1
 
@@ -43,6 +34,10 @@ def idempotent(g):
     return p({word(g, g): 1, word(g): -1})
 
 
+def nf(f, polys):
+    return Reducer(polys).normal_form(f)
+
+
 @pytest.fixture(scope="module")
 def commuting_pair_basis():
     gens = [p({word(X, Y): 1, word(Y, X): -1}), p({word(X, X): 1, EMPTY_WORD: -1})]
@@ -53,33 +48,37 @@ def commuting_pair_basis():
 
 
 def test_normal_form_of_zero():
-    assert normal_form(Poly.zero(), [idempotent(X)]).is_zero()
+    assert nf(Poly.zero(), [idempotent(X)]).is_zero()
 
 
 def test_normal_form_idempotent_cube():
     f = p({word(X, X, X): 1})
-    assert normal_form(f, [idempotent(X)]) == p({word(X): 1})
+    assert nf(f, [idempotent(X)]) == p({word(X): 1})
 
 
 def test_normal_form_requires_monic_basis():
     with pytest.raises(ValueError, match="monic"):
-        normal_form(Poly.gen(X), [p({word(X, X): 2})])
+        nf(Poly.gen(X), [p({word(X, X): 2})])
 
 
 def test_normal_form_trace_reconstructs_the_difference():
+    # the worklist oracle's trace rebuilds f - nf(f) from the basis, and
+    # its normal form is the one Reducer gives
     rng = random.Random(61)
     basis = [idempotent(X), idempotent(Y), p({word(Y, X): 1, word(X, Y): -1})]
+    reducer = Reducer(basis)
     for _ in range(50):
         f = p({
             bytes(rng.choices((X, Y), k=rng.randint(0, 4))): rng.randint(-3, 3)
             for _ in range(rng.randint(1, 4))
         })
         trace = []
-        nf = normal_form(f, basis, trace=trace)
+        traced = normal_form(f, basis, trace=trace)
         rebuilt = Poly.zero()
         for coeff, left, rid, right in trace:
             rebuilt = rebuilt + Poly.term(left, coeff) * basis[rid] * Poly.term(right, 1)
-        assert f - nf == rebuilt
+        assert f - traced == rebuilt
+        assert traced == reducer.normal_form(f)
 
 
 def _linear_find(polys, w):
@@ -151,7 +150,7 @@ def test_memoised_normal_form_equals_worklist_on_non_interreduced_rules():
                 for _ in range(rng.randint(1, 4))
             })
             memoised = sorted(reducer.normal_form(f).terms.items())
-            worklist = sorted(_reduce_terms(f.terms, reducer).items())
+            worklist = sorted(reduce_terms(f.terms, reducer).items())
             assert repr(memoised) == repr(worklist)  # equal values, same int/Fraction types
         assert reducer.word_nf
 
@@ -160,11 +159,11 @@ def test_integral_coefficients_fold_back_to_int():
     # yy - x/2: rewriting by it makes halves, and whole numbers from halves
     half = p({word(Y, Y): 1, word(X): Fraction(-1, 2)})
     f = p({word(Y, Y): 2, word(X): 1, word(X, Y, Y): 4, word(Y): 3, word(Y, Y, X): 1})
-    nf = normal_form(f, [half])
+    reduced = nf(f, [half])
     reference = f - half.scale(2) - Poly.gen(X) * half.scale(4) - half * Poly.gen(X)
-    assert nf == reference
-    assert nf.terms[word(X, X)] == Fraction(5, 2)
-    for w, c in nf.terms.items():
+    assert reduced == reference
+    assert reduced.terms[word(X, X)] == Fraction(5, 2)
+    for w, c in reduced.terms.items():
         if Fraction(c).denominator == 1:
             assert type(c) is int, (w, c)
     gens = [p({word(Y, Y): 2, word(X): -1}), p({word(Y, X): 2, word(X, Y): -4, word(X): 2})]
@@ -175,14 +174,14 @@ def test_integral_coefficients_fold_back_to_int():
 
 def test_normal_form_idempotence():
     rng = random.Random(67)
-    basis = [idempotent(X), p({word(Y, Y): 1, EMPTY_WORD: -1})]
+    reducer = Reducer([idempotent(X), p({word(Y, Y): 1, EMPTY_WORD: -1})])
     for _ in range(60):
         f = p({
             bytes(rng.choices((X, Y), k=rng.randint(0, 5))): rng.randint(-4, 4)
             for _ in range(rng.randint(1, 5))
         })
-        nf = normal_form(f, basis)
-        assert normal_form(nf, basis) == nf
+        reduced = reducer.normal_form(f)
+        assert reducer.normal_form(reduced) == reduced
 
 
 # obstructions
@@ -305,6 +304,64 @@ def test_tail_index_matches_scan_during_random_completions():
     assert checked > 600 and touched > 100  # adds, and tails step 2 re-reduced
 
 
+class _WorklistEngine(_Engine):
+    """Completion that reduces by the worklist oracle instead of the
+    per-word memo, and so never depends on when the memo is emptied."""
+
+    def _reduce(self, terms):
+        return reduce_terms(terms, self)
+
+
+def _sorted_basis(polys):
+    return repr([sorted(f.terms.items()) for f in polys])
+
+
+def _assert_worklist_completion_agrees(gens, bound):
+    basis = complete(gens, degree_bound=bound)
+    engine = _WorklistEngine(bound, EngineLimits())
+    engine.run(dict(g.terms) for g in gens)
+    # terms may sit in another insertion order; values and types may not differ
+    assert _sorted_basis(engine.basis_polys()) == _sorted_basis(basis.polys)
+    assert engine.is_complete() == basis.complete
+
+
+def test_memoised_completion_matches_worklist_completion_on_random_inputs():
+    rng = random.Random(101)
+    coeffs = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+    cases = 0
+    while cases < 400:
+        letters = rng.randint(2, 3)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            poly = p({
+                bytes(rng.choices(range(letters), k=rng.randint(1, 3))): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 3))
+            })
+            if poly:
+                gens.append(poly)
+        if not gens:
+            continue
+        bound = max(rng.randint(4, 6), max(g.degree() for g in gens))
+        _assert_worklist_completion_agrees(gens, bound)
+        cases += 1
+
+
+def test_memoised_completion_matches_worklist_completion_on_small_graphs():
+    # the 75 presentations whose degree-4 bases test_bases_pinned_on_small_graphs pins
+    from qsymgraph import automorphism_group, enumerate_connected, find_disjoint_pair
+    from qsymgraph.classify import build_relations
+    from qsymgraph.fulton import zero_pattern
+
+    count = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            if find_disjoint_pair(automorphism_group(g)) is not None:
+                continue
+            count += 1
+            _assert_worklist_completion_agrees(build_relations(g, zero_pattern(g)).relations, 4)
+    assert count == 75
+
+
 # completion
 
 
@@ -325,28 +382,30 @@ def test_commuting_pair_completes_by_hand(commuting_pair_basis):
 
 def test_commuting_pair_membership(commuting_pair_basis):
     f = p({word(X, Y, X): 1, word(Y): -1})
-    assert ideal_member(f, commuting_pair_basis) is Membership.MEMBER
+    assert nf(f, commuting_pair_basis.polys).is_zero()
 
 
 def test_truncation_reports_unknown():
     # x^3 - x alone: both self-overlaps exceed degree 3, so the truncated
-    # basis cannot decide x^4 (whose normal form is the non-member x^2)
+    # basis cannot decide x^4 (whose normal form is the non-member x^2):
+    # a nonzero normal form shows non-membership only on a complete basis
     gens = [p({word(X, X, X): 1, word(X): -1})]
     basis = complete(gens, degree_bound=3)
     assert not basis.complete
     f = p({word(X, X, X, X): 1})
-    assert ideal_member(f, basis) is Membership.UNKNOWN
+    assert nf(f, basis.polys) == p({word(X, X): 1})
     deeper = complete(gens, degree_bound=5)
     assert deeper.complete
-    assert ideal_member(f, deeper) is Membership.NON_MEMBER
-    assert ideal_member(f - p({word(X, X): 1}), basis) is Membership.MEMBER
+    assert not nf(f, deeper.polys).is_zero()
+    assert nf(f - p({word(X, X): 1}), basis.polys).is_zero()
 
 
 def test_generators_always_members():
     gens = [idempotent(X), p({word(X, Y): 1, word(Y, X): -1})]
     basis = complete(gens, degree_bound=6)
+    reducer = Reducer(basis.polys)
     for g in gens:
-        assert ideal_member(g, basis) is Membership.MEMBER
+        assert reducer.normal_form(g).is_zero()
 
 
 def test_unit_ideal_collapses():
@@ -354,7 +413,7 @@ def test_unit_ideal_collapses():
                      degree_bound=4)
     assert basis.complete
     assert basis.polys == [Poly.one()]
-    assert ideal_member(Poly.gen(Y), basis) is Membership.MEMBER
+    assert nf(Poly.gen(Y), basis.polys).is_zero()
 
 
 def test_complete_graph_relations_prove_noncommutativity():
@@ -369,8 +428,7 @@ def test_complete_graph_relations_prove_noncommutativity():
     a = pres.gens.index(1, 1)
     b = pres.gens.index(2, 2)
     commutator = p({word(a, b): 1, word(b, a): -1})
-    assert not normal_form(commutator, basis).is_zero()
-    assert ideal_member(commutator, basis) is Membership.NON_MEMBER
+    assert not nf(commutator, basis.polys).is_zero()
 
 
 def test_bases_pinned_on_small_graphs():
@@ -481,7 +539,6 @@ def test_every_basis_element_lies_in_the_ideal(gens):
 
 def test_membership_certificates(commuting_pair_basis):
     from qsymgraph.freealg import Generators
-    from qsymgraph.groebner import membership_certificate
 
     gens = Generators(((1, 1), (1, 2)))
     member = p({word(X, Y, X): 1, word(Y): -1})
@@ -494,6 +551,9 @@ def test_membership_certificates(commuting_pair_basis):
     assert cert2 == "non_member\nnormal_form: u(1,2)"
     # identical calls give identical certificates
     assert cert == membership_certificate(member, commuting_pair_basis, gens)
+    truncated = complete([p({word(X, X, X): 1, word(X): -1})], degree_bound=3)
+    cert3 = membership_certificate(p({word(X, X, X, X): 1}), truncated, gens)
+    assert cert3 == "unknown\nnormal_form: u(1,1)*u(1,1)"
 
 
 def test_fuzzed_membership_agrees_with_span_oracle():

@@ -157,6 +157,16 @@ def test_resource_cap_produces_partial_report(tmp_path):
     assert len(report.records) + len(report.cap_failures) == 2
 
 
+def test_resource_cap_failures_same_with_worker_pool():
+    # the three 4-vertex graphs without a disjoint pair trip the cap
+    tight = ClassifyConfig(limits=EngineLimits(max_basis=1))
+    serial = run_batch(RunConfig(n=4, classify=tight, jobs=1))
+    parallel = run_batch(RunConfig(n=4, classify=tight, jobs=2))
+    assert [msg.split(":")[0] for msg in serial.cap_failures] == ["CF", "CL", "CN"]
+    assert len(serial.records) == 3
+    assert strip_times(report_to_json(parallel)) == strip_times(report_to_json(serial))
+
+
 # command-line interface
 
 
@@ -225,7 +235,9 @@ def test_cli_check_out_writes_record(tmp_path, capsys):
     out_base = tmp_path / "result"
     assert cli_main(["check", "--input", str(src), "--out", str(out_base)]) == 0
     capsys.readouterr()
-    record = json.loads((tmp_path / "result.ndjson").read_text())
+    text = (tmp_path / "result.ndjson").read_text()
+    record = json.loads(text)
+    assert text == json.dumps(record) + "\n"  # one NDJSON line, as batch writes it
     assert record["graph6"] == "C~"
     assert record["verdict"] == "QuantumSymmetric"
 
