@@ -24,6 +24,7 @@ from .classify import (
     build_relations,
     classify,
     commutators,
+    linear_consequences,
     qsym_check,
 )
 from .freealg import Generators, Poly, Word, word

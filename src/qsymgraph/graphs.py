@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 MAX_VERTICES = 16
 
-# n = 8 would send 11,117 graphs through a Groebner run of unmeasured cost.
+# n = 8 (11,117 graphs) classified in about 26 s on a 2-core machine, after
+# 7.5 s of enumeration; the cap stays until that run has a pinned table.
 MAX_ENUMERATE_VERTICES = 7
 
 

@@ -54,8 +54,10 @@ class Reducer:
     Which rule rewrites a word depends on the word alone, so reduction is
     linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
     N(w) is the normal form of the word w.  Reduction keeps every N(w) it
-    meets in ``word_nf``, which ``_add`` and ``_drop`` empty, since it is
-    valid only as long as the rules do not change.
+    meets in ``word_nf``, which is valid only as long as the rules do not
+    change, so ``_add`` empties it.  ``_drop`` need not: a plain Reducer
+    never drops a rule, and the engine drops rules only just before an
+    ``_add``, with no reduction in between.
     """
 
     def __init__(self, polys):
@@ -89,8 +91,8 @@ class Reducer:
 
     def _drop(self, rid: int) -> tuple[Word, dict]:
         """Undo ``_add`` of a rule whose lead no other rule has (never the
-        unit rule); return its lead and tail."""
-        self.word_nf.clear()
+        unit rule); return its lead and tail.  Leaves ``word_nf`` stale
+        until the ``_add`` that always follows."""
         lead = self.leads.pop(rid)
         tail = self.tails.pop(rid)
         del self.by_lead[lead]
@@ -310,6 +312,9 @@ class _Engine(Reducer):
             tail = self.tails[s]
             new_tail = self._reduce(tail)
             self.tails[s] = new_tail
+            # memo entries that went through rule s used its old tail; while
+            # the rules are not yet confluent they can differ from entries
+            # built with the new one, so they must not outlive the rewrite
             self.word_nf.clear()
             self.term_count += len(new_tail) - len(tail)
             self._count_tail_words(s, [w for w in tail if w not in new_tail], -1)

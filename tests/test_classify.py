@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from qsymgraph import (
     commutators,
     enumerate_connected,
     find_disjoint_pair,
+    linear_consequences,
     qsym_check,
     render_table,
     run_batch,
@@ -27,7 +29,7 @@ from qsymgraph import (
 from qsymgraph.classify import CheckResult, DegenerateAlgebraError, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
-from qsymgraph.groebner import EngineLimits, ResourceCapError
+from qsymgraph.groebner import EngineLimits, ResourceCapError, complete
 from qsymgraph.pipeline import OrderRow, classify_with_record
 
 from conftest import (
@@ -40,6 +42,8 @@ from conftest import (
     star4,
 )
 from relations_oracle import explicit_zero_relations, reference_relations
+
+NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"
 
 
 def brute_force_relation_count(g: Graph) -> int:
@@ -472,3 +476,154 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     for p, first in zip(presentations, results):
         assert _fields(qsym_check(p)) == _fields(first)
         assert len(classify_module._qsym_memo) <= 3
+
+
+# linear consequences: the derived relations uA = Au
+
+
+def _sums_held(p, side):
+    """{line: (S, letters)} for every row (side 0) or column (side 1)
+    whose sum relation S = sum of its letters - 1 is a relation of ``p``."""
+    held = {frozenset(r.terms.items()) for r in p.relations}
+    out = {}
+    for line in {label[side] for label in p.gens.labels}:
+        letters = [a for a, label in enumerate(p.gens.labels) if label[side] == line]
+        total = sum((Poly.gen(a) for a in letters), Poly.constant(-1))
+        if frozenset(total.terms.items()) in held:
+            out[line] = (total, letters)
+    return out
+
+
+def _assert_consequences_replay(p):
+    """Replay every derived relation f with plain Poly arithmetic as
+
+        sum_R u_il * S'_j - sum_K S_i * u_kj - (monomial relations of p)
+
+    for a row sum S_i and a column sum S'_j that are relations of ``p``,
+    R the letters of f with coefficient -1 and K those with +1 (u_ij may
+    sit in both, where it cancels); some such certificate must equal f."""
+    derived = linear_consequences(p)
+    keys = {frozenset(f.terms.items()) for f in derived}
+    keys |= {frozenset((-f).terms.items()) for f in derived}
+    assert len(keys) == 2 * len(derived)  # no repeats up to sign
+    monomials = {w for r in p.relations if len(r.terms) == 1 for w in r.terms}
+    row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
+    labels = p.gens.labels
+    for f in derived:
+        assert f.degree() == 1 and EMPTY_WORD not in f.terms
+        assert all(c in (1, -1) for c in f.terms.values())
+        plus = [w[0] for w, c in f.terms.items() if c == 1]
+        minus = [w[0] for w, c in f.terms.items() if c == -1]
+        # the letters fix the row and the column, unless a side is empty
+        rows = {labels[a][0] for a in minus} if minus else set(row_sums)
+        cols = {labels[b][1] for b in plus} if plus else set(col_sums)
+        replayed = False
+        for i in rows & set(row_sums):
+            s_row, row = row_sums[i]
+            for j in cols & set(col_sums):
+                s_col, col = col_sums[j]
+                for extra in ([], [a for a in row if a in col]):
+                    cert = Poly()
+                    for a in minus + extra:
+                        cert = cert + Poly.gen(a) * s_col
+                    for b in plus + extra:
+                        cert = cert - s_row * Poly.gen(b)
+                    killed = cert - f
+                    replayed |= all(w in monomials for w in killed.terms)
+        assert replayed, f
+    return derived
+
+
+def test_linear_consequences_replay_on_pairless_graphs():
+    presentations = _checked_presentations(6)
+    assert len(presentations) == 75
+    derived = [_assert_consequences_replay(p) for p in presentations]
+    assert sum(map(len, derived)) == 872
+
+
+def test_linear_consequences_replay_on_random_graphs_and_patterns():
+    # walk-count patterns of random graphs up to n = 10, and arbitrary
+    # patterns, some of which empty a row or column
+    rng = random.Random(61)
+    total = 0
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < rng.choice((0.2, 0.5, 0.8))]
+        g = Graph.from_edges(n, edges)
+        forced = tuple(tuple(rng.random() < 0.3 for _ in range(n)) for _ in range(n))
+        for pattern in (zero_pattern(g), ZeroPattern(n, forced, 1)):
+            try:
+                p = build_relations(g, pattern)
+            except DegenerateAlgebraError:
+                continue
+            total += len(_assert_consequences_replay(p))
+    assert total > 0
+
+
+def test_linear_consequences_need_both_sums():
+    g = cycle_graph(4)
+    p = build_relations(g, zero_pattern(g))
+    row_sums = _sums_held(p, 0)
+    assert sorted(row_sums) == [1, 2, 3, 4]
+    full = _assert_consequences_replay(p)
+    # without the sum of row 1, nothing comes from row 1: no row-1 letter
+    # on the row side, and each relation left replays without S_1
+    s_1, row_1 = row_sums[1]
+    cut = Presentation(p.gens, tuple(r for r in p.relations if r != s_1))
+    assert len(cut.relations) == len(p.relations) - 1
+    derived = _assert_consequences_replay(cut)
+    assert 0 < len(derived) < len(full)
+    assert all(f.terms.get(bytes((a,))) != -1 for f in derived for a in row_1)
+    # with no row sum left, nothing can be derived
+    sums = {s for s, _ in row_sums.values()}
+    no_rows = Presentation(p.gens, tuple(r for r in p.relations if r not in sums))
+    assert linear_consequences(no_rows) == []
+
+
+def test_completion_input_keeps_the_pinned_bases(monkeypatch):
+    # the 75 presentations and the digest of test_bases_pinned_on_small_graphs,
+    # completed with the derived relations inserted as _check inserts them
+    digest = hashlib.sha256()
+    presentations = _checked_presentations(6)
+    for p in presentations:
+        relations = classify_module._completion_input(p)
+        basis = complete(relations, degree_bound=4)
+        for f in basis.polys:
+            digest.update(repr(sorted(f.terms.items())).encode() + b";")
+        digest.update(b"|" + str(basis.complete).encode())
+    assert digest.hexdigest() == (
+        "602badf11c18c25ad78f1eb474d84c88a885c5f14f0beb03b25174a431c6e946")
+
+    # and the check completes exactly that input
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    calls = _counting_complete(monkeypatch)
+    g = cycle_graph(4)
+    p = build_relations(g, zero_pattern(g))
+    qsym_check(p)
+    relations = classify_module._completion_input(p)
+    assert calls and all(args[0] == relations for args in calls)
+    rows, cols = classify_module._line_sums(p)
+    at = 1 + max([*rows.values(), *cols.values()])
+    assert relations == p.relations[:at] + tuple(linear_consequences(p)) + p.relations[at:]
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_linear_consequences_keep_the_seven_vertex_bases():
+    def sorted_basis(relations):
+        basis = complete(relations, degree_bound=4)
+        return basis.complete, sorted(sorted(f.terms.items()) for f in basis.polys)
+
+    seen = set()
+    for g in enumerate_connected(7):
+        if find_disjoint_pair(automorphism_group(g)) is not None:
+            continue
+        p = build_relations(g, zero_pattern(g))
+        key = (p.gens.labels, p.relations)
+        if key in seen or not commutators(p):
+            continue
+        seen.add(key)
+        before = sorted_basis(p.relations)
+        assert before[0]
+        assert sorted_basis(classify_module._completion_input(p)) == before
+    assert len(seen) == 58
