@@ -603,8 +603,8 @@ def test_completion_input_keeps_the_pinned_bases(monkeypatch):
     qsym_check(p)
     relations = classify_module._completion_input(p)
     assert calls and all(args[0] == relations for args in calls)
-    rows, cols = classify_module._line_sums(p)
-    at = 1 + max([*rows.values(), *cols.values()])
+    sums = {s for side in (0, 1) for s, _ in _sums_held(p, side).values()}
+    at = 1 + max(k for k, r in enumerate(p.relations) if r in sums)
     assert relations == p.relations[:at] + tuple(linear_consequences(p)) + p.relations[at:]
 
 
