@@ -38,7 +38,6 @@ from .graphs import (
     matrix_power,
     parse_adjacency,
     parse_graph6,
-    permute,
     to_graph6,
 )
 from .groebner import EngineLimits, GBasis, Reducer, ResourceCapError, complete

@@ -340,7 +340,11 @@ def _completion_input(p: Presentation) -> tuple[Poly, ...]:
     after the last sum relation: the same ideal, but completion need not
     rediscover the linear relations through the products.  Of the
     placements tried (first, after the sums, last), after the sums was
-    the fastest."""
+    the fastest.  A derived relation in the span of the sums and of the
+    derived relations before it reduces to zero in ``insert`` before it
+    takes a rule id, so it cannot change a basis; it costs one reduction
+    (about 0.05 s over the 93 distinct presentations with commutators
+    from pairless graphs with n <= 7)."""
     derived = linear_consequences(p)
     if not derived:
         return p.relations

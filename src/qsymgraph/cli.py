@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``check``  -- classify a single graph from a file (graph6 or adjacency).
+* ``check``  -- classify the first graph of a file, read as ``batch``
+  reads it (graph6 lines or adjacency blocks).
 * ``batch``  -- classify an enumerated family (``--n``) or every graph in
   a file, then print/persist an aggregate table.
 * ``table``  -- re-aggregate previously stored NDJSON records.
@@ -19,12 +20,13 @@ import sys
 from pathlib import Path
 
 from .classify import ClassifyConfig
-from .graphs import GraphError, looks_like_adjacency, parse_adjacency, parse_graph6
+from .graphs import GraphError
 from .groebner import ResourceCapError
 from .pipeline import (
     FORMATS,
     RunConfig,
     classify_with_record,
+    load_graphs,
     read_records,
     render_table,
     report_from_records,
@@ -44,23 +46,19 @@ def _add_output_flags(p: argparse.ArgumentParser):
                    help="base path for <out>.ndjson and <out>.summary.<ext>")
 
 
-def _read_single_graph(path: Path):
-    text = Path(path).read_text()
-    if looks_like_adjacency(text):
-        return parse_adjacency(text)
-    for line in text.splitlines():
-        if line.strip():
-            return parse_graph6(line)
-    raise GraphError("no graph found in input")
-
-
 def cmd_check(args) -> int:
     try:
         cfg = ClassifyConfig(gb_degree_cap=args.gb_cap)
-        g = _read_single_graph(args.input)
+        graphs, errors = load_graphs(RunConfig(graph6_path=args.input))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for msg in errors:
+        print(f"input error: {msg}", file=sys.stderr)
+    if not graphs:
+        print("error: no graph found in input", file=sys.stderr)
+        return 1
+    g = graphs[0]
     try:
         verdict, record = classify_with_record(g, cfg)
     except ResourceCapError as exc:
@@ -85,7 +83,7 @@ def cmd_check(args) -> int:
         print(json.dumps(record.to_json_dict()))
     if args.out is not None:
         write_records([record], Path(str(args.out) + ".ndjson"))
-    return 0
+    return 1 if errors else 0
 
 
 def cmd_batch(args) -> int:
@@ -122,7 +120,7 @@ def cmd_batch(args) -> int:
 def cmd_table(args) -> int:
     try:
         records = read_records(args.input)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # a malformed line names itself
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = report_from_records(records)
@@ -143,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="classify a single graph")
     p_check.add_argument("--input", type=Path, required=True,
-                         help="file containing one graph6 line or an adjacency matrix")
+                         help="graph6 lines or adjacency blocks; the first graph is classified")
     _add_classify_flags(p_check)
     _add_output_flags(p_check)
     p_check.set_defaults(func=cmd_check)

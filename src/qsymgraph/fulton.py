@@ -23,9 +23,6 @@ class ZeroPattern:
     forced_zero: tuple[tuple[bool, ...], ...]
     max_power_used: int
 
-    def is_forced(self, i: int, j: int) -> bool:
-        return self.forced_zero[i][j]
-
     def forced_count(self) -> int:
         return sum(sum(row) for row in self.forced_zero)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 MAX_VERTICES = 16
 
-# n = 8 (11,117 graphs) classified in about 26 s on a 2-core machine, after
-# 7.5 s of enumeration; the cap stays until that run has a pinned table.
+# n = 8 (11,117 graphs) enumerated and classified in about 15 s in all on a
+# 2-core machine; the cap stays until that run has a pinned table.
 MAX_ENUMERATE_VERTICES = 7
 
 
@@ -102,16 +102,6 @@ class Graph:
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-def permute(g: Graph, perm) -> Graph:
-    """Relabel vertices: edge (i,j) becomes (perm[i], perm[j]), 0-based."""
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows[perm[i]][perm[j]] = g.adj[i][j]
-    return Graph(n, tuple(tuple(r) for r in rows))
 
 
 def canonical_form(g: Graph) -> Graph:

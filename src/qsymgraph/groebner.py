@@ -312,9 +312,14 @@ class _Engine(Reducer):
             tail = self.tails[s]
             new_tail = self._reduce(tail)
             self.tails[s] = new_tail
-            # memo entries that went through rule s used its old tail; while
-            # the rules are not yet confluent they can differ from entries
-            # built with the new one, so they must not outlive the rewrite
+            # memo entries that went through rule s used its old tail.  The
+            # leads do not change here, so every entry stays irreducible and
+            # congruent to its word modulo the same ideal: a basis that ends
+            # complete is the unique reduced Groebner basis with or without
+            # this reset.  Only a truncated basis could differ, and no proof
+            # covers that case, so the reset stays.  Without it, all 207
+            # distinct pairless presentations with n <= 7 (canonical and
+            # atlas labellings) gave the same bases at bound 4.
             self.word_nf.clear()
             self.term_count += len(new_tail) - len(tail)
             self._count_tail_words(s, [w for w in tail if w not in new_tail], -1)

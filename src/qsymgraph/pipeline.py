@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .automorphisms import cycle_notation
@@ -31,21 +31,22 @@ FORMATS = ("text", "json", "csv")
 class RunConfig:
     """One input source, classification knobs, and output destination.
 
-    A ``graph6_path`` file whose text is only 0/1 digits and whitespace
-    holds adjacency blocks, since no graph6 line can, and is read as such.
+    The source is ``n`` (every connected graph on n vertices) or a file.
+    The file field keeps the name ``graph6_path`` because
+    ``perfbench/worker.py`` passes it, but the file's content decides its
+    format: text of only 0/1 digits and whitespace holds adjacency blocks,
+    since no graph6 line can; any other text holds graph6 lines.
     """
 
     n: int | None = None
     graph6_path: Path | None = None
-    adjacency_path: Path | None = None
     classify: ClassifyConfig = field(default_factory=ClassifyConfig)
     jobs: int = 1
     fmt: str = "text"
     out: Path | None = None
 
     def __post_init__(self):
-        sources = sum(x is not None for x in (self.n, self.graph6_path, self.adjacency_path))
-        if sources != 1:
+        if (self.n is None) == (self.graph6_path is None):
             raise ValueError("exactly one input source required")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -55,6 +56,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class GraphRecord:
+    """One classified graph.  Its fields, in this order, are the NDJSON
+    record schema; no other code lists them."""
+
     graph6: str
     n: int
     aut_order: int
@@ -66,32 +70,24 @@ class GraphRecord:
     wall_time_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "aut_order": self.aut_order,
-            "disjoint_pair": list(self.disjoint_pair) if self.disjoint_pair else None,
-            "qsym_output": self.qsym_output,
-            "verdict": self.verdict,
-            "gb_degree_bound": self.gb_degree_bound,
-            "gb_size": self.gb_size,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        # a shallow walk: dataclasses.asdict would deep-copy every value
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "GraphRecord":
-        pair = d["disjoint_pair"]
-        return GraphRecord(
-            graph6=d["graph6"],
-            n=d["n"],
-            aut_order=d["aut_order"],
-            disjoint_pair=tuple(pair) if pair else None,
-            qsym_output=d["qsym_output"],
-            verdict=d["verdict"],
-            gb_degree_bound=d["gb_degree_bound"],
-            gb_size=d["gb_size"],
-            wall_time_ms=d["wall_time_ms"],
-        )
+    @classmethod
+    def from_json_dict(cls, d) -> "GraphRecord":
+        """Inverse of :meth:`to_json_dict` on a decoded JSON value; anything
+        but an object with exactly the record's fields raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in d]
+        if missing:
+            raise ValueError(f"record lacks fields {missing}")
+        extra = [k for k in d if k not in names]
+        if extra:
+            raise ValueError(f"record has unknown fields {extra}")
+        # JSON has no tuples, so the disjoint pair comes back as a list
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -154,31 +150,34 @@ def _worker(args):
 
 
 def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
-    """Graphs from the configured source plus per-item error messages."""
-    errors: list[str] = []
-    graphs: list[Graph] = []
+    """Graphs from the configured source plus per-item error messages.
+
+    The one reader of graph files, for ``check`` and ``batch`` alike.  A
+    line or block that does not parse is reported and skipped; a file
+    that is not UTF-8 text raises GraphError.
+    """
     if cfg.n is not None:
         from .graphs import enumerate_connected
 
-        graphs = enumerate_connected(cfg.n)
+        return enumerate_connected(cfg.n), []
+    path = Path(cfg.graph6_path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if looks_like_adjacency(text):
+        unit, items, parse = "block", text.split("\n\n"), parse_adjacency
     else:
-        text = Path(cfg.graph6_path or cfg.adjacency_path).read_text()
-        if cfg.adjacency_path is not None or looks_like_adjacency(text):
-            for bno, block in enumerate(text.split("\n\n"), start=1):
-                if not block.strip():
-                    continue
-                try:
-                    graphs.append(parse_adjacency(block))
-                except GraphError as exc:
-                    errors.append(f"block {bno}: {exc}")
-        else:
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    graphs.append(parse_graph6(line))
-                except GraphError as exc:
-                    errors.append(f"line {lineno}: {exc}")
+        unit, items, parse = "line", text.splitlines(), parse_graph6
+    graphs: list[Graph] = []
+    errors: list[str] = []
+    for no, item in enumerate(items, start=1):
+        if not item.strip():
+            continue
+        try:
+            graphs.append(parse(item))
+        except GraphError as exc:
+            errors.append(f"{unit} {no}: {exc}")
     return graphs, errors
 
 
@@ -247,10 +246,16 @@ def write_records(records, path: Path) -> None:
 
 
 def read_records(path: Path) -> list[GraphRecord]:
+    """The records of an NDJSON file; a malformed line raises ValueError
+    naming the line."""
     records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
             records.append(GraphRecord.from_json_dict(json.loads(line)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -294,13 +299,3 @@ def report_to_json(report: BatchReport) -> dict:
         "input_errors": list(report.input_errors),
         "cap_failures": list(report.cap_failures),
     }
-
-
-def report_from_json(data: dict) -> BatchReport:
-    records = tuple(GraphRecord.from_json_dict(d) for d in data["records"])
-    rows = tuple(
-        OrderRow(d["order"], d["total"], d["qsym"], d["undecided"]) for d in data["table"]
-    )
-    return BatchReport(records, rows,
-                       tuple(data.get("input_errors", ())),
-                       tuple(data.get("cap_failures", ())))

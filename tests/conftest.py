@@ -20,6 +20,16 @@ from qsymgraph import (
 )
 
 
+def permute(g: Graph, perm) -> Graph:
+    """Relabel vertices: edge (i,j) becomes (perm[i], perm[j]), 0-based."""
+    n = g.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = g.adj[i][j]
+    return Graph(n, tuple(tuple(r) for r in rows))
+
+
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
 

@@ -26,7 +26,7 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     relations = list(pres.relations)
     for i in range(n):
         for j in range(n):
-            if pattern.is_forced(i, j):
+            if pattern.forced_zero[i][j]:
                 u = Poly.gen(pres.gens.index(i + 1, j + 1))
                 if u not in relations:  # deduplicated, as build_relations does
                     relations.append(u)

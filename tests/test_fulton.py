@@ -72,9 +72,9 @@ def test_pattern_symmetric_and_diagonal_free():
         g = Graph.from_edges(n, edges)
         pattern = zero_pattern(g)
         for i in range(n):
-            assert not pattern.is_forced(i, i)
+            assert not pattern.forced_zero[i][i]
             for j in range(n):
-                assert pattern.is_forced(i, j) == pattern.is_forced(j, i)
+                assert pattern.forced_zero[i][j] == pattern.forced_zero[j][i]
 
 
 def test_square_diagonal_is_degree_sequence():
@@ -102,7 +102,7 @@ def _split_pairs(g, cap):
 
 def _forced_pairs(pattern):
     n = pattern.n
-    return {(i, j) for i in range(n) for j in range(n) if pattern.is_forced(i, j)}
+    return {(i, j) for i in range(n) for j in range(n) if pattern.forced_zero[i][j]}
 
 
 def test_default_cap_agrees_with_n_squared_powers():

@@ -14,7 +14,6 @@ from qsymgraph import (
     matrix_power,
     parse_adjacency,
     parse_graph6,
-    permute,
     to_graph6,
 )
 from qsymgraph.graphs import AdjacencyError, Graph6Error, GraphError
@@ -25,6 +24,7 @@ from conftest import (
     house_x,
     house_x_broken,
     path_graph,
+    permute,
     rigid6,
 )
 from enumeration_oracle import brute_force_canonical_mask, orbit_sweep_masks

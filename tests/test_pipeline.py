@@ -1,5 +1,6 @@
 """Batch runs, aggregation, rendering, persistence, and the CLI."""
 
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -11,11 +12,12 @@ from qsymgraph.classify import ClassifyConfig
 from qsymgraph.cli import main as cli_main
 from qsymgraph.groebner import EngineLimits
 from qsymgraph.pipeline import (
+    GraphRecord,
     OrderRow,
     read_records,
-    report_from_json,
     report_from_records,
     report_to_json,
+    write_records,
 )
 
 from conftest import complete_graph, house_x
@@ -92,7 +94,7 @@ def test_adjacency_batch_input(tmp_path, house):
     src = tmp_path / "graphs.adj"
     blocks = ["0 1\n1 0", "\n".join("".join(str(x) for x in row) for row in house.adj)]
     src.write_text("\n\n".join(blocks) + "\n")
-    report = run_batch(RunConfig(adjacency_path=src))
+    report = run_batch(RunConfig(graph6_path=src))  # the content says adjacency
     assert [rec.n for rec in report.records] == [2, 5]
     assert report.records[1].verdict == "QuantumSymmetric"
 
@@ -121,8 +123,23 @@ def test_parallel_serial_equivalence():
 
 
 def test_json_round_trip(n4_report):
-    data = report_to_json(n4_report)
-    assert report_from_json(json.loads(json.dumps(data))) == n4_report
+    data = json.loads(json.dumps(report_to_json(n4_report)))
+    records = tuple(GraphRecord.from_json_dict(d) for d in data["records"])
+    assert report_from_records(records) == n4_report
+    assert data["table"] == [dataclasses.asdict(row) for row in n4_report.rows]
+
+
+def test_records_round_trip_byte_for_byte(tmp_path, n4_report):
+    first = tmp_path / "first.ndjson"
+    write_records(n4_report.records, first)
+    records = read_records(first)
+    assert tuple(records) == n4_report.records
+    second = tmp_path / "second.ndjson"
+    write_records(records, second)
+    assert second.read_bytes() == first.read_bytes()
+    pairs = [rec.disjoint_pair for rec in records]
+    assert None in pairs
+    assert all(type(pair) is tuple for pair in pairs if pair is not None)
 
 
 def test_render_formats(n4_report):
@@ -247,6 +264,63 @@ def test_cli_check_malformed_exits_one(tmp_path, capsys):
     src.write_text("!!!\n")
     assert cli_main(["check", "--input", str(src)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, data, sizes, input_errors", [
+    ("bad-first-line.g6", b"!!!\nC~\nBw\n", [4, 3],
+     ["input error: line 1: malformed header byte '!'"]),
+    ("two-blocks.adj", b"0 1\n1 0\n\n010\n101\n010\n", [2, 3], []),
+    ("empty.g6", b"", [], []),
+    ("not-utf8.g6", b"C~\n\xe9\n", None, None),
+])
+def test_cli_check_and_batch_read_a_file_alike(tmp_path, capsys, name, data, sizes,
+                                               input_errors):
+    # both read through load_graphs: the same graphs and the same errors
+    src = tmp_path / name
+    src.write_bytes(data)
+    batch_code = cli_main(["batch", "--input", str(src), "--format", "json"])
+    batch = capsys.readouterr()
+    check_code = cli_main(["check", "--input", str(src), "--format", "json"])
+    check = capsys.readouterr()
+    if sizes is None:  # the file cannot be read at all
+        assert batch_code == check_code == 1
+        assert batch.out == check.out == ""
+        assert batch.err == check.err
+        assert batch.err.startswith("error: ") and "not UTF-8 text" in batch.err
+        return
+    records = json.loads(batch.out)["records"]
+    assert [rec["n"] for rec in records] == sizes
+    assert batch.err.splitlines() == input_errors
+    assert batch_code == (1 if input_errors else 0)
+    if records:
+        assert json.loads(check.out)["graph6"] == records[0]["graph6"]
+        assert check.err.splitlines() == input_errors
+        assert check_code == batch_code
+    else:
+        assert check.out == ""
+        assert check.err.splitlines() == input_errors + ["error: no graph found in input"]
+        assert check_code == 1
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("array", "record is a JSON list, not an object"),
+    ("missing", "record lacks fields ['gb_size']"),
+    ("extra", "record has unknown fields ['extra']"),
+])
+def test_cli_table_names_a_malformed_line(tmp_path, capsys, n4_report, kind, message):
+    good, fields = (rec.to_json_dict() for rec in n4_report.records[:2])
+    if kind == "array":
+        fields = [1, 2]
+    elif kind == "missing":
+        del fields["gb_size"]
+    else:
+        fields["extra"] = 0
+    src = tmp_path / "runs.ndjson"
+    src.write_text(json.dumps(good) + "\n" + json.dumps(fields) + "\n")
+    assert cli_main(["table", "--input", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {message}\n"
 
 
 def test_cli_batch_enumerate_and_table_roundtrip(tmp_path, capsys):
