@@ -24,7 +24,6 @@ from .classify import (
     build_relations,
     classify,
     commutators,
-    linear_consequences,
     qsym_check,
 )
 from .freealg import Generators, Poly, Word, word

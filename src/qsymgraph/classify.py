@@ -6,13 +6,12 @@ The decision combines two one-sided criteria:
   quantum symmetries;
 * commutativity of the universal algebra presented by the magic-unitary
   relations (orthogonality within rows and columns, row and column sums
-  equal to 1, and vanishing products forced by adjacency mismatches)
-  proves it has NONE.
+  equal to 1, the linear relations of uA = Au, and vanishing products
+  forced by adjacency mismatches) proves it has NONE.
 
 Walk-count zero patterns shrink the presentation before the Groebner
 engine runs: forced generators are deleted from the presentation.  The
-engine also gets the linear relations of uA = Au that the presentation
-implies (``linear_consequences``), which leave the ideal as it is.
+engine completes the presentation as it stands.
 
 If neither criterion fires the graph stays Undecided.
 """
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import lshift
 
 from .automorphisms import (
     Permutation,
@@ -119,13 +119,21 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     n = g.n
     positions = pattern.alive()
     gens = Generators.from_alive(positions)
-    # alive (column, index) pairs per row; row_at[i][k] and col_at[j][k]
-    # are the indices at (i, k) and (k, j), or -1 where forced
+    # alive (column, index) pairs per row and (row, index) pairs per
+    # column, with bit k of row_bits[i] and of col_bits[j] set for each;
+    # row_at[i][k] and col_at[j][k] are the indices at (i, k) and (k, j),
+    # or -1 where forced
     alive_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    alive_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    row_bits = [0] * n
+    col_bits = [0] * n
     row_at = [[-1] * n for _ in range(n)]
     col_at = [[-1] * n for _ in range(n)]
     for a, (i, j) in enumerate(positions):  # row-major, as the table is
         alive_rows[i].append((j, a))
+        alive_cols[j].append((i, a))
+        row_bits[i] |= 1 << j
+        col_bits[j] |= 1 << i
         row_at[i][j] = col_at[j][i] = a
 
     relations: list[Poly] = []
@@ -161,9 +169,13 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 terms[b""] = -1
                 relations.append(Poly(terms, _trusted=True))
 
+    # the linear relations of uA = Au
+    adj = g.adj
+    if any(bits != 1 << i for i, bits in enumerate(row_bits)):  # else none
+        relations += _linear_block(adj, alive_rows, alive_cols, row_bits, col_bits)
+
     # products vanish whenever adjacency disagrees between source and image;
     # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
-    adj = g.adj
     for i in range(n):
         for j in range(n):
             eij = adj[i][j]
@@ -179,45 +191,15 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     return Presentation(gens, tuple(relations))
 
 
-def _line_sums(p: Presentation) -> tuple[dict[int, int], dict[int, int]]:
-    """Positions in ``p.relations`` of the row and of the column sum
-    relations, keyed by 0-based row and column.
+def _linear_block(adj, alive_rows, alive_cols, row_bits, col_bits) -> list[Poly]:
+    """The linear relations of uA = Au, given the row and column sums, on
+    the alive letters as ``build_relations`` lists them.
 
-    A sum relation is found by its content: -1 plus every alive letter of
-    the line, each with coefficient 1.  One relation can be both a row
-    and a column sum (a line with a single letter in each).
-    """
-    n = max((max(label) for label in p.gens.labels), default=0)
-    row_terms: list[dict] = [{b"": -1} for _ in range(n)]
-    col_terms: list[dict] = [{b"": -1} for _ in range(n)]
-    for a, (r, c) in enumerate(p.gens.labels):
-        row_terms[r - 1][bytes((a,))] = 1
-        col_terms[c - 1][bytes((a,))] = 1
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for pos, rel in enumerate(p.relations):
-        terms = rel.terms
-        if terms.get(b"") != -1 or len(terms) < 2:
-            continue
-        letter = next(w for w in terms if w)
-        if len(letter) != 1:
-            continue
-        r, c = p.gens.labels[letter[0]]
-        if terms == row_terms[r - 1]:
-            rows[r - 1] = pos
-        if terms == col_terms[c - 1]:
-            cols[c - 1] = pos
-    return rows, cols
-
-
-def linear_consequences(p: Presentation) -> list[Poly]:
-    """Linear relations that the row and column sums and the vanishing
-    products of ``p`` imply, read off the presentation alone.
-
-    For a row i and a column j whose sums are relations of ``p``, join
-    each alive u_il to each alive u_kj unless u_il*u_kj is a monomial
-    relation.  A connected component with row letters R and column letters
-    K gives sum_K u_kj - sum_R u_il, which is in the ideal:
+    Entry (i, j) reads sum_k A_ik u_kj = sum_l u_il A_lj.  The alive u_kj
+    (k != i) with A_ik = v and the alive u_il (l != j) with A_lj = v form
+    one part when both sides hold some; every other letter is a part of
+    its own, and so is u_ij, which cancels.  A part with letters K and R
+    gives sum_K u_kj - sum_R u_il, which is in the ideal:
 
         sum_R u_il * S'_j - sum_K S_i * u_kj
             = sum_K u_kj - sum_R u_il
@@ -225,71 +207,54 @@ def linear_consequences(p: Presentation) -> list[Poly]:
               - sum_{l not in R, k in K} u_il*u_kj,
 
     where S_i and S'_j are the row and column sum relations, and every
-    product left over joins letters in different components, so it is a
-    monomial relation.  On a presentation from ``build_relations`` these
-    relations, with the sums, span the same linear relations as the
-    entries of uA - Au.  The component covering every letter (it gives
-    S'_j - S_i), zero relations and repeats up to sign are left out; the
-    order is deterministic.
+    product left over joins letters in different parts, so it vanishes.
+    Parts come in order of first appearance, over the u_kj and then the
+    u_il.  A lone part, empty parts and repeats up to sign give nothing,
+    so a table with only diagonal letters gives no relation.  The parts
+    depend on which letters share a value, not on the values, so a graph
+    and its complement get the same relations.
     """
-    rows, cols = _line_sums(p)
-    if not rows or not cols:
-        return []
-    # after[a]: the letters b with a*b a monomial relation
-    after: list[set[int]] = [set() for _ in p.gens.labels]
-    for rel in p.relations:
-        if len(rel.terms) == 1:
-            (w,) = rel.terms
-            if len(w) == 2:
-                after[w[0]].add(w[1])
-    row_letters: dict[int, list[int]] = {i: [] for i in rows}
-    col_letters: dict[int, list[int]] = {j: [] for j in cols}
-    for a, (r, c) in enumerate(p.gens.labels):
-        if r - 1 in row_letters:
-            row_letters[r - 1].append(a)
-        if c - 1 in col_letters:
-            col_letters[c - 1].append(a)
-
+    n = len(adj)
+    # bit k of near[i] is A_ik = 1; bit k of far[i] is A_ik = 0 with k != i
+    near = [sum(map(lshift, row, range(n))) for row in adj]
+    far = [~(m | 1 << i) for i, m in enumerate(near)]
     out: list[Poly] = []
-    seen: set[frozenset] = set()
-    for i in sorted(rows):
-        left = row_letters[i]
-        for j in sorted(cols):
-            right = col_letters[j]
-            # union-find over the bipartite graph: row letter x is node x,
-            # column letter y is node len(left) + y
-            parent = list(range(len(left) + len(right)))
-            for x, a in enumerate(left):
-                killed = after[a]
-                rx = _root(parent, x)
-                for y, b in enumerate(right, len(left)):
-                    if b not in killed:
-                        parent[_root(parent, y)] = rx
-            parts: dict[int, dict] = {}
-            for y, b in enumerate(right, len(left)):
-                parts.setdefault(_root(parent, y), {})[bytes((b,))] = 1
-            for x, a in enumerate(left):
-                terms = parts.setdefault(_root(parent, x), {})
-                w = bytes((a,))
-                if terms.pop(w, 0) != 1:
-                    terms[w] = -1
-            if len(parts) < 2:
-                continue
-            for terms in parts.values():
-                key = frozenset(terms.items())
-                if not terms or key in seen:
+    done: set[tuple[bytes, bytes]] = set()  # (K, R) of each part emitted
+    for i, adj_i, bits in zip(range(n), adj, row_bits):
+        near_i, far_i = near[i], far[i]
+        for j, near_j, far_j, cbits in zip(range(n), near, far, col_bits):
+            # bits l of the u_il (l != j) with A_lj = 1 and with A_lj = 0,
+            # then bits k of the u_kj (k != i) with A_ik = 1 and A_ik = 0
+            r1, r0 = bits & near_j, bits & far_j
+            c1, c0 = cbits & near_i, cbits & far_i
+            alive = bits >> j & 1
+            if alive:
+                if not (r0 or r1 or c0 or c1):
+                    continue  # u_ij alone
+            elif not (r0 or c0) or not (r1 or c1):
+                continue  # all of one value: a lone part
+            joined = (r0 and c0, r1 and c1)
+            # (K, R) of each part, keyed by its value if joined, else by letter
+            parts: dict = {}
+            for k, b in alive_cols[j]:
+                if k != i:
+                    v = adj_i[k]
+                    parts.setdefault((v,) if joined[v] else b, ([], []))[0].append(b)
+            for l, a in alive_rows[i]:
+                if l != j:
+                    v = adj[l][j]
+                    parts.setdefault((v,) if joined[v] else a, ([], []))[1].append(a)
+            for plus, minus in parts.values():
+                key = (bytes(plus), bytes(minus))
+                if key in done:
                     continue
-                seen.add(key)
-                seen.add(frozenset((w, -c) for w, c in terms.items()))
+                done.add(key)
+                done.add(key[::-1])
+                terms = {bytes((b,)): 1 for b in plus}
+                for a in minus:
+                    terms[bytes((a,))] = -1
                 out.append(Poly(terms, _trusted=True))
     return out
-
-
-def _root(parent: list[int], x: int) -> int:
-    """Root of ``x`` in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
 
 
 def commutators(p: Presentation) -> list[Poly]:
@@ -335,35 +300,16 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     return result
 
 
-def _completion_input(p: Presentation) -> tuple[Poly, ...]:
-    """The relations of ``p`` with its linear consequences inserted right
-    after the last sum relation: the same ideal, but completion need not
-    rediscover the linear relations through the products.  Of the
-    placements tried (first, after the sums, last), after the sums was
-    the fastest.  A derived relation in the span of the sums and of the
-    derived relations before it reduces to zero in ``insert`` before it
-    takes a rule id, so it cannot change a basis; it costs one reduction
-    (about 0.05 s over the 93 distinct presentations with commutators
-    from pairless graphs with n <= 7)."""
-    derived = linear_consequences(p)
-    if not derived:
-        return p.relations
-    rows, cols = _line_sums(p)
-    at = 1 + max([*rows.values(), *cols.values()])
-    return p.relations[:at] + tuple(derived) + p.relations[at:]
-
-
 def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
     coms = commutators(p)
     if not coms:
         return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
     rel_degree = max(r.degree() for r in p.relations)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
-    relations = _completion_input(p)
     last_bound = bound
     last_size = None
     while bound <= cfg.gb_degree_cap:
-        basis = complete(relations, degree_bound=bound, limits=cfg.limits)
+        basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
         # one Reducer for every commutator, so that they share its
         # memoised per-word normal forms
         reducer = Reducer(basis.polys)

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .classify import ClassifyConfig
+from .fulton import render_pattern, zero_pattern
 from .graphs import GraphError
 from .groebner import ResourceCapError
 from .pipeline import (
@@ -27,6 +28,7 @@ from .pipeline import (
     RunConfig,
     classify_with_record,
     load_graphs,
+    persist_report,
     read_records,
     render_table,
     report_from_records,
@@ -65,8 +67,6 @@ def cmd_check(args) -> int:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 2
     if args.fmt == "text":
-        from .fulton import render_pattern, zero_pattern
-
         print(f"graph6:     {record.graph6}")
         print(f"vertices:   {record.n}")
         print(f"|Aut|:      {record.aut_order}")
@@ -126,8 +126,6 @@ def cmd_table(args) -> int:
     report = report_from_records(records)
     print(render_table(report, args.fmt))
     if args.out is not None:
-        from .pipeline import persist_report
-
         persist_report(report, args.out, args.fmt)
     return 0
 

@@ -17,6 +17,7 @@ from .classify import ClassifyConfig, Verdict, classify
 from .graphs import (
     Graph,
     GraphError,
+    enumerate_connected,
     looks_like_adjacency,
     parse_adjacency,
     parse_graph6,
@@ -76,7 +77,8 @@ class GraphRecord:
     @classmethod
     def from_json_dict(cls, d) -> "GraphRecord":
         """Inverse of :meth:`to_json_dict` on a decoded JSON value; anything
-        but an object with exactly the record's fields raises ValueError."""
+        but an object with exactly the record's fields, each holding a
+        value of its field's type, raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
         names = [f.name for f in fields(cls)]
@@ -86,8 +88,23 @@ class GraphRecord:
         extra = [k for k in d if k not in names]
         if extra:
             raise ValueError(f"record has unknown fields {extra}")
+        for f in fields(cls):
+            if not _fits(d[f.name], f.type):
+                raise ValueError(
+                    f"field {f.name!r} is a JSON {type(d[f.name]).__name__}, not {f.type}")
         # JSON has no tuples, so the disjoint pair comes back as a list
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a decoded JSON value fits a record field's annotation; a
+    bool is not an int here, though Python counts it as one."""
+    if value is None:
+        return annotation.endswith(" | None")
+    base = annotation.removesuffix(" | None")
+    if base == "tuple[str, str]":
+        return type(value) is list and len(value) == 2 and all(type(x) is str for x in value)
+    return type(value).__name__ == base
 
 
 @dataclass(frozen=True)
@@ -157,8 +174,6 @@ def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
     that is not UTF-8 text raises GraphError.
     """
     if cfg.n is not None:
-        from .graphs import enumerate_connected
-
         return enumerate_connected(cfg.n), []
     path = Path(cfg.graph6_path)
     try:
@@ -166,7 +181,9 @@ def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if looks_like_adjacency(text):
-        unit, items, parse = "block", text.split("\n\n"), parse_adjacency
+        # a line that is blank after strip() separates two blocks
+        lines = (line if line.strip() else "" for line in text.splitlines())
+        unit, items, parse = "block", "\n".join(lines).split("\n\n"), parse_adjacency
     else:
         unit, items, parse = "line", text.splitlines(), parse_graph6
     graphs: list[Graph] = []

@@ -2,7 +2,9 @@
 
 ``reference_relations`` builds the relations of ``build_relations`` by
 ``Poly`` arithmetic, so that the word-level builder can be compared with
-it term for term.
+it term for term.  Its linear relations of uA = Au are not built from the
+adjacency, as ``build_relations`` builds them, but read off the other
+relations by ``linear_consequences``.
 
 ``build_relations`` deletes the generators a zero pattern forces.  The
 other way to apply a pattern keeps all n^2 generators and pins each
@@ -34,9 +36,24 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
 
 def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
-    """``build_relations`` by polynomial arithmetic: each relation is a
-    product, sum or difference of ``Poly`` generators, deduplicated on its
-    set of terms, in the same i, j, k, l order."""
+    """``build_relations`` by polynomial arithmetic and by
+    ``linear_consequences``: the magic-unitary relations of
+    ``magic_unitary_relations`` with their linear consequences inserted
+    right after the last sum relation."""
+    p = magic_unitary_relations(g, pattern)
+    derived = linear_consequences(p)
+    if not derived:
+        return p
+    rows, cols = _line_sums(p)
+    at = 1 + max([*rows.values(), *cols.values()])
+    return Presentation(p.gens, p.relations[:at] + tuple(derived) + p.relations[at:])
+
+
+def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
+    """The relations of ``build_relations`` but its linear block, by
+    polynomial arithmetic: each relation is a product, sum or difference
+    of ``Poly`` generators, deduplicated on its set of terms, in the same
+    i, j, k, l order."""
     n = g.n
     positions = pattern.alive()
     alive = set(positions)
@@ -105,3 +122,116 @@ def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                         add(Poly.gen(flat[(i, k)]) * Poly.gen(flat[(j, l)]))
 
     return Presentation(gens, tuple(relations))
+
+
+def _line_sums(p: Presentation) -> tuple[dict[int, int], dict[int, int]]:
+    """Positions in ``p.relations`` of the row and of the column sum
+    relations, keyed by 0-based row and column.
+
+    A sum relation is found by its content: -1 plus every alive letter of
+    the line, each with coefficient 1.  One relation can be both a row
+    and a column sum (a line with a single letter in each).
+    """
+    n = max((max(label) for label in p.gens.labels), default=0)
+    row_terms: list[dict] = [{b"": -1} for _ in range(n)]
+    col_terms: list[dict] = [{b"": -1} for _ in range(n)]
+    for a, (r, c) in enumerate(p.gens.labels):
+        row_terms[r - 1][bytes((a,))] = 1
+        col_terms[c - 1][bytes((a,))] = 1
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for pos, rel in enumerate(p.relations):
+        terms = rel.terms
+        if terms.get(b"") != -1 or len(terms) < 2:
+            continue
+        letter = next(w for w in terms if w)
+        if len(letter) != 1:
+            continue
+        r, c = p.gens.labels[letter[0]]
+        if terms == row_terms[r - 1]:
+            rows[r - 1] = pos
+        if terms == col_terms[c - 1]:
+            cols[c - 1] = pos
+    return rows, cols
+
+
+def linear_consequences(p: Presentation) -> list[Poly]:
+    """Linear relations that the row and column sums and the vanishing
+    products of ``p`` imply, read off the presentation alone.
+
+    For a row i and a column j whose sums are relations of ``p``, join
+    each alive u_il to each alive u_kj unless u_il*u_kj is a monomial
+    relation.  A connected component with row letters R and column letters
+    K gives sum_K u_kj - sum_R u_il, which is in the ideal:
+
+        sum_R u_il * S'_j - sum_K S_i * u_kj
+            = sum_K u_kj - sum_R u_il
+              + sum_{l in R, k not in K} u_il*u_kj
+              - sum_{l not in R, k in K} u_il*u_kj,
+
+    where S_i and S'_j are the row and column sum relations, and every
+    product left over joins letters in different components, so it is a
+    monomial relation.  On a presentation from
+    ``magic_unitary_relations`` these relations, with the sums, span the
+    same linear relations as the entries of uA - Au.  The component
+    covering every letter (it gives S'_j - S_i), zero relations and
+    repeats up to sign are left out; the order is deterministic.
+    """
+    rows, cols = _line_sums(p)
+    if not rows or not cols:
+        return []
+    # after[a]: the letters b with a*b a monomial relation
+    after: list[set[int]] = [set() for _ in p.gens.labels]
+    for rel in p.relations:
+        if len(rel.terms) == 1:
+            (w,) = rel.terms
+            if len(w) == 2:
+                after[w[0]].add(w[1])
+    row_letters: dict[int, list[int]] = {i: [] for i in rows}
+    col_letters: dict[int, list[int]] = {j: [] for j in cols}
+    for a, (r, c) in enumerate(p.gens.labels):
+        if r - 1 in row_letters:
+            row_letters[r - 1].append(a)
+        if c - 1 in col_letters:
+            col_letters[c - 1].append(a)
+
+    out: list[Poly] = []
+    seen: set[frozenset] = set()
+    for i in sorted(rows):
+        left = row_letters[i]
+        for j in sorted(cols):
+            right = col_letters[j]
+            # union-find over the bipartite graph: row letter x is node x,
+            # column letter y is node len(left) + y
+            parent = list(range(len(left) + len(right)))
+            for x, a in enumerate(left):
+                killed = after[a]
+                rx = _root(parent, x)
+                for y, b in enumerate(right, len(left)):
+                    if b not in killed:
+                        parent[_root(parent, y)] = rx
+            parts: dict[int, dict] = {}
+            for y, b in enumerate(right, len(left)):
+                parts.setdefault(_root(parent, y), {})[bytes((b,))] = 1
+            for x, a in enumerate(left):
+                terms = parts.setdefault(_root(parent, x), {})
+                w = bytes((a,))
+                if terms.pop(w, 0) != 1:
+                    terms[w] = -1
+            if len(parts) < 2:
+                continue
+            for terms in parts.values():
+                key = frozenset(terms.items())
+                if not terms or key in seen:
+                    continue
+                seen.add(key)
+                seen.add(frozenset((w, -c) for w, c in terms.items()))
+                out.append(Poly(terms, _trusted=True))
+    return out
+
+
+def _root(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x

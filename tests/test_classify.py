@@ -19,7 +19,6 @@ from qsymgraph import (
     commutators,
     enumerate_connected,
     find_disjoint_pair,
-    linear_consequences,
     qsym_check,
     render_table,
     run_batch,
@@ -74,7 +73,16 @@ def test_complete_graph_relation_count():
     g = complete_graph(4)
     pres = build_relations(g, zero_pattern(g))
     assert len(pres.gens) == 16
-    assert len(pres.relations) == brute_force_relation_count(g) == 120
+    # on K4 the letters u_kj (k != i) and u_il (l != j) of entry (i, j) of
+    # uA = Au all carry the value 1 and form one part, so each pair (i, j)
+    # gives column j minus row i, with u_ij cancelled
+    column = {j: {pres.gens.index(k, j) for k in range(1, 5)} for j in range(1, 5)}
+    row = {i: {pres.gens.index(i, l) for l in range(1, 5)} for i in range(1, 5)}
+    block = {frozenset([*((bytes((b,)), 1) for b in column[j] - row[i]),
+                        *((bytes((a,)), -1) for a in row[i] - column[j])])
+             for i in range(1, 5) for j in range(1, 5)}
+    assert {frozenset(r.terms.items()) for r in _linear_block_of(pres)} == block
+    assert len(pres.relations) == brute_force_relation_count(g) + len(block) == 120 + 16
 
 
 def test_relations_use_only_alive_generators(broken_house):
@@ -95,7 +103,8 @@ def test_relations_deduplicated(house):
 def test_relations_pinned_on_small_graphs():
     # SHA-256 over every relation list, in order, for all connected graphs
     # on <= 6 vertices, with the forced generators deleted and then kept
-    # under explicit zero relations, as deduplicated through Poly.key
+    # under explicit zero relations, as deduplicated through Poly.key; the
+    # lists include the linear relations of uA = Au
     digest = hashlib.sha256()
     count = 0
     for n in range(1, 7):
@@ -107,15 +116,22 @@ def test_relations_pinned_on_small_graphs():
                 for rel in relations:
                     digest.update(repr(sorted(rel.terms.items())).encode() + b";")
                 digest.update(b"|")
-    assert count == 117960
+    assert count == 128798
     assert digest.hexdigest() == (
-        "fafc460e7edee5031744cdf898eccb0b98ea9c7cda0a4acdc4a4e7643865944e")
+        "88fa3d2065953b5a5f2f630b050bb223d713ef0b67d4b1f0ac6ad57f91c16cdc")
+
+
+def _linear_block_of(p):
+    """The linear relations of uA = Au in ``p``: those of degree 1 with no
+    constant term (every other relation has a product or a constant)."""
+    return [r for r in p.relations if r.degree() == 1 and EMPTY_WORD not in r.terms]
 
 
 def _assert_matches_reference(g, pattern):
-    """build_relations equals the Poly-arithmetic builder: the same
-    generators, the same relations in the same order, and each relation's
-    terms in the same dict order (or the same degeneracy error)."""
+    """build_relations equals the Poly-arithmetic builder, whose linear
+    relations are read off its other relations: the same generators, the
+    same relations in the same order, and each relation's terms in the
+    same dict order (or the same degeneracy error)."""
     try:
         ref = reference_relations(g, pattern)
     except DegenerateAlgebraError as exc:
@@ -215,8 +231,15 @@ def test_relations_mode_keeps_all_generators(broken_house):
     pattern = zero_pattern(broken_house)
     pres = explicit_zero_relations(broken_house, pattern)
     assert len(pres.gens) == 25
-    singles = {rel.key() for rel in pres.relations if rel.degree() == 1 and len(rel.terms) == 1}
-    assert len(singles) == pattern.forced_count()
+    forced = {pres.gens.index(i + 1, j + 1) for i in range(5) for j in range(5)
+              if pattern.forced_zero[i][j]}
+    assert len(forced) == pattern.forced_count() == 14
+    # each forced u_ij is a relation; uA = Au on the full table also gives
+    # some one-letter relations, but only on forced positions
+    assert all(Poly.gen(a) in pres.relations for a in forced)
+    singles = {w[0] for rel in pres.relations if rel.degree() == 1 and len(rel.terms) == 1
+               for w in rel.terms}
+    assert singles == forced
 
 
 # commutativity check
@@ -478,7 +501,7 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
         assert len(classify_module._qsym_memo) <= 3
 
 
-# linear consequences: the derived relations uA = Au
+# the linear relations of uA = Au, replayed from the other relations
 
 
 def _sums_held(p, side):
@@ -494,51 +517,55 @@ def _sums_held(p, side):
     return out
 
 
-def _assert_consequences_replay(p):
-    """Replay every derived relation f with plain Poly arithmetic as
+def _replays(p, f, row_sums, col_sums):
+    """Whether ``f`` equals
 
         sum_R u_il * S'_j - sum_K S_i * u_kj - (monomial relations of p)
 
-    for a row sum S_i and a column sum S'_j that are relations of ``p``,
-    R the letters of f with coefficient -1 and K those with +1 (u_ij may
-    sit in both, where it cancels); some such certificate must equal f."""
-    derived = linear_consequences(p)
-    keys = {frozenset(f.terms.items()) for f in derived}
-    keys |= {frozenset((-f).terms.items()) for f in derived}
-    assert len(keys) == 2 * len(derived)  # no repeats up to sign
+    for a row sum S_i in ``row_sums`` and a column sum S'_j in
+    ``col_sums``, with R the letters of f with coefficient -1 and K those
+    with +1 (u_ij may sit in both, where it cancels)."""
     monomials = {w for r in p.relations if len(r.terms) == 1 for w in r.terms}
-    row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
     labels = p.gens.labels
-    for f in derived:
-        assert f.degree() == 1 and EMPTY_WORD not in f.terms
+    plus = [w[0] for w, c in f.terms.items() if c == 1]
+    minus = [w[0] for w, c in f.terms.items() if c == -1]
+    # the letters fix the row and the column, unless a side is empty
+    rows = {labels[a][0] for a in minus} if minus else set(row_sums)
+    cols = {labels[b][1] for b in plus} if plus else set(col_sums)
+    for i in rows & set(row_sums):
+        s_row, row = row_sums[i]
+        for j in cols & set(col_sums):
+            s_col, col = col_sums[j]
+            for extra in ([], [a for a in row if a in col]):
+                cert = Poly()
+                for a in minus + extra:
+                    cert = cert + Poly.gen(a) * s_col
+                for b in plus + extra:
+                    cert = cert - s_row * Poly.gen(b)
+                if all(w in monomials for w in (cert - f).terms):
+                    return True
+    return False
+
+
+def _assert_block_replays(p):
+    """Replay every linear relation of uA = Au in ``p`` from the sums and
+    the monomial relations of ``p``, and return them."""
+    block = _linear_block_of(p)
+    keys = {frozenset(f.terms.items()) for f in block}
+    keys |= {frozenset((-f).terms.items()) for f in block}
+    assert len(keys) == 2 * len(block)  # no repeats up to sign
+    row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
+    for f in block:
         assert all(c in (1, -1) for c in f.terms.values())
-        plus = [w[0] for w, c in f.terms.items() if c == 1]
-        minus = [w[0] for w, c in f.terms.items() if c == -1]
-        # the letters fix the row and the column, unless a side is empty
-        rows = {labels[a][0] for a in minus} if minus else set(row_sums)
-        cols = {labels[b][1] for b in plus} if plus else set(col_sums)
-        replayed = False
-        for i in rows & set(row_sums):
-            s_row, row = row_sums[i]
-            for j in cols & set(col_sums):
-                s_col, col = col_sums[j]
-                for extra in ([], [a for a in row if a in col]):
-                    cert = Poly()
-                    for a in minus + extra:
-                        cert = cert + Poly.gen(a) * s_col
-                    for b in plus + extra:
-                        cert = cert - s_row * Poly.gen(b)
-                    killed = cert - f
-                    replayed |= all(w in monomials for w in killed.terms)
-        assert replayed, f
-    return derived
+        assert _replays(p, f, row_sums, col_sums), f
+    return block
 
 
 def test_linear_consequences_replay_on_pairless_graphs():
     presentations = _checked_presentations(6)
     assert len(presentations) == 75
-    derived = [_assert_consequences_replay(p) for p in presentations]
-    assert sum(map(len, derived)) == 872
+    block = [_assert_block_replays(p) for p in presentations]
+    assert sum(map(len, block)) == 872
 
 
 def test_linear_consequences_replay_on_random_graphs_and_patterns():
@@ -557,55 +584,54 @@ def test_linear_consequences_replay_on_random_graphs_and_patterns():
                 p = build_relations(g, pattern)
             except DegenerateAlgebraError:
                 continue
-            total += len(_assert_consequences_replay(p))
+            total += len(_assert_block_replays(p))
     assert total > 0
 
 
 def test_linear_consequences_need_both_sums():
     g = cycle_graph(4)
     p = build_relations(g, zero_pattern(g))
-    row_sums = _sums_held(p, 0)
-    assert sorted(row_sums) == [1, 2, 3, 4]
-    full = _assert_consequences_replay(p)
-    # without the sum of row 1, nothing comes from row 1: no row-1 letter
-    # on the row side, and each relation left replays without S_1
-    s_1, row_1 = row_sums[1]
-    cut = Presentation(p.gens, tuple(r for r in p.relations if r != s_1))
-    assert len(cut.relations) == len(p.relations) - 1
-    derived = _assert_consequences_replay(cut)
-    assert 0 < len(derived) < len(full)
-    assert all(f.terms.get(bytes((a,))) != -1 for f in derived for a in row_1)
-    # with no row sum left, nothing can be derived
-    sums = {s for s, _ in row_sums.values()}
-    no_rows = Presentation(p.gens, tuple(r for r in p.relations if r not in sums))
-    assert linear_consequences(no_rows) == []
+    row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
+    assert sorted(row_sums) == sorted(col_sums) == [1, 2, 3, 4]
+    block = _assert_block_replays(p)
+    # without the sum of row 1, exactly the relations with a row-1 letter
+    # on the minus side stop replaying; some do, some do not
+    row_1 = row_sums[1][1]
+    cut = {i: s for i, s in row_sums.items() if i != 1}
+    uses_row_1 = [f for f in block if any(f.terms.get(bytes((a,))) == -1 for a in row_1)]
+    assert 0 < len(uses_row_1) < len(block)
+    for f in block:
+        assert _replays(p, f, cut, col_sums) is (f not in uses_row_1), f
+    # and without the column sums, none replays
+    assert not any(_replays(p, f, row_sums, {}) for f in block)
 
 
 def test_completion_input_keeps_the_pinned_bases(monkeypatch):
     # the 75 presentations and the digest of test_bases_pinned_on_small_graphs,
-    # completed with the derived relations inserted as _check inserts them
+    # which before the relations of uA = Au joined the presentation pinned
+    # the bases completed without them
     digest = hashlib.sha256()
     presentations = _checked_presentations(6)
     for p in presentations:
-        relations = classify_module._completion_input(p)
-        basis = complete(relations, degree_bound=4)
+        basis = complete(p.relations, degree_bound=4)
         for f in basis.polys:
             digest.update(repr(sorted(f.terms.items())).encode() + b";")
         digest.update(b"|" + str(basis.complete).encode())
     assert digest.hexdigest() == (
         "602badf11c18c25ad78f1eb474d84c88a885c5f14f0beb03b25174a431c6e946")
 
-    # and the check completes exactly that input
+    # the check completes the relations as they stand, with the linear
+    # block right after the last sum
     monkeypatch.setattr(classify_module, "_qsym_memo", {})
     calls = _counting_complete(monkeypatch)
     g = cycle_graph(4)
     p = build_relations(g, zero_pattern(g))
     qsym_check(p)
-    relations = classify_module._completion_input(p)
-    assert calls and all(args[0] == relations for args in calls)
+    assert calls and all(args[0] == p.relations for args in calls)
     sums = {s for side in (0, 1) for s, _ in _sums_held(p, side).values()}
     at = 1 + max(k for k, r in enumerate(p.relations) if r in sums)
-    assert relations == p.relations[:at] + tuple(linear_consequences(p)) + p.relations[at:]
+    block = _linear_block_of(p)
+    assert block and p.relations[at:at + len(block)] == tuple(block)
 
 
 @pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
@@ -623,7 +649,8 @@ def test_linear_consequences_keep_the_seven_vertex_bases():
         if key in seen or not commutators(p):
             continue
         seen.add(key)
-        before = sorted_basis(p.relations)
+        block = _linear_block_of(p)
+        before = sorted_basis([r for r in p.relations if r not in block])
         assert before[0]
-        assert sorted_basis(classify_module._completion_input(p)) == before
+        assert sorted_basis(p.relations) == before
     assert len(seen) == 58

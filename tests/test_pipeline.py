@@ -272,6 +272,8 @@ def test_cli_check_malformed_exits_one(tmp_path, capsys):
     ("two-blocks.adj", b"0 1\n1 0\n\n010\n101\n010\n", [2, 3], []),
     ("empty.g6", b"", [], []),
     ("not-utf8.g6", b"C~\n\xe9\n", None, None),
+    # a separator line that holds only whitespace, in a file with CRLF ends
+    ("space-separated.adj", b"0 1\r\n1 0\r\n \r\n010\r\n101\r\n010\r\n", [2, 3], []),
 ])
 def test_cli_check_and_batch_read_a_file_alike(tmp_path, capsys, name, data, sizes,
                                                input_errors):
@@ -306,6 +308,8 @@ def test_cli_check_and_batch_read_a_file_alike(tmp_path, capsys, name, data, siz
     ("array", "record is a JSON list, not an object"),
     ("missing", "record lacks fields ['gb_size']"),
     ("extra", "record has unknown fields ['extra']"),
+    # a string sorts against no int, so aggregate would raise TypeError
+    ("string-order", "field 'aut_order' is a JSON str, not int"),
 ])
 def test_cli_table_names_a_malformed_line(tmp_path, capsys, n4_report, kind, message):
     good, fields = (rec.to_json_dict() for rec in n4_report.records[:2])
@@ -313,8 +317,10 @@ def test_cli_table_names_a_malformed_line(tmp_path, capsys, n4_report, kind, mes
         fields = [1, 2]
     elif kind == "missing":
         del fields["gb_size"]
-    else:
+    elif kind == "extra":
         fields["extra"] = 0
+    else:
+        fields["aut_order"] = "6"
     src = tmp_path / "runs.ndjson"
     src.write_text(json.dumps(good) + "\n" + json.dumps(fields) + "\n")
     assert cli_main(["table", "--input", str(src)]) == 1
