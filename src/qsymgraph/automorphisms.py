@@ -1,12 +1,9 @@
 """Graph automorphism groups and the disjoint-pair criterion.
 
 A permutation is a tuple of 0-based images.  No group is stored element
-by element.  Everything rests on one backtracking search, which maps the
-vertices in the order 0, 1, ..., n-1, tries images in increasing order,
-prunes by degree and by adjacency with the vertices already mapped, and
-so returns the lexicographically first automorphism with some images
-forced.  Fixing a point set pointwise forces each of its points to
-itself.
+by element.  Everything rests on the backtracking search of
+``autsearch``, which returns the lexicographically first automorphism
+with some images forced.
 
 |Aut| comes from the stabiliser chain G = G_0 >= G_1 >= ... >= G_n = 1
 along the base 0, 1, ..., n-1, where G_i fixes 0..i-1 pointwise: it is
@@ -20,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
-
-Permutation = tuple[int, ...]
+from .autsearch import Permutation, Search, generators
+from .graphs import Graph, _neighbour_masks
 
 
 @dataclass(frozen=True)
@@ -34,92 +30,9 @@ class AutGroup:
     order: int
 
 
-class _Search:
-    """Backtracking over the vertex maps of one graph."""
-
-    def __init__(self, g: Graph):
-        n = g.n
-        adj = g.adj
-        self.n = n
-        self.nbr = [sum(1 << k for k in range(n) if adj[v][k]) for v in range(n)]
-        deg = [sum(row) for row in adj]
-        self.deg = deg
-        self.same_degree = [[j for j in range(n) if deg[j] == deg[v]] for v in range(n)]
-        self.earlier_nbrs = [[m for m in range(v) if adj[v][m]] for v in range(n)]
-
-    def first(self, forced: dict[int, int], nonidentity: bool = False,
-              prune=None) -> Permutation | None:
-        """The lex-first automorphism with ``perm[k] == forced[k]`` for every key.
-
-        With ``nonidentity`` the identity does not count.  ``prune`` is
-        called with the bitmask of the points a partial map moves, each
-        time that set grows; it returns True to drop every completion.
-        """
-        return self._extend(0, [0] * self.n, 0, 0, forced, nonidentity, prune)
-
-    def _extend(self, k, images, used, moved, forced, nonidentity, prune):
-        if k == self.n:
-            return tuple(images) if moved or not nonidentity else None
-        # the images of k's earlier neighbours must be exactly the mapped
-        # vertices adjacent to k's image
-        want = 0
-        for m in self.earlier_nbrs[k]:
-            want |= 1 << images[m]
-        f = forced.get(k)
-        if f is None:
-            candidates = self.same_degree[k]
-        else:
-            candidates = (f,) if self.deg[f] == self.deg[k] else ()
-        for j in candidates:
-            bit = 1 << j
-            if used & bit or self.nbr[j] & used != want:
-                continue
-            grown = moved if j == k else moved | bit | 1 << k
-            if grown != moved and prune is not None and prune(grown):
-                continue
-            images[k] = j
-            found = self._extend(k + 1, images, used | bit, grown, forced, nonidentity, prune)
-            if found is not None:
-                return found
-        return None
-
-
-def _orbit(point: int, gens: list[Permutation]) -> set[int]:
-    orbit = {point}
-    frontier = [point]
-    while frontier:
-        v = frontier.pop()
-        for s in gens:
-            w = s[v]
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit
-
-
 def automorphism_group(g: Graph) -> AutGroup:
-    """|Aut g| as the product of the basic orbit lengths along the base 0..n-1.
-
-    Levels run from the deepest up.  At level i every generator found so
-    far fixes 0..i-1, and together they generate G_(i+1) on entry.  Each
-    vertex j > i of i's degree that the closed orbit of i does not yet
-    reach is searched for; an automorphism fixing 0..i-1 and sending i to
-    j becomes a new generator.  On exit the generators reach every image
-    of i under G_i, so they generate G_i.
-    """
-    search = _Search(g)
-    gens: list[Permutation] = []
-    order = 1
-    for i in reversed(range(g.n)):
-        fixed = {v: v for v in range(i)}
-        orbit = {i}
-        for j in search.same_degree[i]:
-            if j > i and j not in orbit:
-                perm = search.first({**fixed, i: j})
-                if perm is not None:
-                    gens.append(perm)
-                    orbit = _orbit(i, gens)
-        order *= len(orbit)
+    """|Aut g| as the product of the basic orbit lengths along the base 0..n-1."""
+    _, order = generators(Search(_neighbour_masks(g)))
     return AutGroup(g.n, g, order)
 
 
@@ -160,7 +73,7 @@ def find_disjoint_pair(group: AutGroup) -> tuple[Permutation, Permutation] | Non
     # two disjoint non-identity elements generate a subgroup of order >= 4
     if group.order < 4:
         return None
-    search = _Search(group.graph)
+    search = Search(_neighbour_masks(group.graph))
     stabiliser: dict[int, Permutation | None] = {}
 
     def first_fixing(moved: int) -> Permutation | None:

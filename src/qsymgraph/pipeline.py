@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .automorphisms import cycle_notation
-from .classify import ClassifyConfig, Verdict, classify
+from .classify import ClassifyConfig, Verdict, VerdictKind, classify
 from .graphs import (
     Graph,
     GraphError,
@@ -78,7 +78,8 @@ class GraphRecord:
     def from_json_dict(cls, d) -> "GraphRecord":
         """Inverse of :meth:`to_json_dict` on a decoded JSON value; anything
         but an object with exactly the record's fields, each holding a
-        value of its field's type, raises ValueError."""
+        value of its field's type, with a verdict that names a
+        :class:`VerdictKind`, raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
         names = [f.name for f in fields(cls)]
@@ -92,6 +93,9 @@ class GraphRecord:
             if not _fits(d[f.name], f.type):
                 raise ValueError(
                     f"field {f.name!r} is a JSON {type(d[f.name]).__name__}, not {f.type}")
+        kinds = [k.value for k in VerdictKind]
+        if d["verdict"] not in kinds:
+            raise ValueError(f"field 'verdict' is {d['verdict']!r}, not one of {kinds}")
         # JSON has no tuples, so the disjoint pair comes back as a list
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 

@@ -1,11 +1,16 @@
 """Brute-force canonical forms and enumeration, for tests only.
 
 The canonical mask is the minimum over all n! relabelings of the edge
-mask.  The enumeration sweeps every edge subset in mask order and marks
-the whole isomorphism orbit of each new connected graph, so the first
-unmarked connected mask of each class is its minimal one.  Both are
-exponential in n and meant for n <= 8 (canonical form) and n <= 7
-(enumeration, about 10 s at n = 7).
+mask.  The orbit sweep enumerates by sweeping every edge subset in mask
+order and marking the whole isomorphism orbit of each new connected
+graph, so the first unmarked connected mask of each class is its minimal
+one.  Both are exponential in n and meant for n <= 8 (canonical form)
+and n <= 7 (orbit sweep, about 10 s at n = 7).
+
+The every-child enumeration is the package's routine before generation
+by canonical deletion: it takes the canonical form of every child and
+removes duplicates with one global set (about 0.1 s at n = 7, 2 s at
+n = 8).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import functools
 import itertools
 
 from qsymgraph import Graph
+from qsymgraph.graphs import _canonical_mask, _neighbour_masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,3 +90,23 @@ def orbit_sweep_masks(n: int) -> list[int]:
             seen[_remap(mask, table, k)] = 1
         out.append(mask)
     return out
+
+
+def all_children_masks(n: int) -> list[int]:
+    """Minimal mask of every connected class on n vertices, ascending.
+
+    Removing a leaf of a spanning tree leaves a connected graph, so every
+    connected graph is a smaller representative plus a new vertex with a
+    non-empty neighbourhood; every such child is put in canonical form.
+    """
+    if n == 1:
+        return [0]
+    new = 1 << (n - 1)
+    found = set()
+    for m in all_children_masks(n - 1):
+        base = _neighbour_masks(Graph.from_mask(n - 1, m))
+        for hood in range(1, new):
+            nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
+            nbr.append(hood)
+            found.add(_canonical_mask(nbr))
+    return sorted(found)

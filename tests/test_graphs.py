@@ -1,5 +1,6 @@
 """Graph representation, graph6 codec, powers, canonical forms, enumeration."""
 
+import os
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from qsymgraph import (
     parse_graph6,
     to_graph6,
 )
+from qsymgraph import graphs
 from qsymgraph.graphs import AdjacencyError, Graph6Error, GraphError
 
 from conftest import (
@@ -27,7 +29,10 @@ from conftest import (
     permute,
     rigid6,
 )
-from enumeration_oracle import brute_force_canonical_mask, orbit_sweep_masks
+import automorphism_oracle
+from enumeration_oracle import all_children_masks, brute_force_canonical_mask, orbit_sweep_masks
+
+NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"
 
 HOUSE_ADJACENCY = """\
 0 1 1 1 1
@@ -317,6 +322,77 @@ def test_enumerate_output_is_canonical_connected_and_distinct():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumerate_matches_orbit_sweep_oracle(n):
     assert [g.mask() for g in enumerate_connected(n)] == orbit_sweep_masks(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_matches_every_child_oracle(n):
+    assert [g.mask() for g in enumerate_connected(n)] == all_children_masks(n)
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_eight_vertex_enumeration_matches_every_child_oracle():
+    assert graphs._connected_masks(8) == all_children_masks(8)
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_connected_counts_past_the_cap():
+    # OEIS A001349
+    assert len(graphs._connected_masks(8)) == 11117
+    assert len(graphs._connected_masks(9)) == 261080
+
+
+def _accepted(g: Graph) -> set[int]:
+    """The vertices w of g that the enumeration would keep as the new
+    vertex of the child g, built from the canonical parent g - w."""
+    nbr = graphs._neighbour_masks(g)
+    kept = set()
+    for w in range(g.n):
+        if not graphs._connected_without(nbr, w):
+            continue
+        last = [u for u in range(g.n) if u != w] + [w]
+        moved = graphs._neighbour_masks(permute(g, [last.index(u) for u in range(g.n)]))
+        if graphs._deletes_canonically(moved, graphs._canonical_mask(graphs._delete(nbr, w))):
+            kept.add(w)
+    return kept
+
+
+def test_canonical_deletion_rule_is_invariant_under_relabeling():
+    rng = random.Random(31)
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            kept = _accepted(g)
+            assert kept
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert _accepted(permute(g, perm)) == {perm[w] for w in kept}
+
+
+def test_canonical_deletion_passes_over_a_cut_vertex_of_least_degree():
+    # two K4s joined through a path a - w - b: w alone has degree 2, but
+    # it is a cut vertex, so the rule must look past it (the least graph
+    # of this kind has 9 vertices, beyond the exhaustive checks above)
+    k4 = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    g = Graph.from_edges(9, k4 + [(i + 5, j + 5) for i, j in k4] + [(4, 5), (5, 6)])
+    kept = _accepted(g)
+    assert kept and 4 not in kept
+    assert all(g.degree(w) == 3 for w in kept)
+
+
+def test_hood_representatives_are_the_least_of_each_orbit():
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            elements = automorphism_oracle.elements(g)
+            least = {min(sum(1 << s[i] for i in range(n) if hood >> i & 1) for s in elements)
+                     for hood in range(1, 1 << n)}
+            assert graphs._hood_representatives(graphs._neighbour_masks(g)) == sorted(least)
+
+
+def test_parents_give_disjoint_children():
+    per_parent = [graphs._children(7, m) for m in graphs._connected_masks(6)]
+    union = set().union(*per_parent)
+    assert sum(len(kids) for kids in per_parent) == len(union)
+    assert sorted(union) == [g.mask() for g in enumerate_connected(7)]
 
 
 def test_enumerate_rejects_unsupported_n():

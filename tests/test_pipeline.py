@@ -129,6 +129,14 @@ def test_json_round_trip(n4_report):
     assert data["table"] == [dataclasses.asdict(row) for row in n4_report.rows]
 
 
+@pytest.mark.parametrize("verdict", ["Quantum", "quantumsymmetric", ""])
+def test_record_rejects_a_verdict_outside_verdict_kind(n4_report, verdict):
+    fields = n4_report.records[0].to_json_dict()
+    fields["verdict"] = verdict
+    with pytest.raises(ValueError, match="field 'verdict'"):
+        GraphRecord.from_json_dict(fields)
+
+
 def test_records_round_trip_byte_for_byte(tmp_path, n4_report):
     first = tmp_path / "first.ndjson"
     write_records(n4_report.records, first)
@@ -310,6 +318,9 @@ def test_cli_check_and_batch_read_a_file_alike(tmp_path, capsys, name, data, siz
     ("extra", "record has unknown fields ['extra']"),
     # a string sorts against no int, so aggregate would raise TypeError
     ("string-order", "field 'aut_order' is a JSON str, not int"),
+    # an unknown verdict would be counted in no column but the total
+    ("unknown-verdict", "field 'verdict' is 'Quantum', not one of "
+                        "['QuantumSymmetric', 'NotQuantumSymmetric', 'Undecided']"),
 ])
 def test_cli_table_names_a_malformed_line(tmp_path, capsys, n4_report, kind, message):
     good, fields = (rec.to_json_dict() for rec in n4_report.records[:2])
@@ -319,6 +330,8 @@ def test_cli_table_names_a_malformed_line(tmp_path, capsys, n4_report, kind, mes
         del fields["gb_size"]
     elif kind == "extra":
         fields["extra"] = 0
+    elif kind == "unknown-verdict":
+        fields["verdict"] = "Quantum"
     else:
         fields["aut_order"] = "6"
     src = tmp_path / "runs.ndjson"
