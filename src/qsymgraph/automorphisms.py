@@ -25,7 +25,6 @@ from .graphs import Graph, _neighbour_masks
 class AutGroup:
     """The automorphism group of ``graph``, known by its order."""
 
-    n: int
     graph: Graph
     order: int
 
@@ -33,7 +32,7 @@ class AutGroup:
 def automorphism_group(g: Graph) -> AutGroup:
     """|Aut g| as the product of the basic orbit lengths along the base 0..n-1."""
     _, order = generators(Search(_neighbour_masks(g)))
-    return AutGroup(g.n, g, order)
+    return AutGroup(g, order)
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
@@ -78,7 +77,7 @@ def find_disjoint_pair(group: AutGroup) -> tuple[Permutation, Permutation] | Non
 
     def first_fixing(moved: int) -> Permutation | None:
         if moved not in stabiliser:
-            fixed = {v: v for v in range(group.n) if moved >> v & 1}
+            fixed = {v: v for v in range(group.graph.n) if moved >> v & 1}
             stabiliser[moved] = search.first(fixed, nonidentity=True)
         return stabiliser[moved]
 

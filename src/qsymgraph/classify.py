@@ -35,10 +35,6 @@ from .graphs import Graph
 from .groebner import EngineLimits, Reducer, complete
 
 
-class DegenerateAlgebraError(ValueError):
-    """A row or column lost all generators, so the algebra collapses to zero."""
-
-
 @dataclass(frozen=True)
 class Presentation:
     """Relation ideal of the universal algebra over the surviving generators."""
@@ -120,20 +116,18 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     positions = pattern.alive()
     gens = Generators.from_alive(positions)
     # alive (column, index) pairs per row and (row, index) pairs per
-    # column, with bit k of row_bits[i] and of col_bits[j] set for each;
-    # row_at[i][k] and col_at[j][k] are the indices at (i, k) and (k, j),
-    # or -1 where forced
+    # column; bit k of bits[i] is set for each k in i's class, which holds
+    # the alive letters of row i and of column i alike; row_at[i][k] and
+    # col_at[j][k] are the indices at (i, k) and (k, j), or -1 where forced
     alive_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     alive_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    row_bits = [0] * n
-    col_bits = [0] * n
+    bits = [0] * n
     row_at = [[-1] * n for _ in range(n)]
     col_at = [[-1] * n for _ in range(n)]
     for a, (i, j) in enumerate(positions):  # row-major, as the table is
         alive_rows[i].append((j, a))
         alive_cols[j].append((i, a))
-        row_bits[i] |= 1 << j
-        col_bits[j] |= 1 << i
+        bits[i] |= 1 << j
         row_at[i][j] = col_at[j][i] = a
 
     relations: list[Poly] = []
@@ -156,13 +150,11 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                     relations.append(
                         Poly({bytes((a, a)): 1, bytes((a,)): -1}, _trusted=True))
 
-    # each row and column sums to 1
+    # each row and column sums to 1; u_ii keeps every line non-empty
     sums: set[bytes] = set()
-    for kind, at in (("row", row_at), ("column", col_at)):
+    for at in (row_at, col_at):
         for i in range(n):
             line = bytes(b for b in at[i] if b >= 0)
-            if not line:
-                raise DegenerateAlgebraError(f"{kind} {i + 1} has no generators left")
             if line not in sums:
                 sums.add(line)
                 terms = {bytes((b,)): 1 for b in line}
@@ -171,8 +163,8 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
     # the linear relations of uA = Au
     adj = g.adj
-    if any(bits != 1 << i for i, bits in enumerate(row_bits)):  # else none
-        relations += _linear_block(adj, alive_rows, alive_cols, row_bits, col_bits)
+    if any(b != 1 << i for i, b in enumerate(bits)):  # else none
+        relations += _linear_block(adj, alive_rows, alive_cols, bits)
 
     # products vanish whenever adjacency disagrees between source and image;
     # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
@@ -191,9 +183,11 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     return Presentation(gens, tuple(relations))
 
 
-def _linear_block(adj, alive_rows, alive_cols, row_bits, col_bits) -> list[Poly]:
+def _linear_block(adj, alive_rows, alive_cols, bits) -> list[Poly]:
     """The linear relations of uA = Au, given the row and column sums, on
-    the alive letters as ``build_relations`` lists them.
+    the alive letters as ``build_relations`` lists them; bit k of
+    ``bits[i]`` marks k in i's class, the alive positions of row i and of
+    column i.
 
     Entry (i, j) reads sum_k A_ik u_kj = sum_l u_il A_lj.  The alive u_kj
     (k != i) with A_ik = v and the alive u_il (l != j) with A_lj = v form
@@ -220,14 +214,14 @@ def _linear_block(adj, alive_rows, alive_cols, row_bits, col_bits) -> list[Poly]
     far = [~(m | 1 << i) for i, m in enumerate(near)]
     out: list[Poly] = []
     done: set[tuple[bytes, bytes]] = set()  # (K, R) of each part emitted
-    for i, adj_i, bits in zip(range(n), adj, row_bits):
+    for i, adj_i, bits_i in zip(range(n), adj, bits):
         near_i, far_i = near[i], far[i]
-        for j, near_j, far_j, cbits in zip(range(n), near, far, col_bits):
+        for j, near_j, far_j, bits_j in zip(range(n), near, far, bits):
             # bits l of the u_il (l != j) with A_lj = 1 and with A_lj = 0,
             # then bits k of the u_kj (k != i) with A_ik = 1 and A_ik = 0
-            r1, r0 = bits & near_j, bits & far_j
-            c1, c0 = cbits & near_i, cbits & far_i
-            alive = bits >> j & 1
+            r1, r0 = bits_i & near_j, bits_i & far_j
+            c1, c0 = bits_j & near_i, bits_j & far_i
+            alive = bits_i >> j & 1
             if alive:
                 if not (r0 or r1 or c0 or c1):
                     continue  # u_ij alone

@@ -8,8 +8,8 @@ Subcommands:
   a file, then print/persist an aggregate table.
 * ``table``  -- re-aggregate previously stored NDJSON records.
 
-Exit codes: 0 success, 1 malformed input, 2 engine resource cap exceeded
-(a partial report is still written).
+Exit codes: 0 success, 1 malformed input or a usage error, 2 engine
+resource cap exceeded (a partial report is still written).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _add_classify_flags(p: argparse.ArgumentParser):
                    help="max Groebner truncation degree, at least 2 (default: 12)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=FORMATS, default="text", dest="fmt")
+def _add_output_flags(p: argparse.ArgumentParser, formats=FORMATS):
+    p.add_argument("--format", choices=formats, default="text", dest="fmt")
     p.add_argument("--out", type=Path, default=None,
                    help="base path for <out>.ndjson and <out>.summary.<ext>")
 
@@ -79,7 +79,7 @@ def cmd_check(args) -> int:
         pattern = verdict.pattern or zero_pattern(g)
         for line in render_pattern(pattern).splitlines():
             print(f"  {line}")
-    else:
+    else:  # json, the only other format check takes
         print(json.dumps(record.to_json_dict()))
     if args.out is not None:
         write_records([record], Path(str(args.out) + ".ndjson"))
@@ -130,8 +130,17 @@ def cmd_table(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as usage plus an ``error:`` line, with exit
+    code 1; argparse would exit 2, the code of a resource cap."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsymgraph",
         description="Decide whether finite simple graphs have quantum symmetries.",
     )
@@ -141,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--input", type=Path, required=True,
                          help="graph6 lines or adjacency blocks; the first graph is classified")
     _add_classify_flags(p_check)
-    _add_output_flags(p_check)
+    _add_output_flags(p_check, ("text", "json"))
     p_check.set_defaults(func=cmd_check)
 
     p_batch = sub.add_parser("batch", help="classify a family of graphs")

@@ -57,9 +57,6 @@ class Generators:
         """Flat index of the generator at 1-based (row, col)."""
         return self.labels.index((row, col))
 
-    def label(self, idx: int) -> tuple[int, int]:
-        return self.labels[idx]
-
     def gen_name(self, idx: int) -> str:
         r, c = self.labels[idx]
         return f"u({r},{c})"

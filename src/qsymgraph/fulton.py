@@ -4,12 +4,15 @@ If the i-th and j-th diagonal entries of some adjacency power differ, the
 magic-unitary generator u_ij must vanish, and by symmetry so must u_ji.
 By Cayley-Hamilton every power A^l with l >= n is a fixed linear
 combination of A^0, ..., A^(n-1), and A^0 has a constant diagonal, so
-powers 1..n-1 (at least power 1) decide every pair.  The criterion is
-vacuous on walk-regular (in particular vertex-transitive) graphs.
+powers 1..n-1 (at least power 1) decide every pair.  So the pattern is a
+partition of the vertices into classes of equal counts, and u_ii always
+survives.  The criterion is vacuous on walk-regular (in particular
+vertex-transitive) graphs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -17,30 +20,35 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class ZeroPattern:
-    """n x n boolean matrix of generators forced to zero, plus the last power examined."""
+    """Walk-count classes, ``classes[i]`` the least vertex of i's class,
+    plus the last power examined; u_ij is forced to zero exactly when i
+    and j lie in different classes."""
 
-    n: int
-    forced_zero: tuple[tuple[bool, ...], ...]
+    classes: tuple[int, ...]
     max_power_used: int
 
+    def __post_init__(self):  # least-vertex names make equal partitions equal
+        cl = self.classes
+        if any(not 0 <= c <= i or cl[c] != c for i, c in enumerate(cl)):
+            raise ValueError(f"classes {cl} do not name each class by its least vertex")
+
+    @property
+    def n(self) -> int:
+        return len(self.classes)
+
     def forced_count(self) -> int:
-        return sum(sum(row) for row in self.forced_zero)
+        return self.n ** 2 - sum(k * k for k in Counter(self.classes).values())
 
     def alive(self) -> list[tuple[int, int]]:
         """Generator positions not forced to zero, row-major, 0-based."""
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if not self.forced_zero[i][j]
-        ]
+        cl = self.classes
+        return [(i, j) for i, ci in enumerate(cl) for j, cj in enumerate(cl) if ci == cj]
 
 
 def zero_pattern(g: Graph) -> ZeroPattern:
     """Compare diagonal walk counts for every power up to n - 1 (at least 1).
 
-    Stops early once every off-diagonal entry is forced; diagonal entries
-    are never forced.
+    Stops early once every vertex is in a class of its own.
 
     Row i of A^k is one int with a w-bit field per column, so that
     row_i(A^k) is the sum of row_l(A^(k-1)) over the neighbours l of i.
@@ -61,22 +69,15 @@ def zero_pattern(g: Graph) -> ZeroPattern:
         keys = [key + ((rows[i] >> (w * i)) & mask,) for i, key in enumerate(keys)]
         if len(set(keys)) == n:
             break
-    forced = tuple(tuple(ki != kj for kj in keys) for ki in keys)
-    return ZeroPattern(n, forced, used)
+    first: dict = {}
+    return ZeroPattern(tuple(first.setdefault(key, i) for i, key in enumerate(keys)), used)
 
 
 def render_pattern(pattern: ZeroPattern) -> str:
     """Partially specified generator matrix with entries "0" or "u_ij"."""
-    cells = []
-    for i in range(pattern.n):
-        row = []
-        for j in range(pattern.n):
-            if pattern.forced_zero[i][j]:
-                row.append("0")
-            elif pattern.n <= 9:
-                row.append(f"u_{i + 1}{j + 1}")
-            else:
-                row.append(f"u_{i + 1}_{j + 1}")
-        cells.append(row)
+    cl = pattern.classes
+    sep = "" if len(cl) <= 9 else "_"
+    cells = [["0" if ci != cj else f"u_{i + 1}{sep}{j + 1}" for j, cj in enumerate(cl)]
+             for i, ci in enumerate(cl)]
     width = max(len(c) for row in cells for c in row)
     return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)

@@ -158,15 +158,7 @@ def _canonical_mask(nbr: list[int]) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 1."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(g.n):
-            if g.adj[v][w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return _connected(_neighbour_masks(g), (1 << g.n) - 1)
 
 
 def matrix_power(g: Graph, l: int) -> tuple[tuple[int, ...], ...]:
@@ -283,6 +275,7 @@ def _deletes_canonically(nbr: list[int], parent: int) -> bool:
     mask ``parent``.  Ties on the invariant are settled by canonical
     masks, which are computed only after every cheaper test passed."""
     v = len(nbr) - 1
+    everyone = (1 << len(nbr)) - 1
     deg = [x.bit_count() for x in nbr]
     dv = deg[v]
     sig_v = None
@@ -294,12 +287,12 @@ def _deletes_canonically(nbr: list[int], parent: int) -> bool:
             if sig_v is None:
                 sig_v = _neighbour_degrees(nbr[v], deg)
             sig = _neighbour_degrees(nbr[w], deg)
-            if sig > sig_v or not _connected_without(nbr, w):
+            if sig > sig_v or not _connected(nbr, everyone ^ 1 << w):
                 continue
             if sig < sig_v:
                 return False
             ties.append(w)
-        elif _connected_without(nbr, w):
+        elif _connected(nbr, everyone ^ 1 << w):
             return False
     return all(_canonical_mask(_delete(nbr, w)) >= parent for w in ties)
 
@@ -308,9 +301,9 @@ def _neighbour_degrees(hood: int, deg: list[int]) -> list[int]:
     return sorted(deg[u] for u in range(len(deg)) if hood >> u & 1)
 
 
-def _connected_without(nbr: list[int], w: int) -> bool:
-    """Whether deleting vertex w leaves a connected graph."""
-    rest = ((1 << len(nbr)) - 1) ^ (1 << w)
+def _connected(nbr: list[int], rest: int) -> bool:
+    """Whether the vertices in the non-empty bitmask ``rest`` induce a
+    connected graph, by a breadth-first search over neighbour bitmasks."""
     reach = frontier = rest & -rest
     while frontier:
         bit = frontier & -frontier

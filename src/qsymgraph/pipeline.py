@@ -15,6 +15,7 @@ from pathlib import Path
 from .automorphisms import cycle_notation
 from .classify import ClassifyConfig, Verdict, VerdictKind, classify
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     enumerate_connected,
@@ -78,8 +79,9 @@ class GraphRecord:
     def from_json_dict(cls, d) -> "GraphRecord":
         """Inverse of :meth:`to_json_dict` on a decoded JSON value; anything
         but an object with exactly the record's fields, each holding a
-        value of its field's type, with a verdict that names a
-        :class:`VerdictKind`, raises ValueError."""
+        value of its field's type in the range a classified graph gives,
+        with a verdict that names a :class:`VerdictKind`, raises
+        ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
         names = [f.name for f in fields(cls)]
@@ -96,6 +98,15 @@ class GraphRecord:
         kinds = [k.value for k in VerdictKind]
         if d["verdict"] not in kinds:
             raise ValueError(f"field 'verdict' is {d['verdict']!r}, not one of {kinds}")
+        if not 1 <= d["n"] <= MAX_VERTICES:
+            raise ValueError(f"field 'n' is {d['n']}, not in 1..{MAX_VERTICES}")
+        if d["aut_order"] < 1:
+            raise ValueError(f"field 'aut_order' is {d['aut_order']}, not >= 1")
+        if d["qsym_output"] not in (0, 1, None):
+            raise ValueError(f"field 'qsym_output' is {d['qsym_output']}, not 0, 1 or null")
+        for name in ("gb_degree_bound", "gb_size", "wall_time_ms"):
+            if (d[name] or 0) < 0:
+                raise ValueError(f"field {name!r} is {d[name]}, not >= 0")
         # JSON has no tuples, so the disjoint pair comes back as a list
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 

@@ -13,22 +13,23 @@ forced one to zero by a relation u_ij; both present the same algebra.
 
 from __future__ import annotations
 
-from qsymgraph.classify import DegenerateAlgebraError, Presentation, build_relations
+from qsymgraph.classify import Presentation, build_relations
 from qsymgraph.freealg import Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import Graph
 
 
 def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
-    """The relations of the all-alive pattern, then one u_ij for each
-    forced (i, j) in row-major order."""
+    """The relations of the one-class pattern, where every generator is
+    alive, then one u_ij for each forced (i, j) in row-major order."""
     n = g.n
-    all_alive = ZeroPattern(n, ((False,) * n,) * n, pattern.max_power_used)
-    pres = build_relations(g, all_alive)
+    one_class = ZeroPattern((0,) * n, pattern.max_power_used)
+    pres = build_relations(g, one_class)
     relations = list(pres.relations)
+    cl = pattern.classes
     for i in range(n):
         for j in range(n):
-            if pattern.forced_zero[i][j]:
+            if cl[i] != cl[j]:
                 u = Poly.gen(pres.gens.index(i + 1, j + 1))
                 if u not in relations:  # deduplicated, as build_relations does
                     relations.append(u)
@@ -94,16 +95,12 @@ def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     # each row and column sums to 1
     for i in range(n):
         row = [flat[(i, k)] for k in range(n) if (i, k) in alive]
-        if not row:
-            raise DegenerateAlgebraError(f"row {i + 1} has no generators left")
         acc = Poly.zero()
         for b in row:
             acc = acc + Poly.gen(b)
         add(acc - 1)
     for j in range(n):
         col = [flat[(k, j)] for k in range(n) if (k, j) in alive]
-        if not col:
-            raise DegenerateAlgebraError(f"column {j + 1} has no generators left")
         acc = Poly.zero()
         for b in col:
             acc = acc + Poly.gen(b)

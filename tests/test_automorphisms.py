@@ -154,14 +154,18 @@ def test_find_disjoint_pair_never_identity():
             assert are_disjoint(s, t)
 
 
-def test_forced_zero_blocks_automorphism_images():
+def test_automorphisms_keep_each_vertex_in_its_walk_class():
+    # every automorphism maps each vertex into its own class, so the
+    # generator u_i,s(i) it needs is alive
     rng = random.Random(37)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 6))
         pattern = zero_pattern(g)
+        alive = set(pattern.alive())
         for s in automorphism_oracle.elements(g):
             for i in range(g.n):
-                assert not pattern.forced_zero[i][s[i]]
+                assert pattern.classes[s[i]] == pattern.classes[i]
+                assert (i, s[i]) in alive
 
 
 def test_order_and_pair_match_oracle_on_connected_graphs():

@@ -25,7 +25,7 @@ from qsymgraph import (
     to_graph6,
     zero_pattern,
 )
-from qsymgraph.classify import CheckResult, DegenerateAlgebraError, Presentation
+from qsymgraph.classify import CheckResult, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.groebner import EngineLimits, ResourceCapError, complete
@@ -131,14 +131,8 @@ def _assert_matches_reference(g, pattern):
     """build_relations equals the Poly-arithmetic builder, whose linear
     relations are read off its other relations: the same generators, the
     same relations in the same order, and each relation's terms in the
-    same dict order (or the same degeneracy error)."""
-    try:
-        ref = reference_relations(g, pattern)
-    except DegenerateAlgebraError as exc:
-        with pytest.raises(DegenerateAlgebraError) as raised:
-            build_relations(g, pattern)
-        assert str(raised.value) == str(exc)
-        return
+    same dict order."""
+    ref = reference_relations(g, pattern)
     pres = build_relations(g, pattern)
     assert pres.gens == ref.gens
     assert [repr(r.terms) for r in pres.relations] == [repr(r.terms) for r in ref.relations]
@@ -155,18 +149,29 @@ def test_relations_match_reference_on_pairless_graphs():
     assert count == 582
 
 
+def _random_partition(rng, n) -> ZeroPattern:
+    """A random partition of n vertices into 1..n classes, as a pattern."""
+    k = rng.randint(1, n)
+    labels = [rng.randrange(k) for _ in range(n)]
+    first: dict = {}
+    return ZeroPattern(tuple(first.setdefault(x, i) for i, x in enumerate(labels)), 1)
+
+
 def test_relations_match_reference_on_random_graphs_and_patterns():
-    # walk-count patterns of random graphs up to n = 10, and arbitrary
-    # patterns, some of which empty a row or column
+    # walk-count patterns of random graphs up to n = 10, and random
+    # partitions, among them the one-class pattern with every generator alive
     rng = random.Random(61)
+    one_class = 0
     for _ in range(60):
         n = rng.randint(1, 10)
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if rng.random() < rng.choice((0.2, 0.5, 0.8))]
         g = Graph.from_edges(n, edges)
         _assert_matches_reference(g, zero_pattern(g))
-        forced = tuple(tuple(rng.random() < 0.3 for _ in range(n)) for _ in range(n))
-        _assert_matches_reference(g, ZeroPattern(n, forced, 1))
+        pattern = _random_partition(rng, n)
+        one_class += pattern.forced_count() == 0
+        _assert_matches_reference(g, pattern)
+    assert one_class > 0
 
 
 def test_broken_house_block_matches_triangle_system(broken_house):
@@ -219,20 +224,14 @@ def test_commutator_counts():
     assert commutators(pres6) == []
 
 
-def test_degenerate_pattern_is_reported():
-    g = path_graph(2)
-    all_forced = ZeroPattern(2, ((True, True), (True, True)), 1)
-    with pytest.raises(DegenerateAlgebraError):
-        build_relations(g, all_forced)
-
-
 def test_relations_mode_keeps_all_generators(broken_house):
     # the "relations" mode, now a test oracle: forced zeros as relations
     pattern = zero_pattern(broken_house)
     pres = explicit_zero_relations(broken_house, pattern)
     assert len(pres.gens) == 25
+    cl = pattern.classes
     forced = {pres.gens.index(i + 1, j + 1) for i in range(5) for j in range(5)
-              if pattern.forced_zero[i][j]}
+              if cl[i] != cl[j]}
     assert len(forced) == pattern.forced_count() == 14
     # each forced u_ij is a relation; uA = Au on the full table also gives
     # some one-letter relations, but only on forced positions
@@ -569,23 +568,20 @@ def test_linear_consequences_replay_on_pairless_graphs():
 
 
 def test_linear_consequences_replay_on_random_graphs_and_patterns():
-    # walk-count patterns of random graphs up to n = 10, and arbitrary
-    # patterns, some of which empty a row or column
+    # walk-count patterns of random graphs up to n = 10, and random
+    # partitions, among them the one-class pattern with every generator alive
     rng = random.Random(61)
-    total = 0
+    total = one_class = 0
     for _ in range(60):
         n = rng.randint(1, 10)
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if rng.random() < rng.choice((0.2, 0.5, 0.8))]
         g = Graph.from_edges(n, edges)
-        forced = tuple(tuple(rng.random() < 0.3 for _ in range(n)) for _ in range(n))
-        for pattern in (zero_pattern(g), ZeroPattern(n, forced, 1)):
-            try:
-                p = build_relations(g, pattern)
-            except DegenerateAlgebraError:
-                continue
-            total += len(_assert_block_replays(p))
-    assert total > 0
+        partition = _random_partition(rng, n)
+        one_class += partition.forced_count() == 0
+        for pattern in (zero_pattern(g), partition):
+            total += len(_assert_block_replays(build_relations(g, pattern)))
+    assert total > 0 and one_class > 0
 
 
 def test_linear_consequences_need_both_sums():

@@ -6,6 +6,7 @@ import pytest
 
 from qsymgraph import (
     Graph,
+    ZeroPattern,
     enumerate_connected,
     matrix_power,
     render_pattern,
@@ -64,6 +65,8 @@ def test_identity_not_forced_on_house(house):
 
 
 def test_pattern_symmetric_and_diagonal_free():
+    # the alive positions are exactly the pairs in one class: the diagonal,
+    # symmetric, and counted by forced_count
     rng = random.Random(41)
     for _ in range(40):
         n = rng.randint(2, 7)
@@ -71,10 +74,25 @@ def test_pattern_symmetric_and_diagonal_free():
                  if rng.random() < 0.5]
         g = Graph.from_edges(n, edges)
         pattern = zero_pattern(g)
+        alive = set(pattern.alive())
+        assert len(alive) == n * n - pattern.forced_count()
         for i in range(n):
-            assert not pattern.forced_zero[i][i]
+            assert (i, i) in alive
             for j in range(n):
-                assert pattern.forced_zero[i][j] == pattern.forced_zero[j][i]
+                same = pattern.classes[i] == pattern.classes[j]
+                assert ((i, j) in alive) == ((j, i) in alive) == same
+
+
+@pytest.mark.parametrize("classes", [
+    (1, 1),  # the class {0, 1} named by its largest vertex
+    (0, 0, 1),  # vertex 2 named by vertex 1, whose class is 0
+    (0, 2, 2),
+    (0, 3),  # a name past the vertex it names
+    (-1,),
+])
+def test_pattern_rejects_classes_not_named_by_least_vertex(classes):
+    with pytest.raises(ValueError, match="least vertex"):
+        ZeroPattern(classes, 1)
 
 
 def test_square_diagonal_is_degree_sequence():
@@ -101,8 +119,8 @@ def _split_pairs(g, cap):
 
 
 def _forced_pairs(pattern):
-    n = pattern.n
-    return {(i, j) for i in range(n) for j in range(n) if pattern.forced_zero[i][j]}
+    cl = pattern.classes
+    return {(i, j) for i, ci in enumerate(cl) for j, cj in enumerate(cl) if ci != cj}
 
 
 def test_default_cap_agrees_with_n_squared_powers():

@@ -347,7 +347,7 @@ def _accepted(g: Graph) -> set[int]:
     nbr = graphs._neighbour_masks(g)
     kept = set()
     for w in range(g.n):
-        if not graphs._connected_without(nbr, w):
+        if not graphs._connected(nbr, (1 << g.n) - 1 ^ 1 << w):
             continue
         last = [u for u in range(g.n) if u != w] + [w]
         moved = graphs._neighbour_masks(permute(g, [last.index(u) for u in range(g.n)]))

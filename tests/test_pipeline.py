@@ -342,6 +342,30 @@ def test_cli_table_names_a_malformed_line(tmp_path, capsys, n4_report, kind, mes
     assert captured.err == f"error: line 2: {message}\n"
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("n", 0, "field 'n' is 0, not in 1..16"),
+    ("n", 17, "field 'n' is 17, not in 1..16"),
+    ("aut_order", -3, "field 'aut_order' is -3, not >= 1"),
+    ("aut_order", 0, "field 'aut_order' is 0, not >= 1"),
+    ("qsym_output", 7, "field 'qsym_output' is 7, not 0, 1 or null"),
+    ("qsym_output", -1, "field 'qsym_output' is -1, not 0, 1 or null"),
+    ("gb_degree_bound", -4, "field 'gb_degree_bound' is -4, not >= 0"),
+    ("gb_size", -1, "field 'gb_size' is -1, not >= 0"),
+    ("wall_time_ms", -1, "field 'wall_time_ms' is -1, not >= 0"),
+])
+def test_cli_table_rejects_an_out_of_range_value(tmp_path, capsys, n4_report, name, value,
+                                                 message):
+    # a value out of range would be tallied, e.g. as an order row "-3"
+    good, bad = (rec.to_json_dict() for rec in n4_report.records[:2])
+    bad[name] = value
+    src = tmp_path / "runs.ndjson"
+    src.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    assert cli_main(["table", "--input", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {message}\n"
+
+
 def test_cli_batch_enumerate_and_table_roundtrip(tmp_path, capsys):
     out = tmp_path / "n4"
     assert cli_main(["batch", "--n", "4", "--out", str(out), "--format", "csv"]) == 0
@@ -407,3 +431,22 @@ def test_cli_batch_rejects_bad_config(tmp_path, capsys, flag, value, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert not (tmp_path / "n3.ndjson").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "--n", "five"],
+    ["batch", "--n", "3", "--format", "xml"],
+    ["batch", "--n", "3", "--gb-cap", "x"],
+    [],  # no subcommand
+    # check prints text or a JSON record, so it takes no csv
+    ["check", "--input", "graphs.g6", "--format", "csv"],
+])
+def test_cli_usage_error_exits_one(capsys, argv):
+    # exit 2 belongs to the resource cap, so argparse's own code is not used
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert exited.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qsymgraph")
+    assert captured.err.splitlines()[-1].startswith("error: ")
