@@ -23,7 +23,6 @@ from .classify import (
     VerdictKind,
     build_relations,
     classify,
-    commutators,
     qsym_check,
 )
 from .freealg import Generators, Poly, Word, word

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations, starmap
 from operator import lshift
 
 from .automorphisms import (
@@ -251,22 +252,6 @@ def _linear_block(adj, alive_rows, alive_cols, bits) -> list[Poly]:
     return out
 
 
-def commutators(p: Presentation) -> list[Poly]:
-    """All pairwise commutators of distinct generators, deterministic order.
-
-    When only diagonal generators survive, each one is pinned to 1 by its
-    row sum, so the algebra is trivially commutative and the list is empty.
-    """
-    if all(r == c for r, c in p.gens.labels):
-        return []
-    m = len(p.gens)
-    out = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            out.append(Poly({bytes((a, b)): 1, bytes((b, a)): -1}, _trusted=True))
-    return out
-
-
 # Results of qsym_check, keyed by presentation and config, oldest first.
 # A check reads only the generator labels, the relations and the config,
 # so a stored result is exactly what a fresh check would return.
@@ -294,10 +279,29 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     return result
 
 
+def _commutator(a: int, b: int) -> Poly:
+    return Poly({bytes((a, b)): 1, bytes((b, a)): -1}, _trusted=True)
+
+
 def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
-    coms = commutators(p)
-    if not coms:
+    """The commutativity check behind ``qsym_check``.
+
+    Only the commutators of free letters are reduced: a letter is free
+    when no degree-1 rule of the basis has it as its lead.  The basis is
+    interreduced at every bound, so a dead letter x has a rule
+    x -> sum c_y*y + c over free letters y, and at each position of a
+    word at most one lead matches.  Hence N(xz) - N(zx) is
+    sum c_y*(N(yz) - N(zy)), and likewise when z is dead too: every
+    commutator reduces to 0 exactly when every free one does.  Only a
+    witness needs the other pairs, and it is the first commutator of
+    u_a, u_b (a < b, in index order) whose normal form is nonzero.
+    """
+    m = len(p.gens)
+    # with only diagonal generators, each is pinned to 1 by its row sum,
+    # so the algebra is trivially commutative; so it is with one generator
+    if m < 2 or all(r == c for r, c in p.gens.labels):
         return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
+    count = m * (m - 1) // 2
     rel_degree = max(r.degree() for r in p.relations)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
     last_bound = bound
@@ -307,19 +311,22 @@ def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
         # one Reducer for every commutator, so that they share its
         # memoised per-word normal forms
         reducer = Reducer(basis.polys)
-        witness = next((c for c in coms if not reducer.normal_form(c).is_zero()), None)
-        if witness is None:
+        free = [a for a in range(m) if bytes((a,)) not in reducer.by_lead]
+        if all(reducer.normal_form(_commutator(a, b)).is_zero()
+               for a, b in combinations(free, 2)):
             return CheckResult(
-                CheckStatus.COMMUTATIVE, len(coms),
+                CheckStatus.COMMUTATIVE, count,
                 degree_bound=bound, basis_size=basis.size)
         if basis.complete:
+            witness = next(c for c in starmap(_commutator, combinations(range(m), 2))
+                           if not reducer.normal_form(c).is_zero())
             return CheckResult(
-                CheckStatus.NOT_SHOWN_COMMUTATIVE, len(coms),
+                CheckStatus.NOT_SHOWN_COMMUTATIVE, count,
                 degree_bound=bound, basis_size=basis.size, witness=witness)
         last_bound, last_size = bound, basis.size
         bound += GB_BOUND_STEP
     return CheckResult(
-        CheckStatus.TRUNCATED, len(coms),
+        CheckStatus.TRUNCATED, count,
         degree_bound=last_bound, basis_size=last_size)
 
 

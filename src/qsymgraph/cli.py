@@ -42,8 +42,8 @@ def _add_classify_flags(p: argparse.ArgumentParser):
                    help="max Groebner truncation degree, at least 2 (default: 12)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, formats=FORMATS):
-    p.add_argument("--format", choices=formats, default="text", dest="fmt")
+def _add_output_flags(p: argparse.ArgumentParser):
+    p.add_argument("--format", choices=FORMATS, default="text", dest="fmt")
     p.add_argument("--out", type=Path, default=None,
                    help="base path for <out>.ndjson and <out>.summary.<ext>")
 
@@ -150,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--input", type=Path, required=True,
                          help="graph6 lines or adjacency blocks; the first graph is classified")
     _add_classify_flags(p_check)
-    _add_output_flags(p_check, ("text", "json"))
+    p_check.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+    p_check.add_argument("--out", type=Path, default=None,
+                         help="write the graph's record to <out>.ndjson")
     p_check.set_defaults(func=cmd_check)
 
     p_batch = sub.add_parser("batch", help="classify a family of graphs")

@@ -80,8 +80,8 @@ class GraphRecord:
         """Inverse of :meth:`to_json_dict` on a decoded JSON value; anything
         but an object with exactly the record's fields, each holding a
         value of its field's type in the range a classified graph gives,
-        with a verdict that names a :class:`VerdictKind`, raises
-        ValueError."""
+        with a verdict that names a :class:`VerdictKind` and fields that
+        agree as :func:`_to_record` writes them, raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
         names = [f.name for f in fields(cls)]
@@ -107,8 +107,38 @@ class GraphRecord:
         for name in ("gb_degree_bound", "gb_size", "wall_time_ms"):
             if (d[name] or 0) < 0:
                 raise ValueError(f"field {name!r} is {d[name]}, not >= 0")
+        _check_agreement(d)
         # JSON has no tuples, so the disjoint pair comes back as a list
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+def _check_agreement(d: dict) -> None:
+    """Raise ValueError unless the fields of a record agree as
+    :func:`_to_record` writes them: ``n`` is the vertex count of
+    ``graph6``; a disjoint pair comes with ``QuantumSymmetric`` and only
+    with it, and then the algebra fields are null, since the check never
+    ran; ``qsym_output`` is 1 with ``NotQuantumSymmetric`` and only with
+    it, since that verdict rests on an algebra shown commutative."""
+    try:
+        n = parse_graph6(d["graph6"]).n
+    except GraphError as exc:
+        raise ValueError(f"field 'graph6' is {d['graph6']!r}: {exc}") from None
+    if d["n"] != n:
+        raise ValueError(f"field 'n' is {d['n']}, but graph6 {d['graph6']!r} has {n} vertices")
+    verdict = d["verdict"]
+    quantum = verdict == VerdictKind.QUANTUM_SYMMETRIC.value
+    if (d["disjoint_pair"] is not None) != quantum:
+        raise ValueError(
+            f"field 'disjoint_pair' is {d['disjoint_pair']} with verdict {verdict!r}; "
+            "QuantumSymmetric comes with a pair, and only it does")
+    if quantum:
+        for name in ("qsym_output", "gb_degree_bound", "gb_size"):
+            if d[name] is not None:
+                raise ValueError(f"field {name!r} is {d[name]} with verdict {verdict!r}, not null")
+    if (d["qsym_output"] == 1) != (verdict == VerdictKind.NOT_QUANTUM_SYMMETRIC.value):
+        raise ValueError(
+            f"field 'qsym_output' is {d['qsym_output']} with verdict {verdict!r}; "
+            "NotQuantumSymmetric comes with 1, and only it does")
 
 
 def _fits(value, annotation: str) -> bool:

@@ -93,6 +93,14 @@ FOUR_VERTEX_CASES = (
 )
 
 
+def atlas_graphs() -> list[Graph]:
+    """The 996 connected graphs on 1..7 vertices of networkx's graph atlas,
+    in atlas order and labelling; skips the calling test without networkx."""
+    nx = pytest.importorskip("networkx")
+    return [Graph.from_edges(G.number_of_nodes(), list(G.edges()), one_based=False)
+            for G in nx.graph_atlas_g() if G.number_of_nodes() and nx.is_connected(G)]
+
+
 @pytest.fixture(scope="session")
 def house():
     return house_x()

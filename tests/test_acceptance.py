@@ -29,12 +29,13 @@ from qsymgraph import (
     run_batch,
     zero_pattern,
 )
-from qsymgraph.classify import build_relations, commutators
+from qsymgraph.classify import build_relations
 from qsymgraph.freealg import EMPTY_WORD, word
 from qsymgraph.groebner import Reducer, complete
 from qsymgraph.pipeline import OrderRow
 
 import automorphism_oracle
+from commutator_oracle import commutators
 from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6, word_cmp
 from enumeration_oracle import orbit_sweep_masks
 from membership_oracle import SpanOracle

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import itertools
 import os
 import random
 
@@ -16,7 +17,6 @@ from qsymgraph import (
     automorphism_group,
     build_relations,
     classify,
-    commutators,
     enumerate_connected,
     find_disjoint_pair,
     qsym_check,
@@ -31,8 +31,10 @@ from qsymgraph.fulton import ZeroPattern
 from qsymgraph.groebner import EngineLimits, ResourceCapError, complete
 from qsymgraph.pipeline import OrderRow, classify_with_record
 
+from commutator_oracle import all_pairs_check, commutators
 from conftest import (
     FOUR_VERTEX_CASES,
+    atlas_graphs,
     complete_graph,
     cycle_graph,
     four_vertex_path,
@@ -222,6 +224,10 @@ def test_commutator_counts():
     pres6 = build_relations(rigid6(), zero_pattern(rigid6()))
     assert len(pres6.gens) == 6
     assert commutators(pres6) == []
+
+    # the check counts every pair, though it reduces only the free ones
+    for p in (pres, pres4, pres6):
+        assert qsym_check(p).commutator_count == len(commutators(p))
 
 
 def test_relations_mode_keeps_all_generators(broken_house):
@@ -498,6 +504,102 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     for p, first in zip(presentations, results):
         assert _fields(qsym_check(p)) == _fields(first)
         assert len(classify_module._qsym_memo) <= 3
+
+
+# the free-letter check against the all-pairs oracle
+
+
+@pytest.mark.parametrize("labelling, distinct", [("canonical", 96), ("atlas", 149)])
+def test_free_letter_check_matches_all_pairs_on_pairless_graphs(monkeypatch, labelling,
+                                                                distinct):
+    # every presentation classify checks for n <= 7, each checked once
+    graphs = ([g for n in range(1, 8) for g in enumerate_connected(n)]
+              if labelling == "canonical" else atlas_graphs())
+    presentations = {}
+    for g in graphs:
+        if find_disjoint_pair(automorphism_group(g)) is None:
+            p = build_relations(g, zero_pattern(g))
+            presentations.setdefault((p.gens.labels, p.relations), p)
+    assert len(presentations) == distinct
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    for p in presentations.values():
+        assert _fields(qsym_check(p)) == _fields(all_pairs_check(p))
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(1, a + 1)
+                                    for j in range(1, b + 1)])
+
+
+WITNESS_GRAPHS = {
+    "C4": cycle_graph(4),
+    "K4": complete_graph(4),
+    "K2,3": _complete_bipartite(2, 3),
+    "K3,3": _complete_bipartite(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_GRAPHS)
+def test_free_letter_check_matches_all_pairs_where_a_witness_exists(monkeypatch, name):
+    # graphs with a disjoint pair, whose algebra classify never checks
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    g = WITNESS_GRAPHS[name]
+    p = build_relations(g, zero_pattern(g))
+    result = qsym_check(p)
+    assert result.status is CheckStatus.NOT_SHOWN_COMMUTATIVE and result.witness is not None
+    assert _fields(result) == _fields(all_pairs_check(p))
+
+
+def test_free_letter_check_matches_all_pairs_when_truncated(monkeypatch):
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    g = complete_graph(4)
+    p = build_relations(g, zero_pattern(g))
+    cfg = ClassifyConfig(gb_degree_cap=2)
+    result = qsym_check(p, cfg)
+    assert result.status is CheckStatus.TRUNCATED
+    assert _fields(result) == _fields(all_pairs_check(p, cfg))
+
+
+def _one_pair_apart(m, dead, a, b):
+    """Idempotents u_0..u_{m-1} whose products vanish, except u_a*u_b and
+    u_b*u_a, and with u_dead = u_0 in place of its own relations.  The
+    basis is complete, and u_a, u_b is the only pair that does not commute,
+    up to u_dead standing in for u_0."""
+    u = [Poly.gen(i) for i in range(m)]
+    live = [i for i in range(m) if i != dead]
+    relations = [u[i] * u[i] - u[i] for i in live]
+    relations += [u[i] * u[j] for i in live for j in live if i != j and {i, j} != {a, b}]
+    relations.append(u[dead] - u[0])
+    return Presentation(Generators(tuple((1, k) for k in range(1, m + 1))), tuple(relations))
+
+
+def test_every_free_pair_is_reduced(monkeypatch):
+    # a free pair the check skipped would pass as commutative here
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    free = [0, 1, 3, 4]
+    for a, b in itertools.combinations(free, 2):
+        p = _one_pair_apart(5, 2, a, b)
+        result = qsym_check(p)
+        assert result.status is CheckStatus.NOT_SHOWN_COMMUTATIVE, (a, b)
+        assert result.witness == Poly({bytes((a, b)): 1, bytes((b, a)): -1})
+        assert _fields(result) == _fields(all_pairs_check(p))
+
+
+def test_only_free_commutators_are_reduced(monkeypatch):
+    # the 4-vertex path keeps 8 letters, of which the basis leaves one free
+    calls = []
+    original = classify_module.Reducer.normal_form
+
+    def counting(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+    monkeypatch.setattr(classify_module.Reducer, "normal_form", counting)
+    g = four_vertex_path()
+    result = qsym_check(build_relations(g, zero_pattern(g)))
+    assert result.status is CheckStatus.COMMUTATIVE and result.commutator_count == 28
+    assert calls == []
 
 
 # the linear relations of uA = Au, replayed from the other relations

@@ -20,7 +20,7 @@ from qsymgraph.pipeline import (
     write_records,
 )
 
-from conftest import complete_graph, house_x
+from conftest import atlas_graphs, complete_graph, house_x
 
 EXPECTED_N4_ROWS = (
     OrderRow(24, 1, 1, 0),
@@ -267,6 +267,21 @@ def test_cli_check_out_writes_record(tmp_path, capsys):
     assert record["verdict"] == "QuantumSymmetric"
 
 
+@pytest.mark.parametrize("command, writes", [
+    ("check", "write the graph's record to <out>.ndjson"),
+    ("batch", "base path for <out>.ndjson and <out>.summary.<ext>"),
+    ("table", "base path for <out>.ndjson and <out>.summary.<ext>"),
+])
+def test_cli_out_help_names_what_is_written(capsys, command, writes):
+    # check writes no summary, so its help must not promise one
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert f"--out OUT {writes}" in out
+    assert ("summary" in out) is (command != "check")
+
+
 def test_cli_check_malformed_exits_one(tmp_path, capsys):
     src = tmp_path / "bad.g6"
     src.write_text("!!!\n")
@@ -364,6 +379,68 @@ def test_cli_table_rejects_an_out_of_range_value(tmp_path, capsys, n4_report, na
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("base, changes, message", [
+    ("C~", {"graph6": "!!"}, "field 'graph6' is '!!': malformed header byte '!'"),
+    ("C~", {"n": 5}, "field 'n' is 5, but graph6 'C~' has 4 vertices"),
+    ("C~", {"disjoint_pair": None},
+     "field 'disjoint_pair' is None with verdict 'QuantumSymmetric'; "
+     "QuantumSymmetric comes with a pair, and only it does"),
+    ("CF", {"disjoint_pair": ["(3,4)", "(1,2)"]},
+     "field 'disjoint_pair' is ['(3,4)', '(1,2)'] with verdict 'NotQuantumSymmetric'; "
+     "QuantumSymmetric comes with a pair, and only it does"),
+    ("C~", {"qsym_output": 0},
+     "field 'qsym_output' is 0 with verdict 'QuantumSymmetric', not null"),
+    ("C~", {"gb_degree_bound": 4},
+     "field 'gb_degree_bound' is 4 with verdict 'QuantumSymmetric', not null"),
+    ("C~", {"gb_size": 21}, "field 'gb_size' is 21 with verdict 'QuantumSymmetric', not null"),
+    ("CF", {"qsym_output": 0},
+     "field 'qsym_output' is 0 with verdict 'NotQuantumSymmetric'; "
+     "NotQuantumSymmetric comes with 1, and only it does"),
+    ("CF", {"qsym_output": None},
+     "field 'qsym_output' is None with verdict 'NotQuantumSymmetric'; "
+     "NotQuantumSymmetric comes with 1, and only it does"),
+    ("CF", {"verdict": "Undecided"},
+     "field 'qsym_output' is 1 with verdict 'Undecided'; "
+     "NotQuantumSymmetric comes with 1, and only it does"),
+])
+def test_cli_table_rejects_fields_that_disagree(tmp_path, capsys, n4_report, base, changes,
+                                                message):
+    # such a record would be tallied by its verdict alone
+    good = n4_report.records[0].to_json_dict()
+    bad = next(r for r in n4_report.records if r.graph6 == base).to_json_dict()
+    bad.update(changes)
+    src = tmp_path / "runs.ndjson"
+    src.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    assert cli_main(["table", "--input", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {message}\n"
+
+
+def test_record_of_an_undecided_graph_reads_back(n4_report):
+    # an algebra check that ended truncated or not shown commutative
+    for qsym_output in (None, 0):
+        fields = n4_report.records[0].to_json_dict()
+        fields.update(verdict="Undecided", qsym_output=qsym_output)
+        assert GraphRecord.from_json_dict(fields).verdict == "Undecided"
+
+
+@pytest.mark.parametrize("source", ["n7", "atlas"])
+def test_batch_records_read_back(tmp_path, source):
+    # every record a batch writes passes the checks on reading it back
+    if source == "n7":
+        cfg = RunConfig(n=7)
+    else:
+        atlas = tmp_path / "atlas.g6"
+        atlas.write_text("".join(to_graph6(g) + "\n" for g in atlas_graphs()))
+        cfg = RunConfig(graph6_path=atlas)
+    report = run_batch(cfg)
+    assert len(report.records) == (853 if source == "n7" else 996)
+    path = tmp_path / "records.ndjson"
+    write_records(report.records, path)
+    assert tuple(read_records(path)) == report.records
 
 
 def test_cli_batch_enumerate_and_table_roundtrip(tmp_path, capsys):
