@@ -54,10 +54,14 @@ class Reducer:
     Which rule rewrites a word depends on the word alone, so reduction is
     linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
     N(w) is the normal form of the word w.  Reduction keeps every N(w) it
-    meets in ``word_nf``, which is valid only as long as the rules do not
-    change, so ``_add`` empties it.  ``_drop`` need not: a plain Reducer
-    never drops a rule, and the engine drops rules only just before an
-    ``_add``, with no reduction in between.
+    meets in ``word_nf``; ``users`` lists, for each entry, the entries
+    built from it, and ``rewrote``, for each rule, the entries it
+    rewrote.  A rule change forgets the entries it can move, and with
+    them every entry built from one: ``_add`` those whose word contains
+    the new lead (the new rule has the highest id, so it wins only where
+    its lead occurs), ``_drop`` and a rewritten tail those the rule
+    rewrote.  So ``word_nf`` always equals what a fresh Reducer over the
+    live rules, in rule-id order, would compute.
     """
 
     def __init__(self, polys):
@@ -68,6 +72,9 @@ class Reducer:
         self.length_count: dict[int, int] = {}
         self.unit_rule: int | None = None
         self.word_nf: dict[Word, dict] = {}
+        # entry -> entries built from it; rule id -> entries it rewrote
+        self.users: defaultdict[Word, list[Word]] = defaultdict(list)
+        self.rewrote: defaultdict[int, list[Word]] = defaultdict(list)
         for rid, p in enumerate(polys):
             lw, lc = p.leading_term()
             if lc != 1:
@@ -75,7 +82,7 @@ class Reducer:
             self._add(rid, lw, {w: c for w, c in p.terms.items() if w != lw})
 
     def _add(self, rid: int, lead: Word, tail: dict) -> None:
-        self.word_nf.clear()
+        self._forget([w for w in self.word_nf if lead in w])
         self.leads[rid] = lead
         self.tails[rid] = tail
         if not lead:
@@ -91,8 +98,8 @@ class Reducer:
 
     def _drop(self, rid: int) -> tuple[Word, dict]:
         """Undo ``_add`` of a rule whose lead no other rule has (never the
-        unit rule); return its lead and tail.  Leaves ``word_nf`` stale
-        until the ``_add`` that always follows."""
+        unit rule); return its lead and tail."""
+        self._forget(self.rewrote.pop(rid, ()))
         lead = self.leads.pop(rid)
         tail = self.tails.pop(rid)
         del self.by_lead[lead]
@@ -103,6 +110,17 @@ class Reducer:
         else:
             self.lengths = sorted(self.length_count)
         return lead, tail
+
+    def _forget(self, words) -> None:
+        """Drop ``words`` from ``word_nf``, and every entry built from a
+        dropped one."""
+        memo = self.word_nf
+        users = self.users
+        stack = list(words)
+        while stack:
+            v = stack.pop()
+            if memo.pop(v, None) is not None:
+                stack.extend(users.pop(v, ()))
 
     def find(self, w: Word):
         """Leftmost reducible position, lowest rule id; None if irreducible."""
@@ -129,10 +147,22 @@ class Reducer:
         return Poly(self._reduce(f.terms), _trusted=True)
 
     def _reduce(self, terms: dict) -> dict:
-        """Normal form of a term dict: the sum of c * N(w) over its terms."""
+        """Normal form of a term dict: the sum of c * N(w) over its terms,
+        dropping zeros and folding integral Fractions to int."""
+        memo = self.word_nf
         out: dict = {}
         for w, c in terms.items():
-            _add_scaled(out, self._word_nf(w), c)
+            nf = memo.get(w)
+            if nf is None:
+                nf = self._word_nf(w)
+            for u, uc in nf.items():
+                acc = out.get(u, 0) + c * uc
+                if acc:
+                    if type(acc) is Fraction and acc.denominator == 1:
+                        acc = acc.numerator
+                    out[u] = acc
+                else:
+                    out.pop(u, None)
         return out
 
     def _word_nf(self, w: Word) -> dict:
@@ -143,17 +173,19 @@ class Reducer:
         so the stack empties.
         """
         memo = self.word_nf
+        users = self.users
+        rewrote = self.rewrote
         find = self.find
         tails = self.tails
-        waiting: dict[Word, list] = {}  # word -> [(rewritten word, coeff), ...]
+        waiting: dict[Word, tuple] = {}  # word -> (rule id, [(rewritten word, coeff), ...])
         stack = [w]
         while stack:
             v = stack[-1]
             if v in memo:
                 stack.pop()
                 continue
-            parts = waiting.get(v)
-            if parts is None:
+            entry = waiting.get(v)
+            if entry is None:
                 hit = find(v)
                 if hit is None:
                     memo[v] = {v: 1}
@@ -162,30 +194,28 @@ class Reducer:
                 rid, pos, lead = hit
                 a = v[:pos]
                 b = v[pos + len(lead):]
-                parts = waiting[v] = [(a + tw + b, tc) for tw, tc in tails[rid].items()]
-                missing = [u for u, _ in parts if u not in memo]
+                entry = waiting[v] = rid, [(a + tw + b, tc) for tw, tc in tails[rid].items()]
+                missing = [u for u, _ in entry[1] if u not in memo]
                 if missing:
                     stack.extend(missing)
                     continue
             stack.pop()
             del waiting[v]
-            out: dict = {}
+            rid, parts = entry
+            out: dict = {}  # - sum tc * N(u), as in _reduce
             for u, tc in parts:
-                _add_scaled(out, memo[u], -tc)
+                for x, xc in memo[u].items():
+                    acc = out.get(x, 0) - tc * xc
+                    if acc:
+                        if type(acc) is Fraction and acc.denominator == 1:
+                            acc = acc.numerator
+                        out[x] = acc
+                    else:
+                        out.pop(x, None)
+                users[u].append(v)
             memo[v] = out
+            rewrote[rid].append(v)
         return memo[w]
-
-
-def _add_scaled(out: dict, terms: dict, c) -> None:
-    """out += c * terms, dropping zeros and folding integral Fractions."""
-    for w, tc in terms.items():
-        acc = out.get(w, 0) + c * tc
-        if acc:
-            if type(acc) is Fraction and acc.denominator == 1:
-                acc = acc.numerator
-            out[w] = acc
-        else:
-            out.pop(w, None)
 
 
 def _subwords(w: Word) -> set[Word]:
@@ -209,7 +239,7 @@ class _Engine(Reducer):
     live tail by the subwords of its words (to find the tails a new lead
     reduces), counting for each rule how many of its tail words contain
     the subword.  It reduces through the same per-word memo as
-    ``normal_form``, which is emptied whenever a rule changes.
+    ``normal_form``, which every rule change keeps exact.
     """
 
     def __init__(self, bound: int, limits: EngineLimits):
@@ -312,15 +342,8 @@ class _Engine(Reducer):
             tail = self.tails[s]
             new_tail = self._reduce(tail)
             self.tails[s] = new_tail
-            # memo entries that went through rule s used its old tail.  The
-            # leads do not change here, so every entry stays irreducible and
-            # congruent to its word modulo the same ideal: a basis that ends
-            # complete is the unique reduced Groebner basis with or without
-            # this reset.  Only a truncated basis could differ, and no proof
-            # covers that case, so the reset stays.  Without it, all 207
-            # distinct pairless presentations with n <= 7 (canonical and
-            # atlas labellings) gave the same bases at bound 4.
-            self.word_nf.clear()
+            # entries that rule s rewrote were built from its old tail
+            self._forget(self.rewrote.pop(s, ()))
             self.term_count += len(new_tail) - len(tail)
             self._count_tail_words(s, [w for w in tail if w not in new_tail], -1)
             self._count_tail_words(s, [w for w in new_tail if w not in tail], 1)
@@ -350,7 +373,29 @@ class _Engine(Reducer):
         return out
 
     def run(self, gen_dicts) -> None:
-        self.pending.extend(gen_dicts)
+        """Complete the generators: first those of degree <= 1, then the
+        others, in a stable order by the most letters that lead a
+        degree-1 rule in one of their words, fewest first.
+
+        A linear relation that came after the products its lead divides
+        would retire them, and they would be reduced a second time.  A
+        degree-1 rule rewrites its letter into a linear form over the
+        free letters, so relations on free letters go first, and those
+        forms multiply out against rules that already exist.
+        """
+        linear, rest = [], []
+        for t in gen_dicts:
+            (linear if max(map(len, t)) <= 1 else rest).append(t)
+        self.pending.extend(linear)
+        self._drain()
+        dead = {lead[0] for lead in self.leads.values() if len(lead) == 1}
+        rest.sort(key=lambda t: max(sum(x in dead for x in w) for w in t))
+        self.pending.extend(rest)
+        self._drain()
+
+    def _drain(self) -> None:
+        """Insert every pending element and S-polynomial, smallest
+        ambiguity first."""
         while True:
             if self.pending:
                 self.insert(self.pending.popleft())

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .automorphisms import cycle_notation
+from .automorphisms import automorphism_group, cycle_notation
 from .classify import ClassifyConfig, Verdict, VerdictKind, classify
 from .graphs import (
     MAX_VERTICES,
@@ -114,17 +114,25 @@ class GraphRecord:
 
 def _check_agreement(d: dict) -> None:
     """Raise ValueError unless the fields of a record agree as
-    :func:`_to_record` writes them: ``n`` is the vertex count of
-    ``graph6``; a disjoint pair comes with ``QuantumSymmetric`` and only
-    with it, and then the algebra fields are null, since the check never
-    ran; ``qsym_output`` is 1 with ``NotQuantumSymmetric`` and only with
-    it, since that verdict rests on an algebra shown commutative."""
+    :func:`_to_record` writes them: ``graph6`` is bare graph6, with no
+    header and nothing around it; ``n`` is its vertex count and
+    ``aut_order`` the order of its automorphism group; a disjoint pair
+    comes with ``QuantumSymmetric`` and only with it, and then the
+    algebra fields are null, since the check never ran; ``qsym_output``
+    is 1 with ``NotQuantumSymmetric`` and only with it, since that
+    verdict rests on an algebra shown commutative."""
     try:
-        n = parse_graph6(d["graph6"]).n
+        g = parse_graph6(d["graph6"])
     except GraphError as exc:
         raise ValueError(f"field 'graph6' is {d['graph6']!r}: {exc}") from None
-    if d["n"] != n:
-        raise ValueError(f"field 'n' is {d['n']}, but graph6 {d['graph6']!r} has {n} vertices")
+    if d["graph6"] != to_graph6(g):
+        raise ValueError(f"field 'graph6' is {d['graph6']!r}, not bare graph6 {to_graph6(g)!r}")
+    if d["n"] != g.n:
+        raise ValueError(f"field 'n' is {d['n']}, but graph6 {d['graph6']!r} has {g.n} vertices")
+    order = automorphism_group(g).order
+    if d["aut_order"] != order:
+        raise ValueError(f"field 'aut_order' is {d['aut_order']}, "
+                         f"but graph6 {d['graph6']!r} has |Aut| = {order}")
     verdict = d["verdict"]
     quantum = verdict == VerdictKind.QUANTUM_SYMMETRIC.value
     if (d["disjoint_pair"] is not None) != quantum:

@@ -7,6 +7,7 @@ so the system is already a Groebner basis after reorienting the first
 relation.
 """
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -306,10 +307,46 @@ def test_tail_index_matches_scan_during_random_completions():
 
 class _WorklistEngine(_Engine):
     """Completion that reduces by the worklist oracle instead of the
-    per-word memo, and so never depends on when the memo is emptied."""
+    per-word memo, and so never reads or fills it."""
 
     def _reduce(self, terms):
         return reduce_terms(terms, self)
+
+
+class _MemoCheckedEngine(_Engine):
+    """Checks after every insert that changes the rules that each memoised
+    word normal form is the one a fresh Reducer over the live rules, in
+    rule-id order, gives, and that the entry is recorded as built from
+    the words the live rules rewrite it into, which are memoised too; an
+    entry built from an old tail can hold the right value by chance.  (An
+    insert that takes no rule id changes no rule, and so forgets none.)"""
+
+    checked = 0
+
+    def insert(self, terms):
+        rid = self.next_rid
+        super().insert(terms)
+        if self.next_rid == rid:
+            return
+        live = sorted(self.leads)
+        fresh = Reducer([
+            Poly({**self.tails[s], self.leads[s]: 1}, _trusted=True) for s in live])
+        for w, memoised in self.word_nf.items():
+            # equal values, same int/Fraction types
+            assert _typed(memoised) == _typed(fresh._word_nf(w)), w
+            hit = fresh.find(w)
+            if hit is not None:
+                s, pos, lead = hit
+                s = live[s]
+                assert w in self.rewrote[s], w
+                for tw in self.tails[s]:
+                    part = w[:pos] + tw + w[pos + len(lead):]
+                    assert part in self.word_nf and w in self.users.get(part, ()), (w, part)
+        self.checked += len(self.word_nf)
+
+
+def _typed(terms):
+    return sorted((w, c, type(c)) for w, c in terms.items())
 
 
 def _sorted_basis(polys):
@@ -325,7 +362,8 @@ def _assert_worklist_completion_agrees(gens, bound):
     assert engine.is_complete() == basis.complete
 
 
-def test_memoised_completion_matches_worklist_completion_on_random_inputs():
+def _random_systems():
+    """400 seeded generator lists on 2-3 letters, with a degree bound each."""
     rng = random.Random(101)
     coeffs = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
     cases = 0
@@ -341,25 +379,56 @@ def test_memoised_completion_matches_worklist_completion_on_random_inputs():
                 gens.append(poly)
         if not gens:
             continue
-        bound = max(rng.randint(4, 6), max(g.degree() for g in gens))
-        _assert_worklist_completion_agrees(gens, bound)
+        yield gens, max(rng.randint(4, 6), max(g.degree() for g in gens))
         cases += 1
 
 
-def test_memoised_completion_matches_worklist_completion_on_small_graphs():
-    # the 75 presentations whose degree-4 bases test_bases_pinned_on_small_graphs pins
+@functools.cache
+def _small_graph_presentations():
+    """The relations of the 75 connected graphs on <= 6 vertices with no
+    disjoint automorphism pair, in enumeration order: the graphs classify
+    hands to the engine, and 9 whose commutator list is empty, so that
+    classify completes no basis for them."""
     from qsymgraph import automorphism_group, enumerate_connected, find_disjoint_pair
     from qsymgraph.classify import build_relations
     from qsymgraph.fulton import zero_pattern
 
-    count = 0
-    for n in range(1, 7):
-        for g in enumerate_connected(n):
-            if find_disjoint_pair(automorphism_group(g)) is not None:
-                continue
-            count += 1
-            _assert_worklist_completion_agrees(build_relations(g, zero_pattern(g)).relations, 4)
-    assert count == 75
+    out = tuple(
+        build_relations(g, zero_pattern(g)).relations
+        for n in range(1, 7) for g in enumerate_connected(n)
+        if find_disjoint_pair(automorphism_group(g)) is None)
+    assert len(out) == 75
+    return out
+
+
+def test_memoised_completion_matches_worklist_completion_on_random_inputs():
+    for gens, bound in _random_systems():
+        _assert_worklist_completion_agrees(gens, bound)
+
+
+def test_memoised_completion_matches_worklist_completion_on_small_graphs():
+    for relations in _small_graph_presentations():
+        _assert_worklist_completion_agrees(relations, 4)
+
+
+def _assert_memo_stays_exact(systems):
+    checked = 0
+    for gens, bound in systems:
+        engine = _MemoCheckedEngine(bound, EngineLimits())
+        engine.run(dict(g.terms) for g in gens)
+        assert _sorted_basis(engine.basis_polys()) == _sorted_basis(
+            complete(gens, degree_bound=bound).polys)
+        checked += engine.checked
+    return checked
+
+
+def test_memo_equals_fresh_reducer_after_every_insert_on_random_inputs():
+    assert _assert_memo_stays_exact(_random_systems()) > 10000
+
+
+def test_memo_equals_fresh_reducer_after_every_insert_on_small_graphs():
+    systems = [(relations, 4) for relations in _small_graph_presentations()]
+    assert _assert_memo_stays_exact(systems) > 10000
 
 
 # completion
@@ -431,30 +500,59 @@ def test_complete_graph_relations_prove_noncommutativity():
     assert not nf(commutator, basis.polys).is_zero()
 
 
-def test_bases_pinned_on_small_graphs():
-    # SHA-256 over the degree-4 basis of every connected graph on <= 6
-    # vertices with no disjoint automorphism pair, in enumeration order:
-    # the graphs classify hands to the engine, and 9 whose commutator
-    # list is empty, so that classify completes no basis for them
-    from qsymgraph import automorphism_group, enumerate_connected, find_disjoint_pair
-    from qsymgraph.classify import build_relations
-    from qsymgraph.fulton import zero_pattern
-
+def _basis_digest(bound):
+    """SHA-256 over the bases at ``bound`` of the presentations of
+    ``_small_graph_presentations``, in order, each with its complete flag."""
     digest = hashlib.sha256()
-    count = 0
-    for n in range(1, 7):
-        for g in enumerate_connected(n):
-            if find_disjoint_pair(automorphism_group(g)) is not None:
-                continue
-            count += 1
-            relations = build_relations(g, zero_pattern(g)).relations
-            basis = complete(relations, degree_bound=4)
-            for f in basis.polys:
-                digest.update(repr(sorted(f.terms.items())).encode() + b";")
-            digest.update(b"|" + str(basis.complete).encode())
-    assert count == 75
-    assert digest.hexdigest() == (
+    for relations in _small_graph_presentations():
+        basis = complete(relations, degree_bound=bound)
+        for f in basis.polys:
+            digest.update(repr(sorted(f.terms.items())).encode() + b";")
+        digest.update(b"|" + str(basis.complete).encode())
+    return digest.hexdigest()
+
+
+def test_bases_pinned_on_small_graphs():
+    # the degree-4 bases; all 75 are complete from bound 3 on
+    assert _basis_digest(4) == (
         "602badf11c18c25ad78f1eb474d84c88a885c5f14f0beb03b25174a431c6e946")
+
+
+@pytest.mark.parametrize("bound, expected", [
+    # 66 of the 75 bases are truncated at bound 2, so uniqueness of the
+    # reduced Groebner basis does not fix them: this pin, taken before
+    # completion ingested the linear relations first, holds the part of
+    # the basis that could depend on the order of work
+    (2, "66563772c201e59e3e2c3017236939620fb1bc1f51c3556f1554f80c989ab70b"),
+    # all 75 are complete at bound 3, so they are the degree-4 bases
+    (3, "602badf11c18c25ad78f1eb474d84c88a885c5f14f0beb03b25174a431c6e946"),
+])
+def test_low_bound_bases_pinned_on_small_graphs(bound, expected):
+    assert _basis_digest(bound) == expected
+
+
+def test_shuffled_generators_give_the_same_complete_basis():
+    # a complete basis is the unique reduced Groebner basis of the ideal,
+    # whatever order the engine ingests the generators in
+    rng = random.Random(103)
+    shuffled = 0
+    for relations in _small_graph_presentations()[::5]:
+        basis = complete(relations, degree_bound=4)
+        assert basis.complete
+        for _ in range(2):
+            order = list(relations)
+            rng.shuffle(order)
+            assert complete(order, degree_bound=4).polys == basis.polys
+            shuffled += 1
+    for gens, bound in _random_systems():
+        basis = complete(gens, degree_bound=bound)
+        if basis.complete and len(gens) > 1:
+            order = gens[:]
+            rng.shuffle(order)
+            assert _sorted_basis(complete(order, degree_bound=bound).polys) == (
+                _sorted_basis(basis.polys))
+            shuffled += 1
+    assert shuffled > 100
 
 
 def test_complete_validates_input():

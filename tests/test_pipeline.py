@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,22 @@ def test_record_rejects_a_verdict_outside_verdict_kind(n4_report, verdict):
     fields = n4_report.records[0].to_json_dict()
     fields["verdict"] = verdict
     with pytest.raises(ValueError, match="field 'verdict'"):
+        GraphRecord.from_json_dict(fields)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"aut_order": 7}, "field 'aut_order' is 7, but graph6 'C~' has |Aut| = 24"),
+    ({"aut_order": 12}, "field 'aut_order' is 12, but graph6 'C~' has |Aut| = 24"),
+    ({"graph6": ">>graph6<<C~"}, "field 'graph6' is '>>graph6<<C~', not bare graph6 'C~'"),
+    ({"graph6": "C~\n"}, "field 'graph6' is 'C~\\n', not bare graph6 'C~'"),
+])
+def test_record_rejects_a_graph6_or_order_a_batch_never_writes(n4_report, changes, message):
+    # K4: no 4-vertex graph has 7 automorphisms, and a record holds bare graph6
+    k4 = next(r for r in n4_report.records if r.graph6 == "C~")
+    fields = json.loads(json.dumps(k4.to_json_dict()))
+    assert GraphRecord.from_json_dict(fields) == k4
+    fields.update(changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
         GraphRecord.from_json_dict(fields)
 
 
@@ -404,6 +421,10 @@ def test_cli_table_rejects_an_out_of_range_value(tmp_path, capsys, n4_report, na
     ("CF", {"verdict": "Undecided"},
      "field 'qsym_output' is 1 with verdict 'Undecided'; "
      "NotQuantumSymmetric comes with 1, and only it does"),
+    ("C~", {"graph6": ">>graph6<<C~"},
+     "field 'graph6' is '>>graph6<<C~', not bare graph6 'C~'"),
+    ("C~", {"aut_order": 7}, "field 'aut_order' is 7, but graph6 'C~' has |Aut| = 24"),
+    ("CF", {"aut_order": 2}, "field 'aut_order' is 2, but graph6 'CF' has |Aut| = 6"),
 ])
 def test_cli_table_rejects_fields_that_disagree(tmp_path, capsys, n4_report, base, changes,
                                                 message):
