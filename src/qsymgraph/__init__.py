@@ -33,7 +33,6 @@ from .graphs import (
     canonical_form,
     enumerate_connected,
     is_connected,
-    matrix_power,
     parse_adjacency,
     parse_graph6,
     to_graph6,

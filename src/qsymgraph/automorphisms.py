@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autsearch import Permutation, Search, generators
-from .graphs import Graph, _neighbour_masks
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,19 @@ class AutGroup:
 
 def automorphism_group(g: Graph) -> AutGroup:
     """|Aut g| as the product of the basic orbit lengths along the base 0..n-1."""
-    _, order = generators(Search(_neighbour_masks(g)))
+    _, order = generators(Search(g.nbr))
     return AutGroup(g, order)
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
-    """Check the commutation of ``perm`` with the adjacency matrix."""
+    """Whether ``perm`` permutes the vertices and maps the neighbours of
+    each vertex i onto the neighbours of perm[i]."""
+    n = g.n
+    if sorted(perm) != list(range(n)):
+        return False
     return all(
-        g.adj[perm[i]][perm[j]] == g.adj[i][j]
-        for i in range(g.n)
-        for j in range(g.n)
+        sum(1 << perm[j] for j in range(n) if x >> j & 1) == g.nbr[perm[i]]
+        for i, x in enumerate(g.nbr)
     )
 
 
@@ -72,7 +75,7 @@ def find_disjoint_pair(group: AutGroup) -> tuple[Permutation, Permutation] | Non
     # two disjoint non-identity elements generate a subgroup of order >= 4
     if group.order < 4:
         return None
-    search = Search(_neighbour_masks(group.graph))
+    search = Search(group.graph.nbr)
     stabiliser: dict[int, Permutation | None] = {}
 
     def first_fixing(moved: int) -> Permutation | None:

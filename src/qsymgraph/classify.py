@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, starmap
-from operator import lshift
 
 from .automorphisms import (
     Permutation,
@@ -163,19 +162,19 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 relations.append(Poly(terms, _trusted=True))
 
     # the linear relations of uA = Au
-    adj = g.adj
+    nbr = g.nbr
     if any(b != 1 << i for i, b in enumerate(bits)):  # else none
-        relations += _linear_block(adj, alive_rows, alive_cols, bits)
+        relations += _linear_block(nbr, alive_rows, alive_cols, bits)
 
     # products vanish whenever adjacency disagrees between source and image;
     # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
     for i in range(n):
         for j in range(n):
-            eij = adj[i][j]
+            eij = nbr[i] >> j & 1
             for k, a in alive_rows[i]:
-                adjk = adj[k]
+                nbr_k = nbr[k]
                 for l, b in alive_rows[j]:
-                    if adjk[l] != eij:
+                    if nbr_k >> l & 1 != eij:
                         w = bytes((a, b))
                         if w not in seen:
                             seen.add(w)
@@ -184,11 +183,11 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     return Presentation(gens, tuple(relations))
 
 
-def _linear_block(adj, alive_rows, alive_cols, bits) -> list[Poly]:
+def _linear_block(nbr, alive_rows, alive_cols, bits) -> list[Poly]:
     """The linear relations of uA = Au, given the row and column sums, on
     the alive letters as ``build_relations`` lists them; bit k of
-    ``bits[i]`` marks k in i's class, the alive positions of row i and of
-    column i.
+    ``nbr[i]`` is A_ik, and bit k of ``bits[i]`` marks k in i's class,
+    the alive positions of row i and of column i.
 
     Entry (i, j) reads sum_k A_ik u_kj = sum_l u_il A_lj.  The alive u_kj
     (k != i) with A_ik = v and the alive u_il (l != j) with A_lj = v form
@@ -209,15 +208,13 @@ def _linear_block(adj, alive_rows, alive_cols, bits) -> list[Poly]:
     depend on which letters share a value, not on the values, so a graph
     and its complement get the same relations.
     """
-    n = len(adj)
-    # bit k of near[i] is A_ik = 1; bit k of far[i] is A_ik = 0 with k != i
-    near = [sum(map(lshift, row, range(n))) for row in adj]
-    far = [~(m | 1 << i) for i, m in enumerate(near)]
+    n = len(nbr)
+    # bit k of far[i] is A_ik = 0 with k != i
+    far = [~(m | 1 << i) for i, m in enumerate(nbr)]
     out: list[Poly] = []
     done: set[tuple[bytes, bytes]] = set()  # (K, R) of each part emitted
-    for i, adj_i, bits_i in zip(range(n), adj, bits):
-        near_i, far_i = near[i], far[i]
-        for j, near_j, far_j, bits_j in zip(range(n), near, far, bits):
+    for i, near_i, far_i, bits_i in zip(range(n), nbr, far, bits):
+        for j, near_j, far_j, bits_j in zip(range(n), nbr, far, bits):
             # bits l of the u_il (l != j) with A_lj = 1 and with A_lj = 0,
             # then bits k of the u_kj (k != i) with A_ik = 1 and A_ik = 0
             r1, r0 = bits_i & near_j, bits_i & far_j
@@ -233,11 +230,11 @@ def _linear_block(adj, alive_rows, alive_cols, bits) -> list[Poly]:
             parts: dict = {}
             for k, b in alive_cols[j]:
                 if k != i:
-                    v = adj_i[k]
+                    v = near_i >> k & 1
                     parts.setdefault((v,) if joined[v] else b, ([], []))[0].append(b)
             for l, a in alive_rows[i]:
                 if l != j:
-                    v = adj[l][j]
+                    v = near_j >> l & 1
                     parts.setdefault((v,) if joined[v] else a, ([], []))[1].append(a)
             for plus, minus in parts.values():
                 key = (bytes(plus), bytes(minus))

@@ -66,6 +66,12 @@ def cmd_check(args) -> int:
     except ResourceCapError as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 2
+    if args.out is not None:
+        try:
+            write_records([record], Path(str(args.out) + ".ndjson"))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.fmt == "text":
         print(f"graph6:     {record.graph6}")
         print(f"vertices:   {record.n}")
@@ -81,8 +87,6 @@ def cmd_check(args) -> int:
             print(f"  {line}")
     else:  # json, the only other format check takes
         print(json.dumps(record.to_json_dict()))
-    if args.out is not None:
-        write_records([record], Path(str(args.out) + ".ndjson"))
     return 1 if errors else 0
 
 
@@ -124,9 +128,13 @@ def cmd_table(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = report_from_records(records)
-    print(render_table(report, args.fmt))
     if args.out is not None:
-        persist_report(report, args.out, args.fmt)
+        try:
+            persist_report(report, args.out, args.fmt)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    print(render_table(report, args.fmt))
     return 0
 
 

@@ -59,7 +59,7 @@ def zero_pattern(g: Graph) -> ZeroPattern:
     cap = max(n - 1, 1)
     w = ((n - 1) ** (n - 1)).bit_length()
     mask = (1 << w) - 1
-    nbrs = [[l for l in range(n) if row[l]] for row in g.adj]
+    nbrs = [[l for l in range(n) if x >> l & 1] for x in g.nbr]
     rows = [sum(1 << (w * l) for l in nb) for nb in nbrs]
     # vertices keep equal keys while all their diagonal counts agree
     keys = [()] * n

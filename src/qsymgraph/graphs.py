@@ -1,13 +1,13 @@
 """Finite simple undirected graphs: parsing, canonical forms, enumeration.
 
-Graphs are stored as symmetric 0/1 adjacency matrices with empty diagonal.
-Vertices are 0-based internally; all user-facing rendering is 1-based.
-Matrix powers use Python integers, so walk counts never overflow.
+A graph is stored as its neighbour bitmasks: bit j of ``nbr[i]`` is set
+exactly when vertices i and j are adjacent.  This module alone converts
+between that form and the text and bit encodings of a graph.  Vertices
+are 0-based internally; all user-facing rendering is 1-based.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .autsearch import Search, generators, orbit
@@ -35,49 +35,53 @@ class AdjacencyError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on ``n`` vertices with adjacency rows ``adj``."""
+    """Simple undirected graph on ``n`` vertices; bit j of ``nbr[i]`` is
+    set exactly when i and j are adjacent."""
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    nbr: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n or any(len(row) != self.n for row in self.adj):
+        n = self.n
+        if not 1 <= n <= MAX_VERTICES:
+            raise GraphError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        # a negative mask has bits at and above n too, so m >> n is -1
+        if len(self.nbr) != n or any(m >> n for m in self.nbr):
             raise GraphError("adjacency matrix is not n x n")
-        for i in range(self.n):
-            if self.adj[i][i] != 0:
+        for i, m in enumerate(self.nbr):
+            if m >> i & 1:
                 raise GraphError(f"self-loop at vertex {i + 1}")
-            for j in range(self.n):
-                if self.adj[i][j] not in (0, 1):
-                    raise GraphError(f"non-binary adjacency entry at ({i + 1},{j + 1})")
-                if self.adj[i][j] != self.adj[j][i]:
+            for j, x in enumerate(self.nbr):
+                if (m >> j ^ x >> i) & 1:
                     raise GraphError(f"asymmetric adjacency at ({i + 1},{j + 1})")
 
     @staticmethod
     def from_edges(n: int, edges, *, one_based: bool = True) -> "Graph":
         """Build a graph from an edge list, 1-based by default."""
         off = 1 if one_based else 0
-        rows = [[0] * n for _ in range(n)]
+        nbr = [0] * n
         for i, j in edges:
             a, b = i - off, j - off
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphError(f"edge ({i},{j}) outside vertex range")
             if a == b:
                 raise GraphError(f"self-loop at vertex {i}")
-            rows[a][b] = rows[b][a] = 1
-        return Graph(n, tuple(tuple(r) for r in rows))
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
+        return Graph(n, tuple(nbr))
 
     @staticmethod
     def from_mask(n: int, mask: int) -> "Graph":
         """Inverse of :meth:`mask`."""
-        pairs = _pairs(n)
-        k = len(pairs)
-        rows = [[0] * n for _ in range(n)]
-        for p, (i, j) in enumerate(pairs):
-            if mask >> (k - 1 - p) & 1:
-                rows[i][j] = rows[j][i] = 1
-        return Graph(n, tuple(tuple(r) for r in rows))
+        nbr = [0] * n
+        p = n * (n - 1) // 2
+        for i in range(n):
+            for j in range(i + 1, n):
+                p -= 1
+                if mask >> p & 1:
+                    nbr[i] |= 1 << j
+                    nbr[j] |= 1 << i
+        return Graph(n, tuple(nbr))
 
     def mask(self) -> int:
         """Upper-triangle bits, row-major, first pair most significant.
@@ -85,36 +89,19 @@ class Graph:
         Integer order of masks equals lexicographic order of adjacency
         matrices, so the canonical form below is plain integer min.
         """
-        pairs = _pairs(self.n)
-        k = len(pairs)
         m = 0
-        for p, (i, j) in enumerate(pairs):
-            if self.adj[i][j]:
-                m |= 1 << (k - 1 - p)
+        for i, x in enumerate(self.nbr):
+            for j in range(i + 1, self.n):
+                m = m << 1 | x >> j & 1
         return m
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.adj[i][j]]
-
-    def edge_count(self) -> int:
-        return len(self.edges())
-
-    def degree(self, v: int) -> int:
-        return sum(self.adj[v])
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        return [(i, j) for i, x in enumerate(self.nbr) for j in range(i + 1, self.n) if x >> j & 1]
 
 
 def canonical_form(g: Graph) -> Graph:
     """Lexicographically minimal adjacency matrix over all relabelings."""
-    return Graph.from_mask(g.n, _canonical_mask(_neighbour_masks(g)))
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
-    return [sum(1 << j for j, a in enumerate(row) if a) for row in g.adj]
+    return Graph.from_mask(g.n, _canonical_mask(g.nbr))
 
 
 def _canonical_mask(nbr: list[int]) -> int:
@@ -158,31 +145,7 @@ def _canonical_mask(nbr: list[int]) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 1."""
-    return _connected(_neighbour_masks(g), (1 << g.n) - 1)
-
-
-def matrix_power(g: Graph, l: int) -> tuple[tuple[int, ...], ...]:
-    """Exact l-th power of the adjacency matrix; entry (i,j) counts walks."""
-    if l < 1:
-        raise ValueError("power must be >= 1")
-    n = g.n
-    result = g.adj
-    base = g.adj
-    l -= 1
-    while l:
-        if l & 1:
-            result = _mat_mul(result, base, n)
-        l >>= 1
-        if l:
-            base = _mat_mul(base, base, n)
-    return result
-
-
-def _mat_mul(a, b, n):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return _connected(g.nbr, (1 << g.n) - 1)
 
 
 def enumerate_connected(n: int) -> list[Graph]:
@@ -227,7 +190,7 @@ def _connected_masks(n: int) -> list[int]:
 def _children(n: int, parent: int) -> set[int]:
     """Canonical masks of the children of one canonical parent mask whose
     new vertex is a canonical deletion vertex."""
-    base = _neighbour_masks(Graph.from_mask(n - 1, parent))
+    base = Graph.from_mask(n - 1, parent).nbr
     new = 1 << (n - 1)
     kept = set()
     for hood in _hood_representatives(base):
@@ -352,13 +315,15 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[k:]):
         raise Graph6Error("nonzero padding bits")
-    rows = [[0] * n for _ in range(n)]
+    nbr = [0] * n
     p = 0
     for j in range(1, n):
         for i in range(j):
-            rows[i][j] = rows[j][i] = bits[p]
+            if bits[p]:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
             p += 1
-    return Graph(n, tuple(tuple(r) for r in rows))
+    return Graph(n, tuple(nbr))
 
 
 def to_graph6(g: Graph) -> str:
@@ -366,7 +331,7 @@ def to_graph6(g: Graph) -> str:
     bits = []
     for j in range(1, g.n):
         for i in range(j):
-            bits.append(g.adj[i][j])
+            bits.append(g.nbr[i] >> j & 1)
     while len(bits) % 6:
         bits.append(0)
     chars = [chr(g.n + 63)]
@@ -395,10 +360,10 @@ def parse_adjacency(text: str) -> Graph:
         entries = []
         for c in stripped:
             if c in "01":
-                entries.append(int(c))
+                entries.append(c)
             elif not c.isspace():
                 raise AdjacencyError(f"invalid character {c!r} on line {lineno}")
-        rows.append(entries)
+        rows.append("".join(entries))
     if not rows:
         raise AdjacencyError("empty adjacency input")
     n = len(rows)
@@ -407,9 +372,10 @@ def parse_adjacency(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise AdjacencyError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     for i in range(n):
-        if rows[i][i] != 0:
+        if rows[i][i] != "0":
             raise AdjacencyError(f"nonzero diagonal at vertex {i + 1}")
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise AdjacencyError(f"asymmetric matrix at ({i + 1},{j + 1})")
-    return Graph(n, tuple(tuple(r) for r in rows))
+    # row i read right to left is the binary numeral of nbr[i]
+    return Graph(n, tuple(int(r[::-1], 2) for r in rows))

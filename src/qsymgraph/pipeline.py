@@ -301,15 +301,14 @@ def run_batch(cfg: RunConfig) -> BatchReport:
 
 def persist_report(report: BatchReport, out: Path, fmt: str) -> None:
     """Write ``<out>.ndjson`` records and a ``<out>.summary.<ext>`` table."""
-    out = Path(out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_records(report.records, Path(str(out) + ".ndjson"))
     ext = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
     Path(str(out) + f".summary.{ext}").write_text(render_table(report, fmt) + "\n")
 
 
 def write_records(records, path: Path) -> None:
+    """Write one JSON record per line, creating the file's directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_json_dict()) + "\n")

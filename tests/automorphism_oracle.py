@@ -3,7 +3,8 @@
 ``elements`` lists every automorphism by backtracking over partial vertex
 maps, pruned by degree and by adjacency with the vertices already
 mapped; ``disjoint_pair`` scans the sorted list pairwise.  Both grow with
-|Aut| (n! tuples for K_n) and are meant for n <= 7.
+|Aut| (n! tuples for K_n) and are meant for n <= 7.  ``is_automorphism``
+checks one permutation against the adjacency matrix.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 from qsymgraph import Graph
 from qsymgraph.automorphisms import Permutation
 
+from walk_oracle import adjacency
+
 
 def elements(g: Graph) -> tuple[Permutation, ...]:
     """Every automorphism of ``g``, sorted lexicographically."""
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    adj = adjacency(g)
+    deg = [sum(row) for row in adj]
     found: list[Permutation] = []
-    _extend(0, g.adj, deg, [-1] * n, [False] * n, found)
+    _extend(0, adj, deg, [-1] * n, [False] * n, found)
     return tuple(sorted(found))
 
 
@@ -39,6 +43,12 @@ def _extend(i: int, adj, deg, images: list[int], used: list[bool],
             _extend(i + 1, adj, deg, images, used, found)
             used[j] = False
     images[i] = -1
+
+
+def is_automorphism(g: Graph, perm: Permutation) -> bool:
+    """Whether the permutation ``perm`` commutes with the adjacency matrix."""
+    adj = adjacency(g)
+    return all(adj[perm[i]][perm[j]] == adj[i][j] for i in range(g.n) for j in range(g.n))
 
 
 def disjoint_pair(elems: tuple[Permutation, ...]) -> tuple[Permutation, Permutation] | None:

@@ -22,12 +22,7 @@ from qsymgraph import (
 
 def permute(g: Graph, perm) -> Graph:
     """Relabel vertices: edge (i,j) becomes (perm[i], perm[j]), 0-based."""
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows[perm[i]][perm[j]] = g.adj[i][j]
-    return Graph(n, tuple(tuple(r) for r in rows))
+    return Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()], one_based=False)
 
 
 def cycle_graph(n: int) -> Graph:

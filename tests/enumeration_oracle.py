@@ -19,7 +19,7 @@ import functools
 import itertools
 
 from qsymgraph import Graph
-from qsymgraph.graphs import _canonical_mask, _neighbour_masks
+from qsymgraph.graphs import _canonical_mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,7 +104,7 @@ def all_children_masks(n: int) -> list[int]:
     new = 1 << (n - 1)
     found = set()
     for m in all_children_masks(n - 1):
-        base = _neighbour_masks(Graph.from_mask(n - 1, m))
+        base = Graph.from_mask(n - 1, m).nbr
         for hood in range(1, new):
             nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
             nbr.append(hood)

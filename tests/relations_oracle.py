@@ -18,6 +18,8 @@ from qsymgraph.freealg import Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import Graph
 
+from walk_oracle import adjacency
+
 
 def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     """The relations of the one-class pattern, where every generator is
@@ -108,7 +110,7 @@ def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
     # products vanish whenever adjacency disagrees between source and image;
     # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
-    adj = g.adj
+    adj = adjacency(g)
     for i in range(n):
         for j in range(n):
             for k in range(n):

@@ -25,7 +25,6 @@ from qsymgraph import (
     classify,
     enumerate_connected,
     find_disjoint_pair,
-    matrix_power,
     run_batch,
     zero_pattern,
 )
@@ -38,6 +37,7 @@ import automorphism_oracle
 from commutator_oracle import commutators
 from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6, word_cmp
 from enumeration_oracle import orbit_sweep_masks
+from walk_oracle import matrix_power
 from membership_oracle import SpanOracle
 from worklist_oracle import normal_form
 

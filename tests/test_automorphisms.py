@@ -1,6 +1,8 @@
 """Automorphism groups, group axioms, and the disjoint-pair search."""
 
 import gc
+import importlib
+import itertools
 import math
 import random
 import sys
@@ -24,6 +26,10 @@ from qsymgraph.fulton import zero_pattern
 
 import automorphism_oracle
 from conftest import complete_graph, cycle_graph, four_vertex_path, permute, star4
+
+
+# the package exports a function named classify, so fetch the module
+classify_module = importlib.import_module("qsymgraph.classify")
 
 
 def random_graph(rng, n):
@@ -65,7 +71,7 @@ def test_group_orders():
     assert automorphism_group(complete_graph(4)).order == 24
     assert automorphism_group(star4()).order == 6
     assert automorphism_group(four_vertex_path()).order == 2
-    assert automorphism_group(Graph(1, ((0,),))).order == 1
+    assert automorphism_group(Graph(1, (0,))).order == 1
 
 
 def test_house_contains_expected_transpositions(house):
@@ -86,6 +92,64 @@ def test_every_element_commutes_with_adjacency():
         for s in elements:
             assert is_automorphism(g, s)
             assert permute(g, s) == g
+
+
+def test_is_automorphism_matches_the_matrix_reference_on_every_small_graph():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        for mask in range(1 << n * (n - 1) // 2):
+            g = Graph.from_mask(n, mask)
+            for s in perms:
+                assert is_automorphism(g, s) == automorphism_oracle.is_automorphism(g, s)
+
+
+def test_is_automorphism_matches_the_matrix_reference_up_to_sixteen_vertices():
+    rng = random.Random(37)
+    for n in range(2, 17):
+        for _ in range(4):
+            # vertices 0 and 1 get the same neighbours among the others, so
+            # their transposition is an automorphism; a random relabelling
+            # then moves it
+            density = rng.random()
+            edges = [(i, j) for i in range(2, n) for j in range(i + 1, n) if rng.random() < density]
+            edges += [(v, j) for j in range(2, n) if rng.random() < density for v in (0, 1)]
+            if rng.random() < 0.5:
+                edges.append((0, 1))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = permute(Graph.from_edges(n, edges, one_based=False), perm)
+            swap = list(range(n))
+            swap[perm[0]], swap[perm[1]] = perm[1], perm[0]
+            assert is_automorphism(g, tuple(swap))
+            assert automorphism_oracle.is_automorphism(g, tuple(swap))
+            for _ in range(20):
+                s = list(range(n))
+                rng.shuffle(s)
+                assert is_automorphism(g, tuple(s)) == automorphism_oracle.is_automorphism(g, tuple(s))
+
+
+def test_is_automorphism_rejects_a_map_that_is_not_a_permutation():
+    # on an edgeless graph every map keeps adjacency, but only a
+    # permutation of the vertices is an automorphism
+    g = Graph.from_edges(4, [])
+    assert is_automorphism(g, (1, 0, 3, 2))
+    assert not is_automorphism(g, (0, 0, 2, 3))
+    assert not is_automorphism(g, (0, 1, 2))
+    assert not is_automorphism(g, (0, 1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("g, pair", [
+    # disjoint, but neither swap is an automorphism of the path 1-4-3-2
+    (four_vertex_path(), ((1, 0, 2, 3), (0, 1, 3, 2))),
+    # automorphisms of the 4-cycle that share their moved points
+    (cycle_graph(4), ((1, 0, 3, 2), (1, 0, 3, 2))),
+    # disjoint and adjacency-preserving, but (0, 0, 2, 3) is no permutation
+    (Graph.from_edges(4, []), ((0, 0, 2, 3), (0, 1, 3, 2))),
+], ids=["not-automorphisms", "not-disjoint", "not-a-permutation"])
+def test_classify_rejects_a_forged_pair(monkeypatch, g, pair):
+    monkeypatch.setattr(classify_module, "find_disjoint_pair", lambda group: pair)
+    with pytest.raises(AssertionError, match="failed validation"):
+        classify(g)
 
 
 def test_group_axioms_exhaustively():

@@ -22,6 +22,7 @@ from qsymgraph.pipeline import (
 )
 
 from conftest import atlas_graphs, complete_graph, house_x
+from walk_oracle import adjacency
 
 EXPECTED_N4_ROWS = (
     OrderRow(24, 1, 1, 0),
@@ -93,7 +94,7 @@ def test_malformed_lines_reported_and_batch_continues(tmp_path):
 
 def test_adjacency_batch_input(tmp_path, house):
     src = tmp_path / "graphs.adj"
-    blocks = ["0 1\n1 0", "\n".join("".join(str(x) for x in row) for row in house.adj)]
+    blocks = ["0 1\n1 0", "\n".join("".join(str(x) for x in row) for row in adjacency(house))]
     src.write_text("\n\n".join(blocks) + "\n")
     report = run_batch(RunConfig(graph6_path=src))  # the content says adjacency
     assert [rec.n for rec in report.records] == [2, 5]
@@ -282,6 +283,35 @@ def test_cli_check_out_writes_record(tmp_path, capsys):
     assert text == json.dumps(record) + "\n"  # one NDJSON line, as batch writes it
     assert record["graph6"] == "C~"
     assert record["verdict"] == "QuantumSymmetric"
+
+
+def _out_command(tmp_path, command, n4_report):
+    """``command`` reading K4 (``check``, ``batch``) or the n = 4 records (``table``)."""
+    src = tmp_path / "k4.g6"
+    src.write_text("C~\n")
+    if command == "table":
+        src = tmp_path / "n4.ndjson"
+        write_records(n4_report.records, src)
+    return [command, "--input", str(src)]
+
+
+@pytest.mark.parametrize("command", ["check", "batch", "table"])
+def test_cli_out_creates_missing_directories(tmp_path, capsys, n4_report, command):
+    out = tmp_path / "new" / "deeper" / "x"
+    assert cli_main(_out_command(tmp_path, command, n4_report) + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "new" / "deeper" / "x.ndjson").is_file()
+    assert (tmp_path / "new" / "deeper" / "x.summary.txt").is_file() is (command != "check")
+
+
+@pytest.mark.parametrize("command", ["check", "batch", "table"])
+def test_cli_out_under_a_regular_file_is_an_error_line(tmp_path, capsys, n4_report, command):
+    args = _out_command(tmp_path, command, n4_report)
+    out = tmp_path / "k4.g6" / "x"  # k4.g6 is a file, so no directory can be made there
+    assert cli_main(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, writes", [
