@@ -249,11 +249,8 @@ def _linear_block(nbr, alive_rows, alive_cols, bits) -> list[Poly]:
     return out
 
 
-# Results of qsym_check, keyed by presentation and config, oldest first.
-# A check reads only the generator labels, the relations and the config,
-# so a stored result is exactly what a fresh check would return.
-QSYM_MEMO_MAX = 1024
-_qsym_memo: dict = {}
+def _commutator(a: int, b: int) -> Poly:
+    return Poly({bytes((a, b)): 1, bytes((b, a)): -1}, _trusted=True)
 
 
 def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> CheckResult:
@@ -261,27 +258,7 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
 
     Zero normal forms are conclusive at any truncation degree, so the
     bound is raised only while some commutator stays unresolved under an
-    incomplete basis.  A presentation already checked under the same
-    config returns its stored result; a ``ResourceCapError`` is never
-    stored, so it is raised again on every call.
-    """
-    # every relation's terms in order: exact, and hashed without building text
-    key = (p.gens.labels, tuple(tuple(r.terms.items()) for r in p.relations), cfg)
-    result = _qsym_memo.get(key)
-    if result is None:
-        result = _check(p, cfg)
-        if len(_qsym_memo) >= QSYM_MEMO_MAX:
-            del _qsym_memo[next(iter(_qsym_memo))]
-        _qsym_memo[key] = result
-    return result
-
-
-def _commutator(a: int, b: int) -> Poly:
-    return Poly({bytes((a, b)): 1, bytes((b, a)): -1}, _trusted=True)
-
-
-def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
-    """The commutativity check behind ``qsym_check``.
+    incomplete basis.
 
     Only the commutators of free letters are reduced: a letter is free
     when no degree-1 rule of the basis has it as its lead.  The basis is
@@ -327,11 +304,54 @@ def _check(p: Presentation, cfg: ClassifyConfig) -> CheckResult:
         degree_bound=last_bound, basis_size=last_size)
 
 
+# Results of the algebra check, keyed by the zero pattern's classes, the
+# adjacency blocks up to complement and the config, oldest first.
+QSYM_MEMO_MAX = 1024
+_memo: dict = {}
+
+
+def _blocks_up_to_complement(g: Graph, pattern: ZeroPattern) -> tuple[int, ...]:
+    """The rows of ``g.nbr``, each class-pair block (I, J) complemented off
+    the diagonal where its first entry is 1.  That entry is A between
+    min I and min J, or, when I = J, between min I and the next member of
+    I.  A block between two singleton classes is always 0."""
+    cl = pattern.classes
+    members: dict[int, int] = {}  # least vertex -> bits of its class
+    for i, c in enumerate(cl):
+        members[c] = members.get(c, 0) | 1 << i
+    nbr = g.nbr
+    flip = {}  # least vertex of I -> bits of every J whose block is flipped
+    for c, mc in members.items():
+        row = nbr[c]
+        bits = 0
+        for d, md in members.items():
+            if d != c and row >> d & 1:
+                bits |= md
+        rest = mc & (mc - 1)  # I without its least vertex
+        if row & rest & -rest:
+            bits |= mc
+        flip[c] = bits
+    return tuple(nbr[i] ^ (flip[c] & ~(1 << i)) for i, c in enumerate(cl))
+
+
 def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     """Full per-graph decision.
 
     The cheap automorphism-pair certificate is tried first; the algebra
     check runs only when no pair exists.
+
+    The check's result is memoised under the zero pattern's classes, the
+    adjacency blocks up to complement and the config, before any relation
+    is built.  The key is exact: equal keys give equal presentations,
+    generator labels and relations in order.  The labels and the
+    orthogonality, idempotent and sum relations read only the classes.
+    Each product u_ik*u_jl (i, k in I; j, l in J) and each linear relation
+    of uA = Au at entry (i, j) reads only block (I, J), and only through
+    which of its off-diagonal entries are equal.  So complementing a
+    block leaves every relation, and their order, as they are.  At most
+    ``QSYM_MEMO_MAX`` results are kept, the oldest evicted first; a
+    ``ResourceCapError`` is never stored, so it is raised again on every
+    call.
     """
     group = automorphism_group(g)
     pair = find_disjoint_pair(group)
@@ -341,7 +361,13 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
             raise AssertionError("disjoint pair evidence failed validation")
         return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order, disjoint_pair=pair)
     pattern = zero_pattern(g)
-    algebra = qsym_check(build_relations(g, pattern), cfg)
+    key = (pattern.classes, _blocks_up_to_complement(g, pattern), cfg)
+    algebra = _memo.get(key)
+    if algebra is None:
+        algebra = qsym_check(build_relations(g, pattern), cfg)
+        if len(_memo) >= QSYM_MEMO_MAX:
+            del _memo[next(iter(_memo))]
+        _memo[key] = algebra
     if algebra.status is CheckStatus.COMMUTATIVE:
         return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,
                        algebra=algebra, pattern=pattern)

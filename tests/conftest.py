@@ -5,6 +5,7 @@ The two 5-vertex "house" graphs are K4 plus an apex vertex joined to two
 automorphism group and a fully split walk-count spectrum.
 """
 
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -94,6 +95,14 @@ def atlas_graphs() -> list[Graph]:
     nx = pytest.importorskip("networkx")
     return [Graph.from_edges(G.number_of_nodes(), list(G.edges()), one_based=False)
             for G in nx.graph_atlas_g() if G.number_of_nodes() and nx.is_connected(G)]
+
+
+@pytest.fixture(autouse=True)
+def empty_memo(monkeypatch):
+    """Each test starts with an empty algebra memo in ``classify``, so no
+    result stored by an earlier test stands in for a stubbed or counted
+    check."""
+    monkeypatch.setattr(importlib.import_module("qsymgraph.classify"), "_memo", {})
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,52 @@
+"""scripts/check_trace.py, the check on a traced benchmark run, on made-up runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("check_trace", ROOT / "scripts" / "check_trace.py")
+check_trace = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_trace)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _run(drop=()):
+    """Standard output of a run whose last line holds every per-layer
+    metric of every workload, except those named in ``drop``."""
+    metrics = {f"{w['name']}.{m['name']}": {"value": 0, "unit": m["unit"]}
+               for w in SPEC["workloads"] for m in SPEC["per_layer"]}
+    for name in drop:
+        del metrics[name]
+    last = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+    return "batch-n7  graphs.count = 853 count\n" + json.dumps(last) + "\n"
+
+
+def test_complete_run_passes():
+    assert check_trace.problems(_run(), "", SPEC) == []
+
+
+def test_missing_metric_is_named():
+    assert check_trace.problems(_run(["atlas-g6.graphs.count"]), "", SPEC) == [
+        "missing per-layer metric atlas-g6.graphs.count"]
+
+
+def test_absent_layer_fails():
+    err = "batch-n7: absent layer classify.qsym_check\n"
+    assert check_trace.problems(_run(), err, SPEC) == [err.strip()]
+
+
+def test_last_line_not_a_result_fails():
+    for out in ("", "Traceback (most recent call last):\n", _run() + "done\n"):
+        assert check_trace.problems(out, "", SPEC) == [
+            "the last line of standard output is not a result"]
+
+
+def test_main_exit_code(tmp_path):
+    out, err = tmp_path / "out", tmp_path / "err"
+    err.write_text("")
+    out.write_text(_run())
+    assert check_trace.main([str(out), str(err)]) == 0
+    out.write_text(_run(["highsym-8to9.trace.spans"]))
+    assert check_trace.main([str(out), str(err)]) == 1

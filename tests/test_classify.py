@@ -16,9 +16,11 @@ from qsymgraph import (
     VerdictKind,
     automorphism_group,
     build_relations,
+    canonical_form,
     classify,
     enumerate_connected,
     find_disjoint_pair,
+    parse_graph6,
     qsym_check,
     render_table,
     run_batch,
@@ -28,6 +30,7 @@ from qsymgraph import (
 from qsymgraph.classify import CheckResult, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
+from qsymgraph.graphs import _connected_masks
 from qsymgraph.groebner import EngineLimits, ResourceCapError, complete
 from qsymgraph.pipeline import OrderRow, classify_with_record
 
@@ -345,6 +348,7 @@ def test_undecided_when_pairless_and_truncated(monkeypatch, tmp_path):
     assert classify(star4(), cfg).kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
     truncated = CheckResult(CheckStatus.TRUNCATED, 15, degree_bound=2, basis_size=7)
     monkeypatch.setattr(classify_module, "qsym_check", lambda p, cfg: truncated)
+    classify_module._memo.clear()  # else the star's stored result answers
 
     verdict, record = classify_with_record(star4(), cfg)
     assert verdict.kind is VerdictKind.UNDECIDED
@@ -426,50 +430,131 @@ def _counting_complete(monkeypatch):
     return calls
 
 
+def _pairless_graphs(max_n):
+    """Every connected graph on <= max_n vertices whose algebra check
+    classify runs, i.e. with no disjoint pair."""
+    return [g for n in range(1, max_n + 1) for g in enumerate_connected(n)
+            if find_disjoint_pair(automorphism_group(g)) is None]
+
+
 def _checked_presentations(max_n):
-    """The presentation of every connected graph on <= max_n vertices whose
-    algebra check classify runs, i.e. with no disjoint pair."""
-    out = []
-    for n in range(1, max_n + 1):
-        for g in enumerate_connected(n):
-            if find_disjoint_pair(automorphism_group(g)) is None:
-                out.append(build_relations(g, zero_pattern(g)))
-    return out
+    """The presentation of every graph of ``_pairless_graphs(max_n)``."""
+    return [build_relations(g, zero_pattern(g)) for g in _pairless_graphs(max_n)]
+
+
+def _memo_key(g, pattern):
+    """The memo key of ``classify`` without the config."""
+    return pattern.classes, classify_module._blocks_up_to_complement(g, pattern)
+
+
+def _complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~m & ~(1 << i) for i, m in enumerate(g.nbr)))
+
+
+def _flip(g, pairs):
+    """``g`` with the adjacency of each vertex pair in ``pairs`` flipped."""
+    nbr = list(g.nbr)
+    for i, j in pairs:
+        nbr[i] ^= 1 << j
+        nbr[j] ^= 1 << i
+    return Graph(g.n, tuple(nbr))
 
 
 def test_memo_hit_equals_fresh_check_on_small_graphs(monkeypatch):
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
     calls = _counting_complete(monkeypatch)
-    presentations = _checked_presentations(6)
-    assert len(presentations) == 75
-    memoised = [qsym_check(p) for p in presentations]
+    graphs = _pairless_graphs(6)
+    assert len(graphs) == 75
+    memoised = [classify(g).algebra for g in graphs]
     # 37 distinct presentations, so 38 hits: the 66 that reach the engine
     # carry 35, each completed once, and the 9 vacuous ones (the 1-vertex
     # graph and 8 rigid 6-vertex graphs) carry 2
-    assert len(classify_module._qsym_memo) == 37
+    assert len(classify_module._memo) == 37
     assert len(calls) == 35
-    for p, got in zip(presentations, memoised):
-        classify_module._qsym_memo.clear()
-        assert _fields(qsym_check(p)) == _fields(got)
+    for g, got in zip(graphs, memoised):
+        assert _fields(qsym_check(build_relations(g, zero_pattern(g)))) == _fields(got)
 
 
-def test_memo_separates_configs_generators_and_relation_orders(monkeypatch):
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
-    g = cycle_graph(4)
-    p = build_relations(g, zero_pattern(g))
-    reordered = Presentation(p.gens, p.relations[::-1])
+def test_memo_separates_configs(monkeypatch):
+    g = star4()
     default = ClassifyConfig()
     capped = ClassifyConfig(gb_degree_cap=2)
     limited = ClassifyConfig(limits=EngineLimits(max_basis=19999))
-    assert qsym_check(p, default).status is CheckStatus.NOT_SHOWN_COMMUTATIVE
-    # a shared entry would hand the default config's verdict to the capped one
-    assert qsym_check(p, capped).status is CheckStatus.TRUNCATED
+    assert classify(g, default).algebra.degree_bound == 4
+    # a shared entry would hand the default config's bound to the capped one
+    assert classify(g, capped).algebra.degree_bound == 2
     calls = _counting_complete(monkeypatch)
-    assert _fields(qsym_check(p, limited)) == _fields(qsym_check(p, default))
-    assert qsym_check(reordered, default).status is CheckStatus.NOT_SHOWN_COMMUTATIVE
-    assert len(classify_module._qsym_memo) == 4
-    assert len(calls) == 2  # limited and reordered ran; default was a hit
+    assert _fields(classify(g, limited).algebra) == _fields(classify(g, default).algebra)
+    assert len(classify_module._memo) == 3
+    assert len(calls) == 1  # limited ran; default was a hit
 
+
+def test_memo_shares_an_entry_between_a_graph_and_its_complement(monkeypatch):
+    # DBg is connected, pairless and not self-complementary; so is its
+    # complement, D{S, with the same walk classes
+    g = parse_graph6("DBg")
+    h = _complement(g)
+    assert to_graph6(h) == "D{S" and zero_pattern(h) == zero_pattern(g)
+    calls = _counting_complete(monkeypatch)
+    assert _fields(classify(h).algebra) == _fields(classify(g).algebra)
+    assert len(classify_module._memo) == 1 and len(calls) == 1
+    assert build_relations(h, zero_pattern(h)) == build_relations(g, zero_pattern(g))
+
+
+def test_memo_shares_an_entry_across_a_complemented_block(monkeypatch):
+    # DBk has the walk classes {0, 1}, {2}, {3, 4}; complementing the block
+    # between {0, 1} and {2} adds the edges 0-2 and 1-2 and gives DZk, which
+    # is not isomorphic to DBk and has the same classes
+    g = parse_graph6("DBk")
+    h = _flip(g, [(0, 2), (1, 2)])
+    assert to_graph6(h) == "DZk" and canonical_form(h) != canonical_form(g)
+    assert zero_pattern(h) == zero_pattern(g)
+    calls = _counting_complete(monkeypatch)
+    assert _fields(classify(h).algebra) == _fields(classify(g).algebra)
+    assert len(classify_module._memo) == 1 and len(calls) == 1
+    assert build_relations(h, zero_pattern(h)) == build_relations(g, zero_pattern(g))
+
+
+def test_memo_separates_a_flipped_entry():
+    # adding the edge 0-3 flips one entry of DBk's block between {0, 1} and
+    # {3, 4}; the walk classes change too, but under DBk's own classes
+    # the blocks alone already tell the two graphs apart
+    g = parse_graph6("DBk")
+    h = _flip(g, [(0, 3)])
+    pattern = zero_pattern(g)
+    assert find_disjoint_pair(automorphism_group(h)) is None
+    assert _memo_key(h, pattern) != _memo_key(g, pattern)
+    assert build_relations(h, pattern) != build_relations(g, pattern)
+    classify(g)
+    classify(h)
+    assert len(classify_module._memo) == 2
+
+
+def test_memo_never_stores_resource_cap_errors(monkeypatch):
+    calls = _counting_complete(monkeypatch)
+    tight = ClassifyConfig(limits=EngineLimits(max_basis=1))
+    for attempt in (1, 2):
+        with pytest.raises(ResourceCapError):
+            classify(star4(), tight)
+        assert len(calls) == attempt
+    assert classify_module._memo == {}
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(classify_module, "QSYM_MEMO_MAX", 3)
+    graphs = _pairless_graphs(5)
+    assert len({_memo_key(g, zero_pattern(g)) for g in graphs}) > 3
+    results = []
+    for g in graphs:
+        results.append(classify(g).algebra)
+        assert len(classify_module._memo) <= 3
+    # entries evicted to keep the bound give the same result when checked again
+    for g, first in zip(graphs, results):
+        assert _fields(classify(g).algebra) == _fields(first)
+        assert len(classify_module._memo) <= 3
+
+
+def test_vacuous_check_reads_the_labels():
     # the same relations over the diagonal and over the anti-diagonal of a
     # 2 x 2 table: only the labels tell the vacuous check from the other
     u0, u1 = Poly.gen(0), Poly.gen(1)
@@ -480,40 +565,74 @@ def test_memo_separates_configs_generators_and_relation_orders(monkeypatch):
     assert not qsym_check(anti).vacuous
 
 
-def test_memo_never_stores_resource_cap_errors(monkeypatch):
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
-    calls = _counting_complete(monkeypatch)
-    g = cycle_graph(4)
-    p = build_relations(g, zero_pattern(g))
-    tight = ClassifyConfig(limits=EngineLimits(max_basis=1))
-    for attempt in (1, 2):
-        with pytest.raises(ResourceCapError):
-            qsym_check(p, tight)
-        assert len(calls) == attempt
-    assert classify_module._qsym_memo == {}
+# the memo key against the presentations it stands for
 
 
-def test_memo_holds_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
-    monkeypatch.setattr(classify_module, "QSYM_MEMO_MAX", 3)
-    presentations = _checked_presentations(5)
-    results = []
-    for p in presentations:
-        results.append(qsym_check(p))
-        assert len(classify_module._qsym_memo) <= 3
-    assert len(presentations) > 3
-    # entries evicted to keep the bound give the same result when checked again
-    for p, first in zip(presentations, results):
-        assert _fields(qsym_check(p)) == _fields(first)
-        assert len(classify_module._qsym_memo) <= 3
+def _assert_keys_exact(cases):
+    """Equal memo keys hold exactly when the presentations are equal: the
+    generator labels and every relation's terms, in order.  Returns the
+    number of keys."""
+    by_key = {}
+    for g, pattern in cases:
+        p = build_relations(g, pattern)
+        presentation = (p.gens.labels, tuple(tuple(r.terms.items()) for r in p.relations))
+        assert by_key.setdefault(_memo_key(g, pattern), presentation) == presentation, (
+            to_graph6(g), pattern.classes)
+    assert len(set(by_key.values())) == len(by_key)
+    return len(by_key)
+
+
+@pytest.mark.parametrize("labelling", ["canonical", "atlas"])
+def test_memo_keys_exact_on_pairless_graphs(labelling):
+    if labelling == "canonical":
+        graphs = _pairless_graphs(7)
+        seven = [g for g in graphs if g.n == 7]
+        assert len(seven) == 507
+        assert _assert_keys_exact((g, zero_pattern(g)) for g in seven) == 59
+        expected = 96
+    else:
+        graphs = [g for g in atlas_graphs() if find_disjoint_pair(automorphism_group(g)) is None]
+        expected = 149
+    assert len(graphs) == 582
+    assert _assert_keys_exact((g, zero_pattern(g)) for g in graphs) == expected
+
+
+def test_memo_keys_exact_on_random_graphs_and_patterns():
+    # random graphs up to n = 12 under their walk classes and under random
+    # partitions, each beside its complement, a copy with random blocks
+    # complemented and a copy with one entry flipped
+    rng = random.Random(83)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < p], one_based=False)
+        for pattern in (zero_pattern(g), _random_partition(rng, n)):
+            cl = pattern.classes
+            blocks = {(a, b) for a in set(cl) for b in set(cl) if a <= b and rng.random() < 0.5}
+            block_flip = _flip(g, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                   if (min(cl[i], cl[j]), max(cl[i], cl[j])) in blocks])
+            i, j = rng.sample(range(n), 2)
+            cases += [(g, pattern), (_complement(g), pattern), (block_flip, pattern),
+                      (_flip(g, [(i, j)]), pattern)]
+    keys = _assert_keys_exact(cases)
+    assert len({(g.nbr, pattern) for g, pattern in cases}) > keys > len(cases) // 4
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_memo_keys_exact_on_eight_vertices():
+    graphs = [g for g in (Graph.from_mask(8, m) for m in _connected_masks(8))
+              if find_disjoint_pair(automorphism_group(g)) is None]
+    assert len(graphs) == 7972
+    assert _assert_keys_exact((g, zero_pattern(g)) for g in graphs) == 312
 
 
 # the free-letter check against the all-pairs oracle
 
 
 @pytest.mark.parametrize("labelling, distinct", [("canonical", 96), ("atlas", 149)])
-def test_free_letter_check_matches_all_pairs_on_pairless_graphs(monkeypatch, labelling,
-                                                                distinct):
+def test_free_letter_check_matches_all_pairs_on_pairless_graphs(labelling, distinct):
     # every presentation classify checks for n <= 7, each checked once
     graphs = ([g for n in range(1, 8) for g in enumerate_connected(n)]
               if labelling == "canonical" else atlas_graphs())
@@ -523,7 +642,6 @@ def test_free_letter_check_matches_all_pairs_on_pairless_graphs(monkeypatch, lab
             p = build_relations(g, zero_pattern(g))
             presentations.setdefault((p.gens.labels, p.relations), p)
     assert len(presentations) == distinct
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
     for p in presentations.values():
         assert _fields(qsym_check(p)) == _fields(all_pairs_check(p))
 
@@ -542,9 +660,8 @@ WITNESS_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", WITNESS_GRAPHS)
-def test_free_letter_check_matches_all_pairs_where_a_witness_exists(monkeypatch, name):
+def test_free_letter_check_matches_all_pairs_where_a_witness_exists(name):
     # graphs with a disjoint pair, whose algebra classify never checks
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
     g = WITNESS_GRAPHS[name]
     p = build_relations(g, zero_pattern(g))
     result = qsym_check(p)
@@ -552,8 +669,7 @@ def test_free_letter_check_matches_all_pairs_where_a_witness_exists(monkeypatch,
     assert _fields(result) == _fields(all_pairs_check(p))
 
 
-def test_free_letter_check_matches_all_pairs_when_truncated(monkeypatch):
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
+def test_free_letter_check_matches_all_pairs_when_truncated():
     g = complete_graph(4)
     p = build_relations(g, zero_pattern(g))
     cfg = ClassifyConfig(gb_degree_cap=2)
@@ -575,9 +691,8 @@ def _one_pair_apart(m, dead, a, b):
     return Presentation(Generators(tuple((1, k) for k in range(1, m + 1))), tuple(relations))
 
 
-def test_every_free_pair_is_reduced(monkeypatch):
+def test_every_free_pair_is_reduced():
     # a free pair the check skipped would pass as commutative here
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
     free = [0, 1, 3, 4]
     for a, b in itertools.combinations(free, 2):
         p = _one_pair_apart(5, 2, a, b)
@@ -596,7 +711,6 @@ def test_only_free_commutators_are_reduced(monkeypatch):
         calls.append(f)
         return original(self, f)
 
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
     monkeypatch.setattr(classify_module.Reducer, "normal_form", counting)
     g = four_vertex_path()
     result = qsym_check(build_relations(g, zero_pattern(g)))
@@ -722,7 +836,6 @@ def test_completion_input_keeps_the_pinned_bases(monkeypatch):
 
     # the check completes the relations as they stand, with the linear
     # block right after the last sum
-    monkeypatch.setattr(classify_module, "_qsym_memo", {})
     calls = _counting_complete(monkeypatch)
     g = cycle_graph(4)
     p = build_relations(g, zero_pattern(g))
