@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that a traced benchmark run reports every per-layer metric.
+"""Check that a traced benchmark run passed its checks and reports every
+per-layer metric.
 
     python3 perfbench/run.py --workload all --seconds 1 --trace 1 > trace.out 2> trace.err
     python3 scripts/check_trace.py trace.out trace.err
@@ -8,9 +9,10 @@ The tracer drops a metric without failing the run when its probed
 function is gone (an ``absent layer`` line on standard error) or when
 its counter cannot read the function's result.  This script exits 1,
 naming each problem, when the last line of the run's standard output is
-not a result, when a workload in BENCHMARK.json lacks one of the
-per-layer metrics listed there, or when standard error has an
-``absent layer`` line.
+not a result, when that result is not ``correct`` or counts ``failed``
+graphs (the traced outputs failed the benchmark's checks), when a
+workload in BENCHMARK.json lacks one of the per-layer metrics listed
+there, or when standard error has an ``absent layer`` line.
 """
 
 import argparse
@@ -27,9 +29,15 @@ def problems(stdout: str, stderr: str, spec: dict) -> list[str]:
     found = [line for line in stderr.splitlines() if "absent layer" in line]
     lines = stdout.splitlines()
     try:
-        metrics = json.loads(lines[-1])["metrics"]
+        result = json.loads(lines[-1])
+        metrics = result["metrics"]
     except (IndexError, ValueError, KeyError, TypeError):
         return found + ["the last line of standard output is not a result"]
+    if result.get("correct") is not True:
+        found.append(f"the outputs failed the benchmark's checks: correct is "
+                     f"{result.get('correct')!r}")
+    if result.get("failed") != 0:
+        found.append(f"failed counts {result.get('failed')!r} graphs, not 0")
     for workload in spec["workloads"]:
         for metric in spec["per_layer"]:
             name = f"{workload['name']}.{metric['name']}"

@@ -32,7 +32,7 @@ from .automorphisms import (
 from .freealg import Generators, Poly
 from .fulton import ZeroPattern, zero_pattern
 from .graphs import Graph
-from .groebner import EngineLimits, Reducer, complete
+from .groebner import EngineLimits, complete
 
 
 @dataclass(frozen=True)
@@ -282,18 +282,15 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     last_size = None
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
-        # one Reducer for every commutator, so that they share its
-        # memoised per-word normal forms
-        reducer = Reducer(basis.polys)
-        free = [a for a in range(m) if bytes((a,)) not in reducer.by_lead]
-        if all(reducer.normal_form(_commutator(a, b)).is_zero()
+        free = [a for a in range(m) if bytes((a,)) not in basis.by_lead]
+        if all(basis.normal_form(_commutator(a, b)).is_zero()
                for a, b in combinations(free, 2)):
             return CheckResult(
                 CheckStatus.COMMUTATIVE, count,
                 degree_bound=bound, basis_size=basis.size)
         if basis.complete:
             witness = next(c for c in starmap(_commutator, combinations(range(m), 2))
-                           if not reducer.normal_form(c).is_zero())
+                           if not basis.normal_form(c).is_zero())
             return CheckResult(
                 CheckStatus.NOT_SHOWN_COMMUTATIVE, count,
                 degree_bound=bound, basis_size=basis.size, witness=witness)
@@ -305,8 +302,9 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
 
 
 # Results of the algebra check, keyed by the zero pattern's classes, the
-# adjacency blocks up to complement and the config, oldest first.
-QSYM_MEMO_MAX = 1024
+# adjacency blocks up to complement and the config, oldest first; above
+# the 312 keys of the pairless graphs at n = 8 and the 1,976 at n = 9.
+QSYM_MEMO_MAX = 4096
 _memo: dict = {}
 
 

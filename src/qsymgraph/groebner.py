@@ -32,19 +32,9 @@ class EngineLimits:
     max_terms: int = 2_000_000
 
 
-@dataclass
-class GBasis:
-    polys: list[Poly]
-    degree_bound: int
-    complete: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.polys)
-
-
 class Reducer:
-    """Two-sided rewriting by a fixed list of monic polynomials.
+    """Two-sided rewriting by a fixed list of monic polynomials; a
+    ``GBasis`` is one whose completion adds and retires rules.
 
     Leads are looked up by hash: at each position of a word, the slice of
     every length some lead has is looked up in ``by_lead``.  The list need
@@ -229,17 +219,20 @@ def _discard(index: dict, key: Word, rid: int) -> None:
         del index[key]
 
 
-class _Engine(Reducer):
-    """Mutable completion state; single run, exclusively owned.
+class GBasis(Reducer):
+    """A degree-truncated Groebner basis, as ``complete`` returns it: the
+    rewriting system that completed it.  Every insert interreduces,
+    truncated or not, and an element over the bound takes no rule, so at
+    most one live lead matches at any position of a word: rule ids never
+    choose a rewrite, and ``normal_form`` gives what ``Reducer(self.polys)``
+    would.  The unit rule reduces everything to 0 either way.
 
-    The live basis is the rule set of the Reducer it extends, so ``leads``
-    holds live elements only.  Beside ``by_lead`` it indexes every live
-    lead by its proper prefixes and suffixes (to find overlaps) and by
-    all its subwords (to find the leads a new lead divides), and every
-    live tail by the subwords of its words (to find the tails a new lead
-    reduces), counting for each rule how many of its tail words contain
-    the subword.  It reduces through the same per-word memo as
-    ``normal_form``, which every rule change keeps exact.
+    ``leads`` holds live elements only.  Beside ``by_lead`` the basis
+    indexes every live lead by its proper prefixes and suffixes (to find
+    overlaps) and by all its subwords (to find the leads a new lead
+    divides), and every live tail by the subwords of its words (to find
+    the tails a new lead reduces), counting for each rule how many of its
+    tail words contain the subword.
     """
 
     def __init__(self, bound: int, limits: EngineLimits):
@@ -411,25 +404,30 @@ class _Engine(Reducer):
             _, i, j, k = entry
             self.insert(self.spoly(i, j, k))
 
-    def is_complete(self) -> bool:
+    @property
+    def complete(self) -> bool:
         if self.overflow:
             return False
         return not any(
             i in self.leads and j in self.leads for _, i, j, _ in self.deferred
         )
 
-    def basis_polys(self) -> list[Poly]:
-        out = []
-        for rid in sorted(self.leads, key=lambda r: _deglex_key(self.leads[r])):
-            terms = dict(self.tails[rid])
-            terms[self.leads[rid]] = 1
-            out.append(Poly(terms, _trusted=True))
-        return out
+    @property
+    def size(self) -> int:
+        return len(self.leads)
+
+    @property
+    def polys(self) -> list[Poly]:
+        """The live rules as monic polynomials, in deglex order of lead."""
+        leads, tails = self.leads, self.tails
+        return [Poly({**tails[r], leads[r]: 1}, _trusted=True)
+                for r in sorted(leads, key=lambda r: _deglex_key(leads[r]))]
 
 
 def complete(gens, *, degree_bound: int,
              limits: EngineLimits = EngineLimits()) -> GBasis:
-    """Complete a generating set into a degree-truncated Groebner basis.
+    """The degree-truncated Groebner basis of a generating set, as the
+    rewriting system that completed it.
 
     Ambiguities are processed smallest degree first; those whose overlap
     word exceeds ``degree_bound`` are deferred and, if still relevant when
@@ -445,6 +443,6 @@ def complete(gens, *, degree_bound: int,
     if degree_bound < max_deg:
         raise ValueError(
             f"degree bound {degree_bound} below generator degree {max_deg}")
-    engine = _Engine(degree_bound, limits)
-    engine.run(dict(g.terms) for g in gen_list)
-    return GBasis(engine.basis_polys(), degree_bound, engine.is_complete())
+    basis = GBasis(degree_bound, limits)
+    basis.run(dict(g.terms) for g in gen_list)
+    return basis

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
 
 from .automorphisms import automorphism_group, cycle_notation
@@ -234,9 +235,9 @@ def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if looks_like_adjacency(text):
-        # a line that is blank after strip() separates two blocks
-        lines = (line if line.strip() else "" for line in text.splitlines())
-        unit, items, parse = "block", "\n".join(lines).split("\n\n"), parse_adjacency
+        # a block is a run of lines that are not blank after strip()
+        runs = groupby(text.splitlines(), key=lambda line: bool(line.strip()))
+        unit, items, parse = "block", ["\n".join(r) for full, r in runs if full], parse_adjacency
     else:
         unit, items, parse = "line", text.splitlines(), parse_graph6
     graphs: list[Graph] = []

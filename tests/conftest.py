@@ -5,6 +5,7 @@ The two 5-vertex "house" graphs are K4 plus an apex vertex joined to two
 automorphism group and a fully split walk-count spectrum.
 """
 
+import functools
 import importlib
 from dataclasses import replace
 
@@ -13,9 +14,11 @@ import pytest
 from qsymgraph import (
     Graph,
     Poly,
+    automorphism_group,
     build_relations,
     classify,
     enumerate_connected,
+    find_disjoint_pair,
     qsym_check,
     zero_pattern,
 )
@@ -95,6 +98,22 @@ def atlas_graphs() -> list[Graph]:
     nx = pytest.importorskip("networkx")
     return [Graph.from_edges(G.number_of_nodes(), list(G.edges()), one_based=False)
             for G in nx.graph_atlas_g() if G.number_of_nodes() and nx.is_connected(G)]
+
+
+@functools.cache
+def pairless_presentations(labelling: str) -> tuple:
+    """Every distinct presentation classify checks for n <= 7, once each:
+    those of the connected graphs with no disjoint automorphism pair, in
+    the canonical labelling of ``enumerate_connected`` or (``"atlas"``)
+    in networkx's atlas labelling."""
+    graphs = ([g for n in range(1, 8) for g in enumerate_connected(n)]
+              if labelling == "canonical" else atlas_graphs())
+    out = {}
+    for g in graphs:
+        if find_disjoint_pair(automorphism_group(g)) is None:
+            p = build_relations(g, zero_pattern(g))
+            out.setdefault((p.gens.labels, p.relations), p)
+    return tuple(out.values())
 
 
 @pytest.fixture(autouse=True)

@@ -12,14 +12,15 @@ _spec.loader.exec_module(check_trace)
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _run(drop=()):
+def _run(drop=(), **fields):
     """Standard output of a run whose last line holds every per-layer
-    metric of every workload, except those named in ``drop``."""
+    metric of every workload, except those named in ``drop``, and passed
+    its checks, unless ``fields`` says otherwise."""
     metrics = {f"{w['name']}.{m['name']}": {"value": 0, "unit": m["unit"]}
                for w in SPEC["workloads"] for m in SPEC["per_layer"]}
     for name in drop:
         del metrics[name]
-    last = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+    last = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics, **fields}
     return "batch-n7  graphs.count = 853 count\n" + json.dumps(last) + "\n"
 
 
@@ -37,6 +38,23 @@ def test_absent_layer_fails():
     assert check_trace.problems(_run(), err, SPEC) == [err.strip()]
 
 
+def test_failed_checks_fail():
+    assert check_trace.problems(_run(correct=False, failed=3), "", SPEC) == [
+        "the outputs failed the benchmark's checks: correct is False",
+        "failed counts 3 graphs, not 0"]
+    # a run can fail a check on no graph in particular
+    assert check_trace.problems(_run(correct=False), "", SPEC) == [
+        "the outputs failed the benchmark's checks: correct is False"]
+    assert check_trace.problems(_run(failed=1), "", SPEC) == ["failed counts 1 graphs, not 0"]
+
+
+def test_result_without_check_fields_fails():
+    out = json.dumps({"metrics": json.loads(_run().splitlines()[-1])["metrics"]}) + "\n"
+    assert check_trace.problems(out, "", SPEC) == [
+        "the outputs failed the benchmark's checks: correct is None",
+        "failed counts None graphs, not 0"]
+
+
 def test_last_line_not_a_result_fails():
     for out in ("", "Traceback (most recent call last):\n", _run() + "done\n"):
         assert check_trace.problems(out, "", SPEC) == [
@@ -49,4 +67,6 @@ def test_main_exit_code(tmp_path):
     out.write_text(_run())
     assert check_trace.main([str(out), str(err)]) == 0
     out.write_text(_run(["highsym-8to9.trace.spans"]))
+    assert check_trace.main([str(out), str(err)]) == 1
+    out.write_text(_run(correct=False))
     assert check_trace.main([str(out), str(err)]) == 1

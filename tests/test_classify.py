@@ -31,7 +31,7 @@ from qsymgraph.classify import CheckResult, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import _connected_masks
-from qsymgraph.groebner import EngineLimits, ResourceCapError, complete
+from qsymgraph.groebner import EngineLimits, Reducer, ResourceCapError, complete
 from qsymgraph.pipeline import OrderRow, classify_with_record
 
 from commutator_oracle import all_pairs_check, commutators
@@ -41,6 +41,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     four_vertex_path,
+    pairless_presentations,
     path_graph,
     rigid6,
     star4,
@@ -633,16 +634,9 @@ def test_memo_keys_exact_on_eight_vertices():
 
 @pytest.mark.parametrize("labelling, distinct", [("canonical", 96), ("atlas", 149)])
 def test_free_letter_check_matches_all_pairs_on_pairless_graphs(labelling, distinct):
-    # every presentation classify checks for n <= 7, each checked once
-    graphs = ([g for n in range(1, 8) for g in enumerate_connected(n)]
-              if labelling == "canonical" else atlas_graphs())
-    presentations = {}
-    for g in graphs:
-        if find_disjoint_pair(automorphism_group(g)) is None:
-            p = build_relations(g, zero_pattern(g))
-            presentations.setdefault((p.gens.labels, p.relations), p)
+    presentations = pairless_presentations(labelling)
     assert len(presentations) == distinct
-    for p in presentations.values():
+    for p in presentations:
         assert _fields(qsym_check(p)) == _fields(all_pairs_check(p))
 
 
@@ -703,15 +697,16 @@ def test_every_free_pair_is_reduced():
 
 
 def test_only_free_commutators_are_reduced(monkeypatch):
-    # the 4-vertex path keeps 8 letters, of which the basis leaves one free
+    # the 4-vertex path keeps 8 letters, of which the basis leaves one free;
+    # the basis complete returns reduces through Reducer.normal_form
     calls = []
-    original = classify_module.Reducer.normal_form
+    original = Reducer.normal_form
 
     def counting(self, f):
         calls.append(f)
         return original(self, f)
 
-    monkeypatch.setattr(classify_module.Reducer, "normal_form", counting)
+    monkeypatch.setattr(Reducer, "normal_form", counting)
     g = four_vertex_path()
     result = qsym_check(build_relations(g, zero_pattern(g)))
     assert result.status is CheckStatus.COMMUTATIVE and result.commutator_count == 28

@@ -9,13 +9,15 @@ relation.
 
 import functools
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from qsymgraph.freealg import EMPTY_WORD, Poly, word
-from qsymgraph.groebner import EngineLimits, Reducer, ResourceCapError, _Engine, complete
+from qsymgraph.groebner import EngineLimits, GBasis, Reducer, ResourceCapError, complete
+from conftest import pairless_presentations
 from overlap_oracle import (
     Obstruction,
     find_obstructions,
@@ -225,12 +227,12 @@ def test_obstructions_sorted_by_degree():
 
 
 def test_indexed_overlaps_match_all_pairs_oracle():
-    # the engine pushes (i, j, k) for each new lead against the live ones
+    # the basis pushes (i, j, k) for each new lead against the live ones
     # through its prefix/suffix indexes; the oracle tries every pair
     rng = random.Random(79)
     for _ in range(150):
         letters = rng.randint(3, 4)
-        engine = _Engine(99, EngineLimits())
+        engine = GBasis(99, EngineLimits())
         all_leads: list[bytes] = []
         for rid in range(rng.randint(1, 14)):
             live = sorted(engine.leads)
@@ -255,7 +257,7 @@ def test_indexed_overlaps_match_all_pairs_oracle():
                 s for s in live if probe in all_leads[s]]
 
 
-class _ScanCheckedEngine(_Engine):
+class _ScanCheckedBasis(GBasis):
     """Checks, whenever an element is added, that the tail index holds
     exactly the rules the old scan over every live tail would re-reduce
     for that lead in ``insert`` step 2."""
@@ -288,9 +290,9 @@ def test_tail_index_matches_scan_during_random_completions():
         if not gens:
             continue
         bound = max(rng.randint(4, 6), max(g.degree() for g in gens))
-        engine = _ScanCheckedEngine(bound, EngineLimits())
+        engine = _ScanCheckedBasis(bound, EngineLimits())
         engine.run(dict(g.terms) for g in gens)
-        assert engine.basis_polys() == complete(gens, degree_bound=bound).polys
+        assert engine.polys == complete(gens, degree_bound=bound).polys
         # after drops and re-reductions: each count is the number of the
         # rule's tail words that contain the subword
         rebuilt: dict = {}
@@ -305,7 +307,7 @@ def test_tail_index_matches_scan_during_random_completions():
     assert checked > 600 and touched > 100  # adds, and tails step 2 re-reduced
 
 
-class _WorklistEngine(_Engine):
+class _WorklistBasis(GBasis):
     """Completion that reduces by the worklist oracle instead of the
     per-word memo, and so never reads or fills it."""
 
@@ -313,7 +315,7 @@ class _WorklistEngine(_Engine):
         return reduce_terms(terms, self)
 
 
-class _MemoCheckedEngine(_Engine):
+class _MemoCheckedBasis(GBasis):
     """Checks after every insert that changes the rules that each memoised
     word normal form is the one a fresh Reducer over the live rules, in
     rule-id order, gives, and that the entry is recorded as built from
@@ -355,11 +357,11 @@ def _sorted_basis(polys):
 
 def _assert_worklist_completion_agrees(gens, bound):
     basis = complete(gens, degree_bound=bound)
-    engine = _WorklistEngine(bound, EngineLimits())
+    engine = _WorklistBasis(bound, EngineLimits())
     engine.run(dict(g.terms) for g in gens)
     # terms may sit in another insertion order; values and types may not differ
-    assert _sorted_basis(engine.basis_polys()) == _sorted_basis(basis.polys)
-    assert engine.is_complete() == basis.complete
+    assert _sorted_basis(engine.polys) == _sorted_basis(basis.polys)
+    assert engine.complete == basis.complete
 
 
 def _random_systems():
@@ -414,9 +416,9 @@ def test_memoised_completion_matches_worklist_completion_on_small_graphs():
 def _assert_memo_stays_exact(systems):
     checked = 0
     for gens, bound in systems:
-        engine = _MemoCheckedEngine(bound, EngineLimits())
+        engine = _MemoCheckedBasis(bound, EngineLimits())
         engine.run(dict(g.terms) for g in gens)
-        assert _sorted_basis(engine.basis_polys()) == _sorted_basis(
+        assert _sorted_basis(engine.polys) == _sorted_basis(
             complete(gens, degree_bound=bound).polys)
         checked += engine.checked
     return checked
@@ -429,6 +431,49 @@ def test_memo_equals_fresh_reducer_after_every_insert_on_random_inputs():
 def test_memo_equals_fresh_reducer_after_every_insert_on_small_graphs():
     systems = [(relations, 4) for relations in _small_graph_presentations()]
     assert _assert_memo_stays_exact(systems) > 10000
+
+
+def _assert_reduces_as_fresh_reducer(gens, bound):
+    """Check that the basis ``complete`` returns reduces every word its
+    completion memoised, every two-letter word and every commutator on the
+    letters of ``gens`` as a fresh ``Reducer(basis.polys)`` does, values
+    and int/Fraction types alike; return the number of two-letter words
+    and commutators."""
+    basis = complete(gens, degree_bound=bound)
+    fresh = Reducer(basis.polys)
+    for w, memoised in basis.word_nf.items():
+        assert _typed(memoised) == _typed(fresh._word_nf(w)), w
+    letters = sorted({x for g in gens for w in g.terms for x in w})
+    polys = [p({word(a, b): 1}) for a in letters for b in letters]
+    polys += [p({word(a, b): 1, word(b, a): -1}) for a, b in itertools.combinations(letters, 2)]
+    for f in polys:
+        assert _typed(basis.normal_form(f).terms) == _typed(fresh.normal_form(f).terms), f
+    return len(polys)
+
+
+@pytest.mark.parametrize("labelling, distinct, compared", [
+    ("canonical", 96, 120651), ("atlas", 149, 155211)])
+def test_returned_basis_reduces_as_fresh_reducer_on_pairless_graphs(labelling, distinct,
+                                                                    compared):
+    presentations = pairless_presentations(labelling)
+    assert len(presentations) == distinct
+    assert sum(_assert_reduces_as_fresh_reducer(pres.relations, bound)
+               for pres in presentations for bound in (2, 3, 4)) == compared
+
+
+def test_returned_basis_reduces_as_fresh_reducer_on_random_inputs():
+    assert sum(_assert_reduces_as_fresh_reducer(gens, bound)
+               for gens, bound in _random_systems()) == 3096
+
+
+def test_returned_basis_reduces_as_fresh_reducer_when_one_enters_the_ideal():
+    # xy = 1 and yx = 0 give x = xyx = 0, so 1 = xy = 0 from bound 3 on
+    Z = 2
+    gens = [p({word(X, Y): 1, EMPTY_WORD: -1}), p({word(Y, X): 1}), idempotent(Z)]
+    assert not complete(gens, degree_bound=2).complete
+    for bound in (2, 3, 4):
+        assert _assert_reduces_as_fresh_reducer(gens, bound) == 12
+    assert complete(gens, degree_bound=3).polys == [Poly.one()]
 
 
 # completion

@@ -101,6 +101,25 @@ def test_adjacency_batch_input(tmp_path, house):
     assert report.records[1].verdict == "QuantumSymmetric"
 
 
+def test_input_errors_number_blocks_not_separators(tmp_path):
+    # a good 2x2 block, three blank lines, a bad 2x2 block, two blank lines
+    # and a 3-row block: the bad ones are the 2nd and the 3rd block
+    src = tmp_path / "blocks.adj"
+    src.write_text("0 1\n1 0\n\n\n\n0 1\n1 1\n\n\n01\n10\n11\n")
+    report = run_batch(RunConfig(graph6_path=src))
+    assert [rec.n for rec in report.records] == [2]
+    assert report.input_errors == (
+        "block 2: nonzero diagonal at vertex 2",
+        "block 3: non-square matrix: 3 rows but row lengths [2, 2, 2]",
+    )
+    # graph6 lines keep their numbers, blank ones included
+    src = tmp_path / "blank-lines.g6"
+    src.write_text("C~\n\n\n!!!\nA_\n")
+    report = run_batch(RunConfig(graph6_path=src))
+    assert [rec.n for rec in report.records] == [4, 2]
+    assert report.input_errors == ("line 4: malformed header byte '!'",)
+
+
 def test_disconnected_file_input_still_classified(tmp_path):
     from qsymgraph import Graph
 
