@@ -37,7 +37,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .groebner import EngineLimits, GBasis, Reducer, ResourceCapError, complete
+from .groebner import EngineLimits, GBasis, ResourceCapError, complete
 from .pipeline import BatchReport, GraphRecord, OrderRow, RunConfig, render_table, run_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,31 +33,31 @@ class EngineLimits:
 
 
 class Reducer:
-    """Two-sided rewriting by a fixed list of monic polynomials; a
-    ``GBasis`` is one whose completion adds and retires rules.
+    """The rewriting half of a ``GBasis``: its live rules, by rule id,
+    and the word normal forms they give.
 
-    Leads are looked up by hash: at each position of a word, the slice of
-    every length some lead has is looked up in ``by_lead``.  The list need
-    not be interreduced; of the leads matching at the leftmost reducible
-    position, the one with the lowest rule id rewrites.
+    Completion keeps the rules interreduced, so no live lead is a subword
+    of another and at most one matches at any position of a word.  Leads
+    are looked up by hash: at each position, the slice of every length
+    some lead has is looked up in ``by_lead``, and the first hit at the
+    leftmost reducible position rewrites.
 
     Which rule rewrites a word depends on the word alone, so reduction is
     linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
     N(w) is the normal form of the word w.  Reduction keeps every N(w) it
     meets in ``word_nf``; ``users`` lists, for each entry, the entries
     built from it, and ``rewrote``, for each rule, the entries it
-    rewrote.  A rule change forgets the entries it can move, and with
-    them every entry built from one: ``_add`` those whose word contains
-    the new lead (the new rule has the highest id, so it wins only where
-    its lead occurs), ``_drop`` and a rewritten tail those the rule
-    rewrote.  So ``word_nf`` always equals what a fresh Reducer over the
-    live rules, in rule-id order, would compute.
+    rewrote.  ``_add`` forgets the entries whose word contains the new
+    lead, and with them every entry built from one; that covers every
+    entry a retired rule rewrote, since a rule is retired only when the
+    new lead divides its lead.  A rewritten tail forgets the entries its
+    rule rewrote.  So ``word_nf`` always holds what the live rules give.
     """
 
-    def __init__(self, polys):
+    def __init__(self):
         self.leads: dict[int, Word] = {}
         self.tails: dict[int, dict] = {}
-        self.by_lead: dict[Word, int] = {}  # nonempty lead -> lowest rule id
+        self.by_lead: dict[Word, int] = {}  # nonempty lead -> rule id
         self.lengths: list[int] = []  # distinct lengths in by_lead, ascending
         self.length_count: dict[int, int] = {}
         self.unit_rule: int | None = None
@@ -65,21 +65,15 @@ class Reducer:
         # entry -> entries built from it; rule id -> entries it rewrote
         self.users: defaultdict[Word, list[Word]] = defaultdict(list)
         self.rewrote: defaultdict[int, list[Word]] = defaultdict(list)
-        for rid, p in enumerate(polys):
-            lw, lc = p.leading_term()
-            if lc != 1:
-                raise ValueError(f"basis element {rid} is not monic")
-            self._add(rid, lw, {w: c for w, c in p.terms.items() if w != lw})
 
     def _add(self, rid: int, lead: Word, tail: dict) -> None:
         self._forget([w for w in self.word_nf if lead in w])
         self.leads[rid] = lead
         self.tails[rid] = tail
         if not lead:
-            if self.unit_rule is None:
-                self.unit_rule = rid
+            self.unit_rule = rid
             return
-        self.by_lead.setdefault(lead, rid)
+        self.by_lead[lead] = rid
         size = len(lead)
         count = self.length_count.get(size, 0)
         self.length_count[size] = count + 1
@@ -87,9 +81,10 @@ class Reducer:
             self.lengths = sorted(self.length_count)
 
     def _drop(self, rid: int) -> tuple[Word, dict]:
-        """Undo ``_add`` of a rule whose lead no other rule has (never the
-        unit rule); return its lead and tail."""
-        self._forget(self.rewrote.pop(rid, ()))
+        """Undo ``_add`` of a rule other than the unit rule, except that
+        the entries it rewrote stay until the next ``_add`` forgets them;
+        return its lead and tail."""
+        self.rewrote.pop(rid, None)
         lead = self.leads.pop(rid)
         tail = self.tails.pop(rid)
         del self.by_lead[lead]
@@ -113,23 +108,21 @@ class Reducer:
                 stack.extend(users.pop(v, ()))
 
     def find(self, w: Word):
-        """Leftmost reducible position, lowest rule id; None if irreducible."""
+        """(rule id, position, lead) of the rewrite at the leftmost
+        reducible position of ``w``; None if irreducible."""
         if self.unit_rule is not None:
             return self.unit_rule, 0, EMPTY_WORD
         by_lead = self.by_lead
         lengths = self.lengths
         n = len(w)
         for pos in range(n):
-            hit = None
             for size in lengths:
                 end = pos + size
                 if end > n:
                     break
                 rid = by_lead.get(w[pos:end])
-                if rid is not None and (hit is None or rid < hit):
-                    hit = rid
-            if hit is not None:
-                return hit, pos, self.leads[hit]
+                if rid is not None:
+                    return rid, pos, self.leads[rid]
         return None
 
     def normal_form(self, f: Poly) -> Poly:
@@ -223,9 +216,9 @@ class GBasis(Reducer):
     """A degree-truncated Groebner basis, as ``complete`` returns it: the
     rewriting system that completed it.  Every insert interreduces,
     truncated or not, and an element over the bound takes no rule, so at
-    most one live lead matches at any position of a word: rule ids never
-    choose a rewrite, and ``normal_form`` gives what ``Reducer(self.polys)``
-    would.  The unit rule reduces everything to 0 either way.
+    most one live lead matches at any position of a word, and the
+    normal form of a word does not depend on the order the rules came
+    in.  The unit rule reduces everything to 0.
 
     ``leads`` holds live elements only.  Beside ``by_lead`` the basis
     indexes every live lead by its proper prefixes and suffixes (to find
@@ -236,7 +229,7 @@ class GBasis(Reducer):
     """
 
     def __init__(self, bound: int, limits: EngineLimits):
-        super().__init__(())
+        super().__init__()
         self.bound = bound
         self.limits = limits
         self.prefix: defaultdict[Word, set[int]] = defaultdict(set)

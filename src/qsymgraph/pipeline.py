@@ -8,6 +8,7 @@ a fixed configuration except for the wall_time_ms fields.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from itertools import groupby
@@ -274,13 +275,16 @@ def run_batch(cfg: RunConfig) -> BatchReport:
 
     Graphs that trip an engine resource cap are reported in
     ``cap_failures``; the remaining records still form a partial report.
+    A worker pool has at most ``cfg.jobs`` processes, and no more than
+    there are graphs or CPUs; with one, the graphs run in this process.
     """
     graphs, errors = load_graphs(cfg)
     tasks = [(g, cfg.classify) for g in graphs]
-    if cfg.jobs > 1 and len(graphs) > 1:
+    workers = min(cfg.jobs, len(graphs), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing  # only worker pools need it
 
-        with multiprocessing.Pool(cfg.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_worker, tasks)
     else:
         results = map(_worker, tasks)

@@ -18,7 +18,9 @@ from qsymgraph.classify import (
     Presentation,
 )
 from qsymgraph.freealg import Poly
-from qsymgraph.groebner import Reducer, complete
+from qsymgraph.groebner import complete
+
+from worklist_oracle import ListReducer
 
 
 def commutators(p: Presentation) -> list[Poly]:
@@ -47,7 +49,7 @@ def all_pairs_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> 
     last_size = None
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
-        reducer = Reducer(basis.polys)
+        reducer = ListReducer(basis.polys)
         witness = next((c for c in coms if not reducer.normal_form(c).is_zero()), None)
         if witness is None:
             return CheckResult(

@@ -6,8 +6,9 @@ trying every ordered pair of leads and every overlap length, and also
 lists containments, which the engine handles by interreduction.
 
 ``random_normal_form`` rewrites at a randomly chosen term and occurrence
-at every step, where ``Reducer`` always rewrites the same way; on a
-complete basis both must end at the same normal form.
+at every step, where the reference ``worklist_oracle.ListReducer`` always
+rewrites at the leftmost position by the lowest rule id; on a complete
+basis both must end at the same normal form.
 """
 
 from __future__ import annotations

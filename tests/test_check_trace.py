@@ -1,13 +1,25 @@
-"""scripts/check_trace.py, the check on a traced benchmark run, on made-up runs."""
+"""scripts/check_trace.py, the check on a traced benchmark run, on made-up
+runs, and the names the benchmark's tracer probes."""
 
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("check_trace", ROOT / "scripts" / "check_trace.py")
-check_trace = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_trace)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+check_trace = _load("check_trace", ROOT / "scripts" / "check_trace.py")
+tracing = _load("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -70,3 +82,14 @@ def test_main_exit_code(tmp_path):
     assert check_trace.main([str(out), str(err)]) == 1
     out.write_text(_run(correct=False))
     assert check_trace.main([str(out), str(err)]) == 1
+
+
+def test_every_probe_names_a_package_function():
+    # the tracer reports a probe whose target is gone as an absent layer,
+    # which fails the traced run; resolve each target as it would, without
+    # installing the tracer
+    for probe in tracing.PROBES:
+        target = importlib.import_module(f"qsymgraph.{probe.layer}")
+        for attr in probe.target.split("."):
+            target = getattr(target, attr)
+        assert callable(target), probe.name

@@ -31,7 +31,7 @@ from qsymgraph.classify import CheckResult, Presentation
 from qsymgraph.freealg import EMPTY_WORD, Generators, Poly
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import _connected_masks
-from qsymgraph.groebner import EngineLimits, Reducer, ResourceCapError, complete
+from qsymgraph.groebner import EngineLimits, GBasis, ResourceCapError, complete
 from qsymgraph.pipeline import OrderRow, classify_with_record
 
 from commutator_oracle import all_pairs_check, commutators
@@ -48,6 +48,7 @@ from conftest import (
 )
 from relations_oracle import explicit_zero_relations, reference_relations
 from walk_oracle import adjacency
+from worklist_oracle import ListReducer
 
 NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"
 
@@ -284,11 +285,11 @@ def test_truncated_when_cap_too_low():
 
 
 def test_broken_house_commutators_reduce_to_zero(broken_house):
-    from qsymgraph.groebner import Reducer, complete as gb_complete
+    from qsymgraph.groebner import complete as gb_complete
 
     pres = build_relations(broken_house, zero_pattern(broken_house))
     basis = gb_complete(pres.relations, degree_bound=6)
-    reducer = Reducer(basis.polys)
+    reducer = ListReducer(basis.polys)
     a = pres.gens.index(2, 2)
     b = pres.gens.index(3, 3)
     commutator = Poly({bytes((a, b)): 1, bytes((b, a)): -1})
@@ -698,15 +699,15 @@ def test_every_free_pair_is_reduced():
 
 def test_only_free_commutators_are_reduced(monkeypatch):
     # the 4-vertex path keeps 8 letters, of which the basis leaves one free;
-    # the basis complete returns reduces through Reducer.normal_form
+    # the basis complete returns reduces through GBasis.normal_form
     calls = []
-    original = Reducer.normal_form
+    original = GBasis.normal_form
 
     def counting(self, f):
         calls.append(f)
         return original(self, f)
 
-    monkeypatch.setattr(Reducer, "normal_form", counting)
+    monkeypatch.setattr(GBasis, "normal_form", counting)
     g = four_vertex_path()
     result = qsym_check(build_relations(g, zero_pattern(g)))
     assert result.status is CheckStatus.COMMUTATIVE and result.commutator_count == 28

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from qsymgraph.freealg import EMPTY_WORD, Poly, word
-from qsymgraph.groebner import EngineLimits, GBasis, Reducer, ResourceCapError, complete
+from qsymgraph.groebner import EngineLimits, GBasis, ResourceCapError, complete
 from conftest import pairless_presentations
 from overlap_oracle import (
     Obstruction,
@@ -24,7 +24,7 @@ from overlap_oracle import (
     obstructions_of_leads,
     random_normal_form,
 )
-from worklist_oracle import membership_certificate, normal_form, reduce_terms
+from worklist_oracle import ListReducer, membership_certificate, normal_form, reduce_terms
 
 X, Y = 0, 1
 
@@ -38,7 +38,7 @@ def idempotent(g):
 
 
 def nf(f, polys):
-    return Reducer(polys).normal_form(f)
+    return ListReducer(polys).normal_form(f)
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +66,10 @@ def test_normal_form_requires_monic_basis():
 
 def test_normal_form_trace_reconstructs_the_difference():
     # the worklist oracle's trace rebuilds f - nf(f) from the basis, and
-    # its normal form is the one Reducer gives
+    # its normal form is the one the memoised reference gives
     rng = random.Random(61)
     basis = [idempotent(X), idempotent(Y), p({word(Y, X): 1, word(X, Y): -1})]
-    reducer = Reducer(basis)
+    reducer = ListReducer(basis)
     for _ in range(50):
         f = p({
             bytes(rng.choices((X, Y), k=rng.randint(0, 4))): rng.randint(-3, 3)
@@ -84,21 +84,23 @@ def test_normal_form_trace_reconstructs_the_difference():
         assert traced == reducer.normal_form(f)
 
 
-def _linear_find(polys, w):
-    """Reference scan: the unit rule if any, else the leftmost position
-    and, there, the lowest rule id whose lead matches."""
+def _first_occurrence(polys, w):
+    """The rewrite the reference must pick at ``w``: the least (position,
+    rule id) over every occurrence of every lead, a unit rule at 0."""
     leads = [f.leading_term()[0] for f in polys]
-    for rid, lead in enumerate(leads):
-        if not lead:
-            return rid, 0, EMPTY_WORD
-    for pos in range(len(w)):
-        for rid, lead in enumerate(leads):
-            if w.startswith(lead, pos):
-                return rid, pos, lead
-    return None
+    units = [rid for rid, lead in enumerate(leads) if not lead]
+    if units:
+        return units[0], 0, EMPTY_WORD
+    hits = [(pos, rid) for rid, lead in enumerate(leads)
+            for pos in range(len(w) - len(lead) + 1) if w.startswith(lead, pos)]
+    if not hits:
+        return None
+    pos, rid = min(hits)
+    return rid, pos, leads[rid]
 
 
 def test_find_agrees_with_linear_scan_on_non_interreduced_rules():
+    # the reference's lookup, on lists with duplicate and nested leads
     rng = random.Random(83)
     for case in range(300):
         letters = rng.randint(2, 3)
@@ -117,10 +119,10 @@ def test_find_agrees_with_linear_scan_on_non_interreduced_rules():
                 tail = bytes(rng.choices(range(letters), k=rng.randrange(len(lead))))
                 terms[tail] = rng.choice((-2, -1, 1, 3))
             polys.append(p(terms))
-        reducer = Reducer(polys)
+        reducer = ListReducer(polys)
         for _ in range(20):
             w = bytes(rng.choices(range(letters), k=rng.randint(0, 7)))
-            assert reducer.find(w) == _linear_find(polys, w)
+            assert reducer.find(w) == _first_occurrence(polys, w)
 
 
 def test_memoised_normal_form_equals_worklist_on_non_interreduced_rules():
@@ -146,7 +148,7 @@ def test_memoised_normal_form_equals_worklist_on_non_interreduced_rules():
                 if (len(tail), tail) < (len(lead), lead):  # deglex
                     terms[tail] = rng.choice(coeffs)
             polys.append(p(terms))
-        reducer = Reducer(polys)
+        reducer = ListReducer(polys)
         for _ in range(15):
             f = p({
                 bytes(rng.choices(range(letters), k=rng.randint(0, 7))): rng.choice(coeffs)
@@ -155,7 +157,7 @@ def test_memoised_normal_form_equals_worklist_on_non_interreduced_rules():
             memoised = sorted(reducer.normal_form(f).terms.items())
             worklist = sorted(reduce_terms(f.terms, reducer).items())
             assert repr(memoised) == repr(worklist)  # equal values, same int/Fraction types
-        assert reducer.word_nf
+        assert reducer.memo
 
 
 def test_integral_coefficients_fold_back_to_int():
@@ -177,7 +179,7 @@ def test_integral_coefficients_fold_back_to_int():
 
 def test_normal_form_idempotence():
     rng = random.Random(67)
-    reducer = Reducer([idempotent(X), p({word(Y, Y): 1, EMPTY_WORD: -1})])
+    reducer = ListReducer([idempotent(X), p({word(Y, Y): 1, EMPTY_WORD: -1})])
     for _ in range(60):
         f = p({
             bytes(rng.choices((X, Y), k=rng.randint(0, 5))): rng.randint(-4, 4)
@@ -316,12 +318,14 @@ class _WorklistBasis(GBasis):
 
 
 class _MemoCheckedBasis(GBasis):
-    """Checks after every insert that changes the rules that each memoised
-    word normal form is the one a fresh Reducer over the live rules, in
-    rule-id order, gives, and that the entry is recorded as built from
-    the words the live rules rewrite it into, which are memoised too; an
-    entry built from an old tail can hold the right value by chance.  (An
-    insert that takes no rule id changes no rule, and so forgets none.)"""
+    """Checks after every insert that changes the rules that no live lead
+    is a subword of another and a unit rule is the only rule, so that at
+    most one lead matches at any position; that each memoised word normal
+    form is the one the reference over the live rules gives; and that
+    the entry is recorded as built from the words the live rules rewrite
+    it into, which are memoised too; an entry built from an old tail can
+    hold the right value by chance.  (An insert that takes no rule id
+    changes no rule, and so forgets none.)"""
 
     checked = 0
 
@@ -330,12 +334,20 @@ class _MemoCheckedBasis(GBasis):
         super().insert(terms)
         if self.next_rid == rid:
             return
-        live = sorted(self.leads)
-        fresh = Reducer([
-            Poly({**self.tails[s], self.leads[s]: 1}, _trusted=True) for s in live])
+        leads = self.leads
+        distinct = set(leads.values())
+        assert len(distinct) == len(leads)
+        for lead in distinct:
+            # proper subwords, the empty word too: a unit rule stands alone
+            inner = {lead[i:j] for i in range(len(lead) + 1)
+                     for j in range(i, len(lead) + 1)} - {lead}
+            assert not inner & distinct, lead
+        live = sorted(leads)
+        fresh = ListReducer([
+            Poly({**self.tails[s], leads[s]: 1}, _trusted=True) for s in live])
         for w, memoised in self.word_nf.items():
             # equal values, same int/Fraction types
-            assert _typed(memoised) == _typed(fresh._word_nf(w)), w
+            assert _typed(memoised) == _typed(fresh.word_normal_form(w)), w
             hit = fresh.find(w)
             if hit is not None:
                 s, pos, lead = hit
@@ -433,16 +445,49 @@ def test_memo_equals_fresh_reducer_after_every_insert_on_small_graphs():
     assert _assert_memo_stays_exact(systems) > 10000
 
 
+def _assert_find_agrees_with_reference(gens, bound, rng):
+    """Check that the basis ``complete`` returns picks, at every word its
+    completion memoised and at 20 random words, the rewrite the reference
+    over ``basis.polys`` picks, the reference's rule ids mapped to the
+    basis's through the leads; return the number of words with a rewrite."""
+    basis = complete(gens, degree_bound=bound)
+    reference = ListReducer(basis.polys)
+    rule_of = {lead: rid for rid, lead in basis.leads.items()}
+    letters = sorted({x for g in gens for w in g.terms for x in w})
+    words = list(basis.word_nf)
+    words += [bytes(rng.choices(letters, k=rng.randint(0, bound + 2))) for _ in range(20)]
+    reducible = 0
+    for w in words:
+        hit = reference.find(w)
+        if hit is not None:
+            _, pos, lead = hit
+            hit = rule_of[lead], pos, lead
+            reducible += 1
+        assert basis.find(w) == hit, w
+    return reducible
+
+
+def test_engine_find_agrees_with_reference_after_completion():
+    # first hit at the leftmost reducible position is the lowest rule id
+    # there, since at most one live lead matches at a position
+    rng = random.Random(107)
+    random_inputs = sum(_assert_find_agrees_with_reference(gens, bound, rng)
+                        for gens, bound in _random_systems())
+    small_graphs = sum(_assert_find_agrees_with_reference(relations, 4, rng)
+                       for relations in _small_graph_presentations())
+    assert random_inputs > 1000 and small_graphs > 1000, (random_inputs, small_graphs)
+
+
 def _assert_reduces_as_fresh_reducer(gens, bound):
     """Check that the basis ``complete`` returns reduces every word its
     completion memoised, every two-letter word and every commutator on the
-    letters of ``gens`` as a fresh ``Reducer(basis.polys)`` does, values
-    and int/Fraction types alike; return the number of two-letter words
+    letters of ``gens`` as the reference ``ListReducer(basis.polys)`` does,
+    values and int/Fraction types alike; return the number of two-letter words
     and commutators."""
     basis = complete(gens, degree_bound=bound)
-    fresh = Reducer(basis.polys)
+    fresh = ListReducer(basis.polys)
     for w, memoised in basis.word_nf.items():
-        assert _typed(memoised) == _typed(fresh._word_nf(w)), w
+        assert _typed(memoised) == _typed(fresh.word_normal_form(w)), w
     letters = sorted({x for g in gens for w in g.terms for x in w})
     polys = [p({word(a, b): 1}) for a in letters for b in letters]
     polys += [p({word(a, b): 1, word(b, a): -1}) for a, b in itertools.combinations(letters, 2)]
@@ -517,7 +562,7 @@ def test_truncation_reports_unknown():
 def test_generators_always_members():
     gens = [idempotent(X), p({word(X, Y): 1, word(Y, X): -1})]
     basis = complete(gens, degree_bound=6)
-    reducer = Reducer(basis.polys)
+    reducer = ListReducer(basis.polys)
     for g in gens:
         assert reducer.normal_form(g).is_zero()
 
@@ -659,7 +704,7 @@ def test_bases_are_monic_and_interreduced(gens):
         for j, b in enumerate(leads):
             if i != j:
                 assert a not in b, "leading word contains another"
-    reducer = Reducer(basis.polys)
+    reducer = ListReducer(basis.polys)
     for i, f in enumerate(basis.polys):
         lw, _ = f.leading_term()
         tail = f - Poly.term(lw, 1)
@@ -724,7 +769,7 @@ def test_fuzzed_membership_agrees_with_span_oracle():
             continue
         d = rng.choice([4, 5])
         basis = complete(gens, degree_bound=d)
-        reducer = Reducer(basis.polys)
+        reducer = ListReducer(basis.polys)
         oracle = SpanOracle(gens, letters, d)
         for _ in range(12):
             terms = {
@@ -744,7 +789,7 @@ def test_fuzzed_membership_agrees_with_span_oracle():
 
 def test_church_rosser_on_complete_basis(commuting_pair_basis):
     rng = random.Random(73)
-    reducer = Reducer(commuting_pair_basis.polys)
+    reducer = ListReducer(commuting_pair_basis.polys)
     for _ in range(60):
         f = p({
             bytes(rng.choices((X, Y), k=rng.randint(0, 6))): rng.randint(-3, 3)

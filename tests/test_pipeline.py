@@ -143,6 +143,44 @@ def test_parallel_serial_equivalence():
     assert serial == parallel
 
 
+def test_worker_pool_is_bounded_by_graphs_and_cpus(monkeypatch):
+    # a fake pool records the processes asked for and maps in-process, so
+    # a large --jobs starts nothing; n = 4 has 6 connected graphs
+    import multiprocessing
+    import os
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    serial = strip_times(report_to_json(run_batch(RunConfig(n=4))))
+    assert asked == []
+    run_batch(RunConfig(n=4, jobs=1000))
+    assert all(k <= min(6, os.cpu_count() or 1) for k in asked), asked
+    for cpus, expected in ((64, [6]), (2, [2]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        asked.clear()
+        report = run_batch(RunConfig(n=4, jobs=1000))
+        assert asked == expected, cpus
+        assert strip_times(report_to_json(report)) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    asked.clear()
+    run_batch(RunConfig(n=3, jobs=1000))  # 2 graphs
+    assert asked == [2]
+
+
 def test_json_round_trip(n4_report):
     data = json.loads(json.dumps(report_to_json(n4_report)))
     records = tuple(GraphRecord.from_json_dict(d) for d in data["records"])
