@@ -16,8 +16,8 @@ MAX_VERTICES = 16
 
 # Enumeration by canonical deletion takes about 0.04 s at n = 7, 0.5 s at
 # n = 8 (11,117 graphs) and 12 s at n = 9 (261,080) on a 2-core machine,
-# and classifying n = 8 about 15 s; the cap stays until n = 8 has a
-# pinned table.
+# and classifying the 11,117 graphs of n = 8, read from a graph6 file in
+# one process, about 1.2 s; the cap stays until n = 8 has a pinned table.
 MAX_ENUMERATE_VERTICES = 7
 
 

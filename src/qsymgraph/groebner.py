@@ -32,15 +32,30 @@ class EngineLimits:
     max_terms: int = 2_000_000
 
 
-class Reducer:
-    """The rewriting half of a ``GBasis``: its live rules, by rule id,
-    and the word normal forms they give.
+def _subwords(w: Word) -> set[Word]:
+    return {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
 
-    Completion keeps the rules interreduced, so no live lead is a subword
-    of another and at most one matches at any position of a word.  Leads
-    are looked up by hash: at each position, the slice of every length
-    some lead has is looked up in ``by_lead``, and the first hit at the
-    leftmost reducible position rewrites.
+
+def _discard(index: dict, key: Word, rid: int) -> None:
+    bucket = index[key]
+    bucket.discard(rid)
+    if not bucket:
+        del index[key]
+
+
+class GBasis:
+    """A degree-truncated Groebner basis, as ``complete`` returns it: the
+    rewriting system that completed it.  Its live rules are kept by rule
+    id in ``leads`` and ``tails``, with the word normal forms they give.
+
+    Every insert interreduces, truncated or not, and an element over the
+    bound takes no rule.  So no live lead is a subword of another, at
+    most one matches at any position of a word, and none is longer than
+    the bound.  ``find`` looks up, at each position, the slice of every
+    length up to the bound in ``by_lead``; the first hit at the leftmost
+    reducible position rewrites, and which rule that is does not depend
+    on the order the rules came in.  The unit rule reduces everything
+    to 0.
 
     Which rule rewrites a word depends on the word alone, so reduction is
     linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
@@ -52,33 +67,48 @@ class Reducer:
     entry a retired rule rewrote, since a rule is retired only when the
     new lead divides its lead.  A rewritten tail forgets the entries its
     rule rewrote.  So ``word_nf`` always holds what the live rules give.
+
+    Beside ``by_lead`` the basis indexes every live lead by its proper
+    prefixes and suffixes, to find overlaps, and every word of every
+    live rule, lead and tail words alike, by its subwords in ``sub``,
+    counting for each rule how many of its words contain the subword.
+    The bucket of a new lead holds the rules it retires and the rules
+    whose tails it reduces.
     """
 
-    def __init__(self):
+    def __init__(self, bound: int, limits: EngineLimits):
+        self.bound = bound
+        self.limits = limits
         self.leads: dict[int, Word] = {}
         self.tails: dict[int, dict] = {}
         self.by_lead: dict[Word, int] = {}  # nonempty lead -> rule id
-        self.lengths: list[int] = []  # distinct lengths in by_lead, ascending
-        self.length_count: dict[int, int] = {}
         self.unit_rule: int | None = None
         self.word_nf: dict[Word, dict] = {}
         # entry -> entries built from it; rule id -> entries it rewrote
         self.users: defaultdict[Word, list[Word]] = defaultdict(list)
         self.rewrote: defaultdict[int, list[Word]] = defaultdict(list)
+        self.prefix: defaultdict[Word, set[int]] = defaultdict(set)
+        self.suffix: defaultdict[Word, set[int]] = defaultdict(set)
+        self.sub: defaultdict[Word, dict[int, int]] = defaultdict(dict)
+        self.heap: list[tuple[int, int, int, int]] = []
+        self.deferred: list[tuple[int, int, int, int]] = []
+        self.pending: deque = deque()
+        self.next_rid = 0
+        self.term_count = 0
+        self.overflow = False
 
     def _add(self, rid: int, lead: Word, tail: dict) -> None:
         self._forget([w for w in self.word_nf if lead in w])
         self.leads[rid] = lead
         self.tails[rid] = tail
-        if not lead:
+        if lead:
+            self.by_lead[lead] = rid
+        else:
             self.unit_rule = rid
-            return
-        self.by_lead[lead] = rid
-        size = len(lead)
-        count = self.length_count.get(size, 0)
-        self.length_count[size] = count + 1
-        if not count:
-            self.lengths = sorted(self.length_count)
+        for k in range(1, len(lead)):
+            self.prefix[lead[:k]].add(rid)
+            self.suffix[lead[-k:]].add(rid)
+        self._count_words(rid, [lead, *tail], 1)
 
     def _drop(self, rid: int) -> tuple[Word, dict]:
         """Undo ``_add`` of a rule other than the unit rule, except that
@@ -88,13 +118,26 @@ class Reducer:
         lead = self.leads.pop(rid)
         tail = self.tails.pop(rid)
         del self.by_lead[lead]
-        size = len(lead)
-        count = self.length_count.pop(size) - 1
-        if count:
-            self.length_count[size] = count
-        else:
-            self.lengths = sorted(self.length_count)
+        for k in range(1, len(lead)):
+            _discard(self.prefix, lead[:k], rid)
+            _discard(self.suffix, lead[-k:], rid)
+        self._count_words(rid, [lead, *tail], -1)
         return lead, tail
+
+    def _count_words(self, rid: int, words, step: int) -> None:
+        """Add ``step`` to the count of ``rid`` under every subword of
+        each of ``words``."""
+        sub = self.sub
+        for w in words:
+            for key in _subwords(w):
+                bucket = sub[key]
+                count = bucket.get(rid, 0) + step
+                if count:
+                    bucket[rid] = count
+                else:
+                    del bucket[rid]
+                    if not bucket:
+                        del sub[key]
 
     def _forget(self, words) -> None:
         """Drop ``words`` from ``word_nf``, and every entry built from a
@@ -113,10 +156,10 @@ class Reducer:
         if self.unit_rule is not None:
             return self.unit_rule, 0, EMPTY_WORD
         by_lead = self.by_lead
-        lengths = self.lengths
+        sizes = range(1, self.bound + 1)
         n = len(w)
         for pos in range(n):
-            for size in lengths:
+            for size in sizes:
                 end = pos + size
                 if end > n:
                     break
@@ -200,83 +243,6 @@ class Reducer:
             rewrote[rid].append(v)
         return memo[w]
 
-
-def _subwords(w: Word) -> set[Word]:
-    return {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
-
-
-def _discard(index: dict, key: Word, rid: int) -> None:
-    bucket = index[key]
-    bucket.discard(rid)
-    if not bucket:
-        del index[key]
-
-
-class GBasis(Reducer):
-    """A degree-truncated Groebner basis, as ``complete`` returns it: the
-    rewriting system that completed it.  Every insert interreduces,
-    truncated or not, and an element over the bound takes no rule, so at
-    most one live lead matches at any position of a word, and the
-    normal form of a word does not depend on the order the rules came
-    in.  The unit rule reduces everything to 0.
-
-    ``leads`` holds live elements only.  Beside ``by_lead`` the basis
-    indexes every live lead by its proper prefixes and suffixes (to find
-    overlaps) and by all its subwords (to find the leads a new lead
-    divides), and every live tail by the subwords of its words (to find
-    the tails a new lead reduces), counting for each rule how many of its
-    tail words contain the subword.
-    """
-
-    def __init__(self, bound: int, limits: EngineLimits):
-        super().__init__()
-        self.bound = bound
-        self.limits = limits
-        self.prefix: defaultdict[Word, set[int]] = defaultdict(set)
-        self.suffix: defaultdict[Word, set[int]] = defaultdict(set)
-        self.sub: defaultdict[Word, set[int]] = defaultdict(set)
-        self.tail_sub: defaultdict[Word, dict[int, int]] = defaultdict(dict)
-        self.heap: list[tuple[int, int, int, int]] = []
-        self.deferred: list[tuple[int, int, int, int]] = []
-        self.pending: deque = deque()
-        self.next_rid = 0
-        self.term_count = 0
-        self.overflow = False
-
-    def _add(self, rid: int, lead: Word, tail: dict) -> None:
-        super()._add(rid, lead, tail)
-        for k in range(1, len(lead)):
-            self.prefix[lead[:k]].add(rid)
-            self.suffix[lead[-k:]].add(rid)
-        for key in _subwords(lead):
-            self.sub[key].add(rid)
-        self._count_tail_words(rid, tail, 1)
-
-    def _drop(self, rid: int) -> tuple[Word, dict]:
-        lead, tail = super()._drop(rid)
-        for k in range(1, len(lead)):
-            _discard(self.prefix, lead[:k], rid)
-            _discard(self.suffix, lead[-k:], rid)
-        for key in _subwords(lead):
-            _discard(self.sub, key, rid)
-        self._count_tail_words(rid, tail, -1)
-        return lead, tail
-
-    def _count_tail_words(self, rid: int, words, step: int) -> None:
-        """Add ``step`` to the count of ``rid`` under every subword of
-        each of ``words``."""
-        tail_sub = self.tail_sub
-        for w in words:
-            for key in _subwords(w):
-                bucket = tail_sub[key]
-                count = bucket.get(rid, 0) + step
-                if count:
-                    bucket[rid] = count
-                else:
-                    del bucket[rid]
-                    if not bucket:
-                        del tail_sub[key]
-
     def _overlaps(self, rid: int):
         """(i, j, k) for every live pair with ``rid`` as i or j (or both)
         where the last k letters of lead i are the first k of lead j,
@@ -302,18 +268,17 @@ class GBasis(Reducer):
             return
         rid = self.next_rid
         self.next_rid += 1
-        # interreduction, step 1: retire elements whose lead the new lead divides
-        if lw:
-            for s in sorted(self.sub.get(lw, ())):
+        # the live rules with a word that contains the new lead (all of
+        # them when 1 enters the ideal: the empty word divides every lead)
+        hits = sorted(self.sub.get(lw, ()) if lw else self.leads)
+        # interreduction, step 1: retire those whose lead the new lead
+        # divides; under a unit rule they reduce to 0
+        for s in hits:
+            if lw in self.leads[s]:
                 lead, full = self._drop(s)
                 full[lead] = 1
                 self.term_count -= len(full)
                 self.pending.append(full)
-        else:
-            # constant 1 entered the ideal: everything reduces to zero
-            for s in sorted(self.leads):
-                _, tail = self._drop(s)
-                self.term_count -= len(tail) + 1
         self._add(rid, lw, nf)
         self.term_count += len(nf) + 1
         if len(self.leads) > self.limits.max_basis:
@@ -322,17 +287,19 @@ class GBasis(Reducer):
         if self.term_count > self.limits.max_terms:
             raise ResourceCapError(
                 f"total term cap exceeded ({self.limits.max_terms})")
-        # interreduction, step 2: re-reduce the tails that contain the new
-        # lead (never the new element's own: its tail words are smaller)
-        for s in sorted(self.tail_sub.get(lw, ())):
-            tail = self.tails[s]
+        # interreduction, step 2: re-reduce the tails of the others (the
+        # new element is not among them: its tail words are smaller)
+        for s in hits:
+            tail = self.tails.get(s)
+            if tail is None:  # retired in step 1
+                continue
             new_tail = self._reduce(tail)
             self.tails[s] = new_tail
             # entries that rule s rewrote were built from its old tail
             self._forget(self.rewrote.pop(s, ()))
             self.term_count += len(new_tail) - len(tail)
-            self._count_tail_words(s, [w for w in tail if w not in new_tail], -1)
-            self._count_tail_words(s, [w for w in new_tail if w not in tail], 1)
+            self._count_words(s, [w for w in tail if w not in new_tail], -1)
+            self._count_words(s, [w for w in new_tail if w not in tail], 1)
         leads = self.leads
         for i, j, k in self._overlaps(rid):
             entry = (len(leads[i]) + len(leads[j]) - k, i, j, k)
@@ -415,6 +382,9 @@ class GBasis(Reducer):
         leads, tails = self.leads, self.tails
         return [Poly({**tails[r], leads[r]: 1}, _trusted=True)
                 for r in sorted(leads, key=lambda r: _deglex_key(leads[r]))]
+
+
+Reducer = GBasis  # the name perfbench/tracing.py probes normal_form under
 
 
 def complete(gens, *, degree_bound: int,

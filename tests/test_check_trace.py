@@ -1,5 +1,6 @@
 """scripts/check_trace.py, the check on a traced benchmark run, on made-up
-runs, and the names the benchmark's tracer probes."""
+runs, and the names the benchmark's tracer probes and its counters, read on
+real results."""
 
 import importlib
 import importlib.util
@@ -93,3 +94,45 @@ def test_every_probe_names_a_package_function():
         for attr in probe.target.split("."):
             target = getattr(target, attr)
         assert callable(target), probe.name
+    # the Groebner probe keeps its old name, an alias of the one rewriting class
+    groebner = importlib.import_module("qsymgraph.groebner")
+    assert groebner.Reducer.normal_form is groebner.GBasis.normal_form
+
+
+def test_every_probe_counter_reads_a_real_result(tmp_path):
+    # the tracer drops a counter that raises on its result; read each one
+    # on the result of one real call of its probe on a small input
+    from qsymgraph.automorphisms import automorphism_group
+    from qsymgraph.classify import build_relations
+    from qsymgraph.fulton import zero_pattern
+    from qsymgraph.graphs import enumerate_connected, parse_graph6
+    from qsymgraph.groebner import complete
+    from qsymgraph.pipeline import RunConfig, run_batch
+
+    p4, k4 = parse_graph6("Ch"), parse_graph6("C~")
+    pres = build_relations(p4, zero_pattern(p4))
+    basis = complete(pres.relations, degree_bound=4)
+    batch = tmp_path / "three.g6"
+    batch.write_text("Bw\nCh\nC~\n")
+    results = {
+        "graphs.enumerate_connected": enumerate_connected(4),
+        "graphs.parse_graph6": k4,
+        "automorphisms.automorphism_group": automorphism_group(k4),
+        "fulton.zero_pattern": zero_pattern(p4),
+        "classify.build_relations": pres,
+        "groebner.complete": basis,
+        "groebner.Reducer.normal_form": basis.normal_form(pres.relations[-1]),
+        "pipeline.run_batch": run_batch(RunConfig(graph6_path=batch)),
+    }
+    counted = {probe.name: probe for probe in tracing.PROBES if probe.counters}
+    assert sorted(counted) == sorted(results)
+    counts = {}  # summed as the tracer sums them, since probes share a key
+    for name, probe in counted.items():
+        for key, count in probe.counters:
+            value = count(results[name])
+            assert type(value) is int and value >= 0, (name, key, value)
+            counts[key] = counts.get(key, 0) + value
+    assert counts["graphs.count"] == 6 + 1
+    assert counts["automorphisms.elements"] == 24
+    assert counts["groebner.basis_size"] == basis.size > 0
+    assert counts["pipeline.records"] == 3

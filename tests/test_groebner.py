@@ -228,9 +228,22 @@ def test_obstructions_sorted_by_degree():
     assert degrees == sorted(degrees)
 
 
+def _rule_word_counts(engine, key):
+    """{rule id: how many words of the rule contain ``key``}, lead and
+    tail words alike, by a scan over the live rules."""
+    counts = {}
+    for s, lead in engine.leads.items():
+        count = sum(key in w for w in (lead, *engine.tails[s]))
+        if count:
+            counts[s] = count
+    return counts
+
+
 def test_indexed_overlaps_match_all_pairs_oracle():
     # the basis pushes (i, j, k) for each new lead against the live ones
-    # through its prefix/suffix indexes; the oracle tries every pair
+    # through its prefix/suffix indexes; the oracle tries every pair.  The
+    # subword index counts the words of every live rule, lead and tail
+    # alike, through direct adds and drops
     rng = random.Random(79)
     for _ in range(150):
         letters = rng.randint(3, 4)
@@ -244,7 +257,9 @@ def test_indexed_overlaps_match_all_pairs_oracle():
             while not lead or lead in engine.by_lead:  # live leads are distinct
                 lead = bytes(rng.choices(range(letters), k=rng.randint(1, 5)))
             all_leads.append(lead)
-            engine._add(rid, lead, {})
+            tail = {bytes(rng.choices(range(letters), k=rng.randrange(len(lead)))): 1
+                    for _ in range(rng.randint(0, 3))}
+            engine._add(rid, lead, tail)
             pushed = sorted(engine._overlaps(rid))
             live = sorted(engine.leads)
             leads = [all_leads[s] for s in live]
@@ -254,31 +269,52 @@ def test_indexed_overlaps_match_all_pairs_oracle():
                 if len(o.word) > len(leads[o.left]) and rid in (live[o.left], live[o.right])
             )
             assert pushed == expected
-            probe = bytes(rng.choices(range(letters), k=rng.randint(1, 3)))
-            assert sorted(engine.sub.get(probe, ())) == [
-                s for s in live if probe in all_leads[s]]
+            for probe in (lead, bytes(rng.choices(range(letters), k=rng.randint(1, 3)))):
+                assert engine.sub.get(probe, {}) == _rule_word_counts(engine, probe)
 
 
 class _ScanCheckedBasis(GBasis):
-    """Checks, whenever an element is added, that the tail index holds
-    exactly the rules the old scan over every live tail would re-reduce
-    for that lead in ``insert`` step 2."""
+    """Checks, whenever an element is added, that the subword index holds
+    under its lead exactly the rules a scan over every live lead and tail
+    finds: itself, and the rules whose tails ``insert`` step 2 then
+    re-reduces."""
 
     checked = 0
     touched = 0
 
     def _add(self, rid, lead, tail):
         super()._add(rid, lead, tail)
-        scanned = [s for s in sorted(self.leads)
-                   if s != rid and any(lead in w for w in self.tails[s])]
-        assert sorted(self.tail_sub.get(lead, ())) == scanned
+        scanned = _rule_word_counts(self, lead)
+        assert self.sub.get(lead, {}) == scanned
         self.checked += 1
-        self.touched += len(scanned)
+        self.touched += len(scanned) - 1
 
 
-def test_tail_index_matches_scan_during_random_completions():
-    rng = random.Random(97)
+def _assert_index_matches_scan(systems):
+    """Complete each system in a ``_ScanCheckedBasis`` and rebuild its
+    subword index from the live rules at the end, after drops and
+    re-reductions; return the adds checked and the rules step 2 touched."""
     checked = touched = 0
+    for gens, bound in systems:
+        engine = _ScanCheckedBasis(bound, EngineLimits())
+        engine.run(dict(g.terms) for g in gens)
+        assert engine.polys == complete(gens, degree_bound=bound).polys
+        # each count is the number of the rule's words that contain the subword
+        rebuilt: dict = {}
+        for s, lead in engine.leads.items():
+            for w in (lead, *engine.tails[s]):
+                for key in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
+                    bucket = rebuilt.setdefault(key, {})
+                    bucket[s] = bucket.get(s, 0) + 1
+        assert rebuilt == engine.sub
+        checked += engine.checked
+        touched += engine.touched
+    return checked, touched
+
+
+def test_subword_index_matches_scan_during_random_completions():
+    rng = random.Random(97)
+    systems = []
     for _ in range(200):
         letters = rng.randint(2, 3)
         gens = []
@@ -289,24 +325,16 @@ def test_tail_index_matches_scan_during_random_completions():
             })
             if poly:
                 gens.append(poly)
-        if not gens:
-            continue
-        bound = max(rng.randint(4, 6), max(g.degree() for g in gens))
-        engine = _ScanCheckedBasis(bound, EngineLimits())
-        engine.run(dict(g.terms) for g in gens)
-        assert engine.polys == complete(gens, degree_bound=bound).polys
-        # after drops and re-reductions: each count is the number of the
-        # rule's tail words that contain the subword
-        rebuilt: dict = {}
-        for s, tail in engine.tails.items():
-            for w in tail:
-                for key in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
-                    bucket = rebuilt.setdefault(key, {})
-                    bucket[s] = bucket.get(s, 0) + 1
-        assert rebuilt == engine.tail_sub
-        checked += engine.checked
-        touched += engine.touched
+        if gens:
+            systems.append((gens, max(rng.randint(4, 6), max(g.degree() for g in gens))))
+    checked, touched = _assert_index_matches_scan(systems)
     assert checked > 600 and touched > 100  # adds, and tails step 2 re-reduced
+
+
+def test_subword_index_matches_scan_on_small_graphs():
+    checked, touched = _assert_index_matches_scan(
+        (relations, 4) for relations in _small_graph_presentations())
+    assert checked > 1000 and touched > 100, (checked, touched)  # step 2 fires
 
 
 class _WorklistBasis(GBasis):
@@ -318,22 +346,26 @@ class _WorklistBasis(GBasis):
 
 
 class _MemoCheckedBasis(GBasis):
-    """Checks after every insert that changes the rules that no live lead
-    is a subword of another and a unit rule is the only rule, so that at
-    most one lead matches at any position; that each memoised word normal
-    form is the one the reference over the live rules gives; and that
-    the entry is recorded as built from the words the live rules rewrite
-    it into, which are memoised too; an entry built from an old tail can
-    hold the right value by chance.  (An insert that takes no rule id
-    changes no rule, and so forgets none.)"""
+    """Checks after every insert that changes the rules that ``term_count``
+    counts the terms of the live rules, which the ``max_terms`` cap reads;
+    that no live lead is a subword of another and a unit rule is the only
+    rule, so that at most one lead matches at any position; that each
+    memoised word normal form is the one the reference over the live
+    rules gives; and that the entry is recorded as built from the words
+    the live rules rewrite it into, which are memoised too; an entry
+    built from an old tail can hold the right value by chance.  (An
+    insert that takes no rule id changes no rule, and so forgets none.)"""
 
     checked = 0
+    unit_reached = False
 
     def insert(self, terms):
         rid = self.next_rid
         super().insert(terms)
         if self.next_rid == rid:
             return
+        assert self.term_count == sum(len(tail) + 1 for tail in self.tails.values())
+        self.unit_reached |= self.unit_rule is not None
         leads = self.leads
         distinct = set(leads.values())
         assert len(distinct) == len(leads)
@@ -443,6 +475,18 @@ def test_memo_equals_fresh_reducer_after_every_insert_on_random_inputs():
 def test_memo_equals_fresh_reducer_after_every_insert_on_small_graphs():
     systems = [(relations, 4) for relations in _small_graph_presentations()]
     assert _assert_memo_stays_exact(systems) > 10000
+
+
+def test_memo_equals_fresh_reducer_after_every_insert_when_one_enters_the_ideal():
+    # xy = 1 and yx = 0 give x = xyx = 0, so 1 = xy = 0 from bound 3 on;
+    # the unit rule retires every live rule, whose terms leave term_count
+    Z = 2
+    gens = [p({word(X, Y): 1, EMPTY_WORD: -1}), p({word(Y, X): 1}), idempotent(Z)]
+    for bound in (3, 4):
+        engine = _MemoCheckedBasis(bound, EngineLimits())
+        engine.run(dict(g.terms) for g in gens)
+        assert engine.unit_reached and engine.polys == [Poly.one()]
+        assert engine.term_count == 1 and engine.checked > 0
 
 
 def _assert_find_agrees_with_reference(gens, bound, rng):

@@ -4,9 +4,9 @@
 reduces by a fixed list of monic polynomials that need not be
 interreduced, rewriting each word at its leftmost reducible position by
 the matching rule with the lowest id (a unit rule, lead 1, wherever
-there is one).  It shares no code with the engine, whose rules are
-interreduced so that at most one lead matches at a position; on the
-engine's live rules the two must rewrite alike.
+there is one).  It shares no code with the engine's one rewriting
+class, ``GBasis``, whose rules are interreduced so that at most one lead
+matches at a position; on its live rules the two must rewrite alike.
 
 ``reduce_terms`` rewrites a whole polynomial instead of summing per-word
 normal forms, largest word first, merging coefficients as it goes, and
