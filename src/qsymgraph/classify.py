@@ -18,7 +18,7 @@ If neither criterion fires the graph stays Undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations, starmap
 
@@ -31,7 +31,7 @@ from .automorphisms import (
 )
 from .freealg import Generators, Poly
 from .fulton import ZeroPattern, zero_pattern
-from .graphs import Graph
+from .graphs import Graph, _canonical_labelling
 from .groebner import EngineLimits, complete
 
 
@@ -302,10 +302,20 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
 
 
 # Results of the algebra check, keyed by the zero pattern's classes, the
-# adjacency blocks up to complement and the config, oldest first; above
-# the 312 keys of the pairless graphs at n = 8 and the 1,976 at n = 9.
+# adjacency blocks up to complement and the config, oldest first.  A miss
+# on a pattern of several classes stores two entries, under the key in the
+# graph's labelling and under the key in the canonical one; the connected
+# graphs leave 336 entries at n = 8 (43 checks) and 2,032 at n = 9 (82).
 QSYM_MEMO_MAX = 4096
 _memo: dict = {}
+
+
+def _class_members(classes: tuple[int, ...]) -> dict[int, int]:
+    """Least vertex of each class -> bits of its members."""
+    members: dict[int, int] = {}
+    for i, c in enumerate(classes):
+        members[c] = members.get(c, 0) | 1 << i
+    return members
 
 
 def _blocks_up_to_complement(g: Graph, pattern: ZeroPattern) -> tuple[int, ...]:
@@ -314,9 +324,7 @@ def _blocks_up_to_complement(g: Graph, pattern: ZeroPattern) -> tuple[int, ...]:
     min I and min J, or, when I = J, between min I and the next member of
     I.  A block between two singleton classes is always 0."""
     cl = pattern.classes
-    members: dict[int, int] = {}  # least vertex -> bits of its class
-    for i, c in enumerate(cl):
-        members[c] = members.get(c, 0) | 1 << i
+    members = _class_members(cl)
     nbr = g.nbr
     flip = {}  # least vertex of I -> bits of every J whose block is flipped
     for c, mc in members.items():
@@ -330,6 +338,75 @@ def _blocks_up_to_complement(g: Graph, pattern: ZeroPattern) -> tuple[int, ...]:
             bits |= mc
         flip[c] = bits
     return tuple(nbr[i] ^ (flip[c] & ~(1 << i)) for i, c in enumerate(cl))
+
+
+def _canonical_order(rows: tuple[int, ...], classes: tuple[int, ...]) -> tuple[int, ...]:
+    """A vertex order read from a key's ``rows`` and ``classes`` alone.
+
+    Each class-pair block is complemented off the diagonal where more
+    than half of its off-diagonal entries are 1.  The classes become
+    cells, ordered by size and then by the sorted sizes and counts of
+    ones of their blocks (by least vertex on a tie), and the order is the
+    canonical labelling of the rows from those cells.  Keys that differ
+    by a relabelling that keeps the classes get the same relabelled key,
+    except where a block is half full or two classes tie."""
+    members = _class_members(classes)
+    ones: dict[tuple[int, int], int] = {}
+    for row, c in zip(rows, classes):
+        for d, md in members.items():
+            ones[c, d] = ones.get((c, d), 0) + (row & md).bit_count()
+    flip = dict.fromkeys(members, 0)  # least vertex of I -> bits of the Js flipped
+    for (c, d), k in ones.items():
+        entries = members[c].bit_count() * (members[d].bit_count() - (c == d))
+        if 2 * k > entries:
+            flip[c] |= members[d]
+            ones[c, d] = entries - k
+    sparser = [row ^ (flip[c] & ~(1 << i)) for i, (row, c) in enumerate(zip(rows, classes))]
+
+    def rank(c):
+        return (members[c].bit_count(),
+                sorted((md.bit_count(), ones[c, d]) for d, md in members.items()), c)
+
+    return _canonical_labelling(sparser, tuple(members[c] for c in sorted(members, key=rank)))[1]
+
+
+def _relabel(g: Graph, pattern: ZeroPattern, order) -> tuple[Graph, ZeroPattern]:
+    """``g`` and its pattern with vertex ``order[p]`` moved to position p."""
+    at = [0] * g.n  # vertex -> its new position
+    for p, v in enumerate(order):
+        at[v] = p
+    nbr = g.nbr
+    moved = tuple(sum(1 << at[u] for u in range(g.n) if nbr[v] >> u & 1) for v in order)
+    least: dict[int, int] = {}
+    classes = tuple(least.setdefault(pattern.classes[v], p) for p, v in enumerate(order))
+    return Graph(g.n, moved), ZeroPattern(classes, pattern.max_power_used)
+
+
+def _remember(key, result: CheckResult) -> None:
+    if len(_memo) >= QSYM_MEMO_MAX:
+        del _memo[next(iter(_memo))]
+    _memo[key] = result
+
+
+def _check_relabelled(g: Graph, pattern: ZeroPattern, rows: tuple[int, ...],
+                      cfg: ClassifyConfig) -> CheckResult:
+    """The algebra check of ``g``, run on ``g`` relabelled by the canonical
+    order of its key's ``rows`` and memoised under the key of that
+    labelling; a witness comes back in ``g``'s own generator indices."""
+    order = _canonical_order(rows, pattern.classes)
+    h, moved = _relabel(g, pattern, order)
+    key = (moved.classes, _blocks_up_to_complement(h, moved), cfg)
+    result = _memo.get(key)
+    if result is None:
+        result = qsym_check(build_relations(h, moved), cfg)
+        _remember(key, result)
+    if result.witness is None:
+        return result
+    # letter a of h is u at (p, q) there, and u at (order[p], order[q]) in g
+    index = {ij: a for a, ij in enumerate(pattern.alive())}
+    to_g = [index[order[p], order[q]] for p, q in moved.alive()]
+    witness = Poly({bytes(to_g[x] for x in w): c for w, c in result.witness.terms.items()})
+    return replace(result, witness=witness)
 
 
 def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
@@ -346,10 +423,24 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     Each product u_ik*u_jl (i, k in I; j, l in J) and each linear relation
     of uA = Au at entry (i, j) reads only block (I, J), and only through
     which of its off-diagonal entries are equal.  So complementing a
-    block leaves every relation, and their order, as they are.  At most
-    ``QSYM_MEMO_MAX`` results are kept, the oldest evicted first; a
-    ``ResourceCapError`` is never stored, so it is raised again on every
-    call.
+    block leaves every relation, and their order, as they are.
+
+    On a miss, a pattern of several classes, not all singletons, is looked
+    up once more in a labelling that depends on the key alone: the key's
+    rows with every block on its sparser side (the key's side on a tie)
+    are put in canonical order, class by class, and ``g`` and its pattern
+    are relabelled by that order.  Only a second miss builds relations,
+    and it builds them for the relabelled graph, whose algebra is ``g``'s
+    up to renaming the letters; a witness is renamed back.  The result is
+    stored under both keys, and it is a function of the first, so the
+    memo stays exact and a batch's results do not depend on its order.
+    Its bound and basis size are those of the relabelled presentation,
+    which equal those of ``g``'s own on every connected graph with
+    n <= 9.  A pattern of one class keeps its own labelling: relabelling
+    a vertex-transitive graph can make its completion several times
+    slower.  At most ``QSYM_MEMO_MAX`` results are kept, the oldest
+    evicted first; a ``ResourceCapError`` is never stored, so it is
+    raised again on every call.
     """
     group = automorphism_group(g)
     pair = find_disjoint_pair(group)
@@ -359,13 +450,17 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
             raise AssertionError("disjoint pair evidence failed validation")
         return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order, disjoint_pair=pair)
     pattern = zero_pattern(g)
-    key = (pattern.classes, _blocks_up_to_complement(g, pattern), cfg)
+    rows = _blocks_up_to_complement(g, pattern)
+    key = (pattern.classes, rows, cfg)
     algebra = _memo.get(key)
     if algebra is None:
-        algebra = qsym_check(build_relations(g, pattern), cfg)
-        if len(_memo) >= QSYM_MEMO_MAX:
-            del _memo[next(iter(_memo))]
-        _memo[key] = algebra
+        # one class keeps its labelling; with n singleton classes every
+        # block is 0, so the canonical key would be the first one
+        if 1 < len(set(pattern.classes)) < g.n:
+            algebra = _check_relabelled(g, pattern, rows, cfg)
+        else:
+            algebra = qsym_check(build_relations(g, pattern), cfg)
+        _remember(key, algebra)
     if algebra.status is CheckStatus.COMMUTATIVE:
         return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,
                        algebra=algebra, pattern=pattern)

@@ -17,7 +17,7 @@ MAX_VERTICES = 16
 # Enumeration by canonical deletion takes about 0.04 s at n = 7, 0.5 s at
 # n = 8 (11,117 graphs) and 12 s at n = 9 (261,080) on a 2-core machine,
 # and classifying the 11,117 graphs of n = 8, read from a graph6 file in
-# one process, about 1.2 s; the cap stays until n = 8 has a pinned table.
+# one process, about 0.9 s; the cap stays until n = 8 has a pinned table.
 MAX_ENUMERATE_VERTICES = 7
 
 
@@ -101,32 +101,56 @@ class Graph:
 
 def canonical_form(g: Graph) -> Graph:
     """Lexicographically minimal adjacency matrix over all relabelings."""
-    return Graph.from_mask(g.n, _canonical_mask(g.nbr))
+    return Graph.from_mask(g.n, _canonical_labelling(g.nbr)[0])
 
 
-def _canonical_mask(nbr: list[int]) -> int:
-    """Minimal :meth:`Graph.mask` over all relabelings, from neighbour bitmasks.
+def _canonical_labelling(nbr: list[int], start: tuple[int, ...] | None = None
+                         ) -> tuple[int, tuple[int, ...]]:
+    """Minimal :meth:`Graph.mask` over all relabelings, from neighbour
+    bitmasks, and a vertex order that reaches it: ``order[p]`` is the
+    vertex placed at position p.  Given ``start``, an ordered partition
+    of the vertices into cells as bitmasks, only the relabelings that
+    place each cell before the next are taken.
 
     The mask lists row 0 first, so positions are filled in order.  With
     positions 0..t-1 placed, the unplaced vertices form an ordered
-    partition into cells, and position t takes a vertex of the first cell.
-    Row t is least when that vertex's non-neighbours precede its
-    neighbours in every cell, which fixes row t and splits each cell in
-    two.  Every state reaching the least row goes on to the next level,
-    once per distinct partition, since the partition fixes the future.
+    partition into cells (one cell, or ``start``, at first), and position
+    t takes a vertex of the first cell.  Row t is least when that
+    vertex's non-neighbours precede its neighbours in every cell, which
+    fixes row t and splits each cell in two.  Every state reaching the
+    least row goes on to the next level, once per distinct partition,
+    since the partition fixes the future.  A state keeps the last of the
+    orders placed that reach it, as a chain of (earlier chain, vertex)
+    pairs that ends in None; every one of them leads to the least mask.
+    A vertex with a lower twin (the same
+    neighbours, apart from each other) in the first cell is not tried:
+    swapping the two is an automorphism that fixes every placed vertex
+    and every cell, so it maps one choice's future onto the other's.
+    Without this, the empty graph and K_n would keep a state per subset.
     """
     n = len(nbr)
-    states = {((1 << n) - 1,)}
+    # bits of the lower vertices with v's open or closed neighbourhood; an
+    # open one never equals a closed one, so one dict holds both
+    twins = [0] * n
+    lower: dict[int, int] = {}
+    for v, x in enumerate(nbr):
+        for hood in (x, x | 1 << v):
+            twins[v] |= lower.get(hood, 0)
+            lower[hood] = lower.get(hood, 0) | 1 << v
+    states = {start or ((1 << n) - 1,): None}
     mask = 0
     for t in range(n - 1):
         best = -1
-        survivors: set[tuple[int, ...]] = set()
-        for cells in states:
+        survivors: dict[tuple[int, ...], tuple | None] = {}
+        for cells, placed in states.items():
             first = cells[0]
             while first:
                 bit = first & -first
                 first ^= bit
-                nv = nbr[bit.bit_length() - 1]
+                v = bit.bit_length() - 1
+                if twins[v] & cells[0]:
+                    continue
+                nv = nbr[v]
                 rest = cells[0] ^ bit
                 parts = (rest,) + cells[1:] if rest else cells[1:]
                 row = 0
@@ -136,11 +160,17 @@ def _canonical_mask(nbr: list[int]) -> int:
                     continue
                 if row != best:
                     best = row
-                    survivors = set()
-                survivors.add(tuple(x for c in parts for x in (c & ~nv, c & nv) if x))
+                    survivors = {}
+                survivors[tuple([x for c in parts for x in (c & ~nv, c & nv) if x])] = (
+                    placed, v)
         mask = mask << (n - 1 - t) | best
         states = survivors
-    return mask
+    (last,), placed = next(iter(states.items()))
+    order = [last.bit_length() - 1]
+    while placed:
+        placed, v = placed
+        order.append(v)
+    return mask, tuple(reversed(order))
 
 
 def is_connected(g: Graph) -> bool:
@@ -168,8 +198,8 @@ def _connected_masks(n: int) -> list[int]:
     vertex v with a non-empty neighbourhood.  The child is kept only when
     v is a canonical deletion vertex of G: among the non-cut vertices w
     of G, v has the least invariant (degree, then sorted neighbour
-    degrees), and among those of least invariant, ``_canonical_mask(G -
-    w)`` is least at v.
+    degrees), and among those of least invariant, the canonical mask of
+    G - w is least at v.
 
     The rule depends on the isomorphism class of G alone, and every
     vertex it accepts leaves the same canonical mask.  So G is kept from
@@ -197,7 +227,7 @@ def _children(n: int, parent: int) -> set[int]:
         nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
         nbr.append(hood)
         if _deletes_canonically(nbr, parent):
-            kept.add(_canonical_mask(nbr))
+            kept.add(_canonical_labelling(nbr)[0])
     return kept
 
 
@@ -257,7 +287,7 @@ def _deletes_canonically(nbr: list[int], parent: int) -> bool:
             ties.append(w)
         elif _connected(nbr, everyone ^ 1 << w):
             return False
-    return all(_canonical_mask(_delete(nbr, w)) >= parent for w in ties)
+    return all(_canonical_labelling(_delete(nbr, w))[0] >= parent for w in ties)
 
 
 def _neighbour_degrees(hood: int, deg: list[int]) -> list[int]:

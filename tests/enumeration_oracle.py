@@ -19,7 +19,7 @@ import functools
 import itertools
 
 from qsymgraph import Graph
-from qsymgraph.graphs import _canonical_mask
+from qsymgraph.graphs import _canonical_labelling
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,5 +108,5 @@ def all_children_masks(n: int) -> list[int]:
         for hood in range(1, new):
             nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
             nbr.append(hood)
-            found.add(_canonical_mask(nbr))
+            found.add(_canonical_labelling(nbr)[0])
     return sorted(found)

@@ -1,5 +1,6 @@
 """Relation building, the commutativity check, and full classification."""
 
+import collections
 import hashlib
 import importlib
 import itertools
@@ -43,6 +44,7 @@ from conftest import (
     four_vertex_path,
     pairless_presentations,
     path_graph,
+    permute,
     rigid6,
     star4,
 )
@@ -415,6 +417,10 @@ def test_commutative_spot_check_against_span_oracle():
 classify_module = importlib.import_module("qsymgraph.classify")
 
 
+def _commutator(a, b):
+    return Poly({bytes((a, b)): 1, bytes((b, a)): -1})
+
+
 def _fields(r):
     return (r.status, r.degree_bound, r.basis_size, r.commutator_count,
             r.vacuous, r.witness)
@@ -468,11 +474,16 @@ def test_memo_hit_equals_fresh_check_on_small_graphs(monkeypatch):
     graphs = _pairless_graphs(6)
     assert len(graphs) == 75
     memoised = [classify(g).algebra for g in graphs]
-    # 37 distinct presentations, so 38 hits: the 66 that reach the engine
-    # carry 35, each completed once, and the 9 vacuous ones (the 1-vertex
-    # graph and 8 rigid 6-vertex graphs) carry 2
-    assert len(classify_module._memo) == 37
-    assert len(calls) == 35
+    # 37 keys in the graphs' own labellings: 6 of one class, 1 of
+    # singletons only (the 8 rigid 6-vertex graphs share it) and 30 of
+    # several classes.  Those 30 lead to 14 keys in the canonical
+    # labelling, 4 of which are own keys too, so the memo holds
+    # 37 + 14 - 4 = 47 entries.  21 checks run, 14 + 6 + 1; two are
+    # vacuous (the 1-vertex graph and the rigid graphs), so 19 reach the
+    # engine, each completed once
+    assert len({_memo_key(g, zero_pattern(g)) for g in graphs}) == 37
+    assert len(classify_module._memo) == 47
+    assert len(calls) == 19
     for g, got in zip(graphs, memoised):
         assert _fields(qsym_check(build_relations(g, zero_pattern(g)))) == _fields(got)
 
@@ -487,7 +498,9 @@ def test_memo_separates_configs(monkeypatch):
     assert classify(g, capped).algebra.degree_bound == 2
     calls = _counting_complete(monkeypatch)
     assert _fields(classify(g, limited).algebra) == _fields(classify(g, default).algebra)
-    assert len(classify_module._memo) == 3
+    # each config stores the star's own key and its canonical one, which
+    # puts the centre first
+    assert len(classify_module._memo) == 3 * 2
     assert len(calls) == 1  # limited ran; default was a hit
 
 
@@ -497,9 +510,11 @@ def test_memo_shares_an_entry_between_a_graph_and_its_complement(monkeypatch):
     g = parse_graph6("DBg")
     h = _complement(g)
     assert to_graph6(h) == "D{S" and zero_pattern(h) == zero_pattern(g)
+    assert _memo_key(h, zero_pattern(h)) == _memo_key(g, zero_pattern(g))
     calls = _counting_complete(monkeypatch)
     assert _fields(classify(h).algebra) == _fields(classify(g).algebra)
-    assert len(classify_module._memo) == 1 and len(calls) == 1
+    # h stores its own key and the canonical one; g hits the first
+    assert len(classify_module._memo) == 2 and len(calls) == 1
     assert build_relations(h, zero_pattern(h)) == build_relations(g, zero_pattern(g))
 
 
@@ -511,13 +526,15 @@ def test_memo_shares_an_entry_across_a_complemented_block(monkeypatch):
     h = _flip(g, [(0, 2), (1, 2)])
     assert to_graph6(h) == "DZk" and canonical_form(h) != canonical_form(g)
     assert zero_pattern(h) == zero_pattern(g)
+    assert _memo_key(h, zero_pattern(h)) == _memo_key(g, zero_pattern(g))
     calls = _counting_complete(monkeypatch)
     assert _fields(classify(h).algebra) == _fields(classify(g).algebra)
-    assert len(classify_module._memo) == 1 and len(calls) == 1
+    # h stores its own key and the canonical one; g hits the first
+    assert len(classify_module._memo) == 2 and len(calls) == 1
     assert build_relations(h, zero_pattern(h)) == build_relations(g, zero_pattern(g))
 
 
-def test_memo_separates_a_flipped_entry():
+def test_memo_separates_a_flipped_entry(monkeypatch):
     # adding the edge 0-3 flips one entry of DBk's block between {0, 1} and
     # {3, 4}; the walk classes change too, but under DBk's own classes
     # the blocks alone already tell the two graphs apart
@@ -527,9 +544,11 @@ def test_memo_separates_a_flipped_entry():
     assert find_disjoint_pair(automorphism_group(h)) is None
     assert _memo_key(h, pattern) != _memo_key(g, pattern)
     assert build_relations(h, pattern) != build_relations(g, pattern)
+    calls = _counting_complete(monkeypatch)
     classify(g)
     classify(h)
-    assert len(classify_module._memo) == 2
+    # each stores its own key and a canonical one, and each is completed
+    assert len(classify_module._memo) == 4 and len(calls) == 2
 
 
 def test_memo_never_stores_resource_cap_errors(monkeypatch):
@@ -547,13 +566,51 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     graphs = _pairless_graphs(5)
     assert len({_memo_key(g, zero_pattern(g)) for g in graphs}) > 3
     results = []
+    stored = []  # the keys each call stored
     for g in graphs:
+        before = set(classify_module._memo)
         results.append(classify(g).algebra)
         assert len(classify_module._memo) <= 3
+        stored.append(set(classify_module._memo) - before)
+    # a miss on several classes stores two entries, and the bound holds
+    # across both
+    assert max(map(len, stored)) == 2
     # entries evicted to keep the bound give the same result when checked again
     for g, first in zip(graphs, results):
         assert _fields(classify(g).algebra) == _fields(first)
         assert len(classify_module._memo) <= 3
+
+
+def test_memo_maps_a_witness_back_to_the_graphs_letters(monkeypatch):
+    # K2,3 has a disjoint pair; without it, classify checks the algebra,
+    # which is not commutative, in the canonical labelling.  Each of its 10
+    # labellings must get a witness in its own letters, the first from a
+    # fresh check and the other 9 from the stored canonical entry
+    monkeypatch.setattr(classify_module, "find_disjoint_pair", lambda group: None)
+    calls = _counting_complete(monkeypatch)
+    k23 = _complete_bipartite(2, 3)
+    labellings = {permute(k23, perm) for perm in itertools.permutations(range(5))}
+    assert len(labellings) == 10
+    for g in sorted(labellings, key=lambda g: g.nbr):
+        result = classify(g).algebra
+        assert result.status is CheckStatus.NOT_SHOWN_COMMUTATIVE
+        (a, b), = {tuple(sorted(w)) for w in result.witness.terms}
+        assert a != b and result.witness in (_commutator(a, b), -_commutator(a, b))
+        p = build_relations(g, zero_pattern(g))
+        assert b < len(p.gens)
+        basis = complete(p.relations, degree_bound=result.degree_bound)
+        assert not basis.normal_form(result.witness).is_zero(), to_graph6(g)
+    assert len(calls) == 1  # the test's own completions are not counted
+
+
+def test_memo_results_do_not_depend_on_batch_order():
+    graphs = [g for g in atlas_graphs() if find_disjoint_pair(automorphism_group(g)) is None]
+    assert len(graphs) == 582
+    forward = {g: _fields(classify(g).algebra) for g in graphs}
+    classify_module._memo.clear()
+    shuffled = graphs[:]
+    random.Random(89).shuffle(shuffled)
+    assert {g: _fields(classify(g).algebra) for g in shuffled} == forward
 
 
 def test_vacuous_check_reads_the_labels():
@@ -628,6 +685,57 @@ def test_memo_keys_exact_on_eight_vertices():
               if find_disjoint_pair(automorphism_group(g)) is None]
     assert len(graphs) == 7972
     assert _assert_keys_exact((g, zero_pattern(g)) for g in graphs) == 312
+
+
+# per-graph results against digests taken before the memo looked keys up
+# in a canonical labelling
+
+
+def _classified(n, shuffled):
+    """SHA-256 over (mask, verdict, qsym_output, bound, basis size) of every
+    connected graph on n vertices, classified in the canonical labelling
+    or, when ``shuffled``, in a seeded relabelling; and the verdict counts."""
+    rng = random.Random(n)
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for m in _connected_masks(n):
+        g = Graph.from_mask(n, m)
+        if shuffled:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = permute(g, perm)
+        v = classify(g)
+        a = v.algebra
+        kinds[v.kind] += 1
+        digest.update(repr((m, v.kind.value, v.qsym_output, a.degree_bound if a else None,
+                            a.basis_size if a else None)).encode() + b";")
+    return digest.hexdigest(), kinds
+
+
+PINNED = {
+    7: "e6005249c75b9627e87e908be4f0a785feac7d5e877db82be182c580737dd202",
+    8: "25e7fd9360494ea4892c36a6d63d18938475665c95dac544d2222e7cb3d638a5",
+}
+
+
+@pytest.mark.parametrize("n, shuffled", [(7, False), (7, True), (8, False)])
+def test_classification_pinned(n, shuffled):
+    assert _classified(n, shuffled)[0] == PINNED[n]
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_classification_pinned_on_eight_vertices_shuffled():
+    assert _classified(8, True)[0] == PINNED[8]
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_classification_pinned_on_nine_vertices():
+    digest, kinds = _classified(9, False)
+    assert digest == "6f218db2b5a322a0dd4cadeb5a56ffc75c8763bcaab5d98d3a859d81d00457a5"
+    assert kinds == {VerdictKind.QUANTUM_SYMMETRIC: 41354,
+                     VerdictKind.NOT_QUANTUM_SYMMETRIC: 219726}
+    # the memo never reached its bound, so nothing was evicted
+    assert len(classify_module._memo) < classify_module.QSYM_MEMO_MAX
 
 
 # the free-letter check against the all-pairs oracle

@@ -1,5 +1,6 @@
 """Graph representation, graph6 codec, walk counts, canonical forms, enumeration."""
 
+import itertools
 import os
 import random
 
@@ -311,6 +312,48 @@ def test_canonical_large_n_invariant_and_bounded():
     assert canonical_form(empty) == empty
 
 
+def test_canonical_order_relabels_onto_the_canonical_form():
+    # every connected graph on <= 7 vertices in a seeded relabelling,
+    # random graphs on up to 16 vertices, and graphs where every vertex
+    # choice ties at every level
+    rng = random.Random(31)
+    cases = [complete_graph(12), Graph.from_edges(12, []), cycle_graph(16)]
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(permute(g, perm))
+    cases += [random_graph(rng, n) for n in range(1, 17) for _ in range(4)]
+    for g in cases:
+        mask, order = graphs._canonical_labelling(g.nbr)
+        assert sorted(order) == list(range(g.n))
+        target = canonical_form(g)
+        assert mask == target.mask()
+        # vertex order[p] goes to position p
+        assert permute(g, [order.index(v) for v in range(g.n)]) == target, to_graph6(g)
+
+
+def test_canonical_order_from_cells_matches_brute_force():
+    # from an ordered partition, the least mask over the relabelings that
+    # keep each cell before the next, and an order that reaches it
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n)
+        cut = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        shuffled = rng.sample(range(n), n)
+        cells = [shuffled[a:b] for a, b in zip([0] + cut, cut + [n])]
+        mask, order = graphs._canonical_labelling(
+            g.nbr, tuple(sum(1 << v for v in cell) for cell in cells))
+        assert [sorted(order[a:b]) for a, b in zip([0] + cut, cut + [n])] == [
+            sorted(cell) for cell in cells]
+        assert permute(g, [order.index(v) for v in range(n)]).mask() == mask
+        least = min(permute(g, [flat.index(v) for v in range(n)]).mask()
+                    for flat in (sum(p, []) for p in itertools.product(
+                        *[[list(q) for q in itertools.permutations(cell)] for cell in cells])))
+        assert mask == least, (to_graph6(g), cells)
+
+
 # enumeration
 
 
@@ -374,7 +417,8 @@ def _accepted(g: Graph) -> set[int]:
             continue
         last = [u for u in range(g.n) if u != w] + [w]
         moved = permute(g, [last.index(u) for u in range(g.n)]).nbr
-        if graphs._deletes_canonically(moved, graphs._canonical_mask(graphs._delete(nbr, w))):
+        parent = graphs._canonical_labelling(graphs._delete(nbr, w))[0]
+        if graphs._deletes_canonically(moved, parent):
             kept.add(w)
     return kept
 
