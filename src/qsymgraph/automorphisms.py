@@ -1,9 +1,9 @@
 """Graph automorphism groups and the disjoint-pair criterion.
 
 A permutation is a tuple of 0-based images.  No group is stored element
-by element.  Everything rests on the backtracking search of
-``autsearch``, which returns the lexicographically first automorphism
-with some images forced.
+by element.  Everything rests on ``graphs.Search``, which returns the
+lexicographically first automorphism with some images forced, and an
+:class:`AutGroup` keeps the one it was computed with.
 
 |Aut| comes from the stabiliser chain G = G_0 >= G_1 >= ... >= G_n = 1
 along the base 0, 1, ..., n-1, where G_i fixes 0..i-1 pointwise: it is
@@ -17,22 +17,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autsearch import Permutation, Search, generators
-from .graphs import Graph
+from .graphs import Graph, Permutation, Search, generators
 
 
 @dataclass(frozen=True)
 class AutGroup:
-    """The automorphism group of ``graph``, known by its order."""
+    """The automorphism group of a graph, known by its order and searched with ``search``."""
 
-    graph: Graph
+    search: Search
     order: int
 
 
 def automorphism_group(g: Graph) -> AutGroup:
     """|Aut g| as the product of the basic orbit lengths along the base 0..n-1."""
-    _, order = generators(Search(g.nbr))
-    return AutGroup(g, order)
+    search = Search(g.nbr)
+    _, order = generators(search)
+    return AutGroup(search, order)
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
@@ -75,12 +75,12 @@ def find_disjoint_pair(group: AutGroup) -> tuple[Permutation, Permutation] | Non
     # two disjoint non-identity elements generate a subgroup of order >= 4
     if group.order < 4:
         return None
-    search = Search(group.graph.nbr)
+    search = group.search
     stabiliser: dict[int, Permutation | None] = {}
 
     def first_fixing(moved: int) -> Permutation | None:
         if moved not in stabiliser:
-            fixed = {v: v for v in range(group.graph.n) if moved >> v & 1}
+            fixed = {v: v for v in range(search.n) if moved >> v & 1}
             stabiliser[moved] = search.first(fixed, nonidentity=True)
         return stabiliser[moved]
 

@@ -23,7 +23,6 @@ from enum import Enum
 from itertools import combinations, starmap
 
 from .automorphisms import (
-    Permutation,
     are_disjoint,
     automorphism_group,
     find_disjoint_pair,
@@ -31,7 +30,7 @@ from .automorphisms import (
 )
 from .freealg import Generators, Poly
 from .fulton import ZeroPattern, zero_pattern
-from .graphs import Graph, _canonical_labelling
+from .graphs import Graph, Permutation, _canonical_labelling
 from .groebner import EngineLimits, complete
 
 

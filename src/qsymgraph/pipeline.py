@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-from .automorphisms import automorphism_group, cycle_notation
+from .automorphisms import automorphism_group, cycle_notation, find_disjoint_pair
 from .classify import ClassifyConfig, Verdict, VerdictKind, classify
 from .graphs import (
     MAX_VERTICES,
@@ -118,11 +118,12 @@ def _check_agreement(d: dict) -> None:
     """Raise ValueError unless the fields of a record agree as
     :func:`_to_record` writes them: ``graph6`` is bare graph6, with no
     header and nothing around it; ``n`` is its vertex count and
-    ``aut_order`` the order of its automorphism group; a disjoint pair
-    comes with ``QuantumSymmetric`` and only with it, and then the
-    algebra fields are null, since the check never ran; ``qsym_output``
-    is 1 with ``NotQuantumSymmetric`` and only with it, since that
-    verdict rests on an algebra shown commutative."""
+    ``aut_order`` the order of its automorphism group; ``disjoint_pair``
+    is the cycle notation of the pair :func:`find_disjoint_pair` finds
+    there, or null; a pair comes with ``QuantumSymmetric`` and only with
+    it, and then the algebra fields are null, since the check never ran;
+    ``qsym_output`` is 1 with ``NotQuantumSymmetric`` and only with it,
+    since that verdict rests on an algebra shown commutative."""
     try:
         g = parse_graph6(d["graph6"])
     except GraphError as exc:
@@ -131,16 +132,21 @@ def _check_agreement(d: dict) -> None:
         raise ValueError(f"field 'graph6' is {d['graph6']!r}, not bare graph6 {to_graph6(g)!r}")
     if d["n"] != g.n:
         raise ValueError(f"field 'n' is {d['n']}, but graph6 {d['graph6']!r} has {g.n} vertices")
-    order = automorphism_group(g).order
-    if d["aut_order"] != order:
+    group = automorphism_group(g)
+    if d["aut_order"] != group.order:
         raise ValueError(f"field 'aut_order' is {d['aut_order']}, "
-                         f"but graph6 {d['graph6']!r} has |Aut| = {order}")
+                         f"but graph6 {d['graph6']!r} has |Aut| = {group.order}")
     verdict = d["verdict"]
     quantum = verdict == VerdictKind.QUANTUM_SYMMETRIC.value
     if (d["disjoint_pair"] is not None) != quantum:
         raise ValueError(
             f"field 'disjoint_pair' is {d['disjoint_pair']} with verdict {verdict!r}; "
             "QuantumSymmetric comes with a pair, and only it does")
+    pair = find_disjoint_pair(group)
+    expected = [cycle_notation(s) for s in pair] if pair else None
+    if d["disjoint_pair"] != expected:
+        raise ValueError(f"field 'disjoint_pair' is {d['disjoint_pair']}, "
+                         f"but the disjoint pair of graph6 {d['graph6']!r} is {expected}")
     if quantum:
         for name in ("qsym_output", "gb_degree_bound", "gb_size"):
             if d[name] is not None:

@@ -66,6 +66,22 @@ def test_group_is_freed_without_garbage_collection():
     assert grown < 1000
 
 
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(4)], ids=["K4", "C4"])
+def test_classify_searches_each_graph_once(monkeypatch, g):
+    # the disjoint-pair criterion searches with the group's own search
+    automorphisms = importlib.import_module("qsymgraph.automorphisms")
+    built = []
+
+    class CountingSearch(automorphisms.Search):
+        def __init__(self, nbr):
+            built.append(nbr)
+            super().__init__(nbr)
+
+    monkeypatch.setattr(automorphisms, "Search", CountingSearch)
+    assert classify(g).kind is VerdictKind.QUANTUM_SYMMETRIC
+    assert len(built) == 1
+
+
 def test_group_orders():
     assert automorphism_group(cycle_graph(4)).order == 8
     assert automorphism_group(complete_graph(4)).order == 24

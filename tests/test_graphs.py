@@ -1,5 +1,7 @@
 """Graph representation, graph6 codec, walk counts, canonical forms, enumeration."""
 
+import ast
+import inspect
 import itertools
 import os
 import random
@@ -465,3 +467,15 @@ def test_parents_give_disjoint_children():
 def test_enumerate_rejects_unsupported_n():
     with pytest.raises(GraphError):
         enumerate_connected(8)
+
+
+def test_graphs_imports_nothing_from_the_package():
+    # automorphisms, fulton and classify import from graphs, and graphs
+    # holds the automorphism search they share, so an import back would
+    # form a cycle
+    tree = ast.parse(inspect.getsource(graphs))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "qsymgraph", node.module
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "qsymgraph" for alias in node.names)

@@ -512,6 +512,10 @@ def test_cli_table_rejects_an_out_of_range_value(tmp_path, capsys, n4_report, na
      "field 'graph6' is '>>graph6<<C~', not bare graph6 'C~'"),
     ("C~", {"aut_order": 7}, "field 'aut_order' is 7, but graph6 'C~' has |Aut| = 24"),
     ("CF", {"aut_order": 2}, "field 'aut_order' is 2, but graph6 'CF' has |Aut| = 6"),
+    # a batch writes the pair in the order find_disjoint_pair gives it
+    ("C~", {"disjoint_pair": ["(1,2)", "(3,4)"]},
+     "field 'disjoint_pair' is ['(1,2)', '(3,4)'], "
+     "but the disjoint pair of graph6 'C~' is ['(3,4)', '(1,2)']"),
 ])
 def test_cli_table_rejects_fields_that_disagree(tmp_path, capsys, n4_report, base, changes,
                                                 message):
@@ -525,6 +529,30 @@ def test_cli_table_rejects_fields_that_disagree(tmp_path, capsys, n4_report, bas
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("record, message", [
+    # P4 has |Aut| = 2, so no disjoint pair; a made-up one must not make it quantum
+    ({"graph6": "Ch", "n": 4, "aut_order": 2, "disjoint_pair": ["(1,4)(2,3)", "nonsense"],
+      "qsym_output": None, "verdict": "QuantumSymmetric", "gb_degree_bound": None,
+      "gb_size": None, "wall_time_ms": 0},
+     "field 'disjoint_pair' is ['(1,4)(2,3)', 'nonsense'], "
+     "but the disjoint pair of graph6 'Ch' is None"),
+    # K4 has the pair (3,4), (1,2); dropping it must not make it classical
+    ({"graph6": "C~", "n": 4, "aut_order": 24, "disjoint_pair": None, "qsym_output": 1,
+      "verdict": "NotQuantumSymmetric", "gb_degree_bound": None, "gb_size": None,
+      "wall_time_ms": 0},
+     "field 'disjoint_pair' is None, "
+     "but the disjoint pair of graph6 'C~' is ['(3,4)', '(1,2)']"),
+])
+def test_cli_table_rejects_a_pair_the_graph_does_not_have(tmp_path, capsys, record, message):
+    # the pair is derived as classify derives it and compared in cycle notation
+    src = tmp_path / "runs.ndjson"
+    src.write_text(json.dumps(record) + "\n")
+    assert cli_main(["table", "--input", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1: {message}\n"
 
 
 def test_record_of_an_undecided_graph_reads_back(n4_report):
