@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 
 from .automorphisms import (
     are_disjoint,
@@ -275,7 +275,7 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     if m < 2 or all(r == c for r, c in p.gens.labels):
         return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
     count = m * (m - 1) // 2
-    rel_degree = max(r.degree() for r in p.relations)
+    rel_degree = max(map(len, chain.from_iterable(r.terms for r in p.relations)), default=-1)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
     last_bound = bound
     last_size = None

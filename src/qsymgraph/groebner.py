@@ -68,6 +68,19 @@ class GBasis:
     new lead divides its lead.  A rewritten tail forgets the entries its
     rule rewrote.  So ``word_nf`` always holds what the live rules give.
 
+    No memo word is longer than ``memo_len``: each tail word is below its
+    lead in deglex, so no part of a rewrite is longer than the word
+    rewritten, and ``_word_nf`` raises the bound to the length of the
+    word it starts on.  A word no longer than the new lead contains it
+    only if it is the lead, so ``_add`` scans the memo only while
+    ``memo_len`` exceeds the lead's length, and otherwise forgets the
+    lead's own entry and the entries built from it.
+
+    The engine writes no dict it was handed: reduction builds new dicts,
+    and a retired rule's dict, which goes back on the queue, is one the
+    engine built.  So ``run`` keeps the generators' term dicts as they
+    are, without a copy.
+
     Beside ``by_lead`` the basis indexes every live lead by its proper
     prefixes and suffixes, to find overlaps, and every word of every
     live rule, lead and tail words alike, by its subwords in ``sub``,
@@ -84,6 +97,7 @@ class GBasis:
         self.by_lead: dict[Word, int] = {}  # nonempty lead -> rule id
         self.unit_rule: int | None = None
         self.word_nf: dict[Word, dict] = {}
+        self.memo_len = 0  # no key of word_nf is longer
         # entry -> entries built from it; rule id -> entries it rewrote
         self.users: defaultdict[Word, list[Word]] = defaultdict(list)
         self.rewrote: defaultdict[int, list[Word]] = defaultdict(list)
@@ -98,7 +112,10 @@ class GBasis:
         self.overflow = False
 
     def _add(self, rid: int, lead: Word, tail: dict) -> None:
-        self._forget([w for w in self.word_nf if lead in w])
+        if self.memo_len > len(lead):
+            self._forget([w for w in self.word_nf if lead in w])
+        else:
+            self._forget((lead,))
         self.leads[rid] = lead
         self.tails[rid] = tail
         if lead:
@@ -198,6 +215,8 @@ class GBasis:
         words its rewrite produces are known; those are strictly smaller,
         so the stack empties.
         """
+        if len(w) > self.memo_len:
+            self.memo_len = len(w)
         memo = self.word_nf
         users = self.users
         rewrote = self.rewrote
@@ -210,7 +229,7 @@ class GBasis:
             if v in memo:
                 stack.pop()
                 continue
-            entry = waiting.get(v)
+            entry = waiting.pop(v, None)
             if entry is None:
                 hit = find(v)
                 if hit is None:
@@ -220,24 +239,31 @@ class GBasis:
                 rid, pos, lead = hit
                 a = v[:pos]
                 b = v[pos + len(lead):]
-                entry = waiting[v] = rid, [(a + tw + b, tc) for tw, tc in tails[rid].items()]
-                missing = [u for u, _ in entry[1] if u not in memo]
-                if missing:
-                    stack.extend(missing)
+                parts = []
+                depth = len(stack)
+                for tw, tc in tails[rid].items():
+                    u = a + tw + b
+                    parts.append((u, tc))
+                    if u not in memo:
+                        stack.append(u)
+                if len(stack) > depth:
+                    waiting[v] = rid, parts
                     continue
+            else:
+                rid, parts = entry
             stack.pop()
-            del waiting[v]
-            rid, parts = entry
             out: dict = {}  # - sum tc * N(u), as in _reduce
             for u, tc in parts:
-                for x, xc in memo[u].items():
-                    acc = out.get(x, 0) - tc * xc
-                    if acc:
-                        if type(acc) is Fraction and acc.denominator == 1:
-                            acc = acc.numerator
-                        out[x] = acc
-                    else:
-                        out.pop(x, None)
+                nf = memo[u]
+                if nf:
+                    for x, xc in nf.items():
+                        acc = out.get(x, 0) - tc * xc
+                        if acc:
+                            if type(acc) is Fraction and acc.denominator == 1:
+                                acc = acc.numerator
+                            out[x] = acc
+                        else:
+                            out.pop(x, None)
                 users[u].append(v)
             memo[v] = out
             rewrote[rid].append(v)
@@ -325,10 +351,11 @@ class GBasis:
                 del out[nw]
         return out
 
-    def run(self, gen_dicts) -> None:
-        """Complete the generators: first those of degree <= 1, then the
-        others, in a stable order by the most letters that lead a
-        degree-1 rule in one of their words, fewest first.
+    def run(self, gens) -> None:
+        """Complete the generators, which must be nonzero and no longer
+        than the bound: first those of degree <= 1, then the others, in
+        a stable order by the most letters that lead a degree-1 rule in
+        one of their words, fewest first.
 
         A linear relation that came after the products its lead divides
         would retire them, and they would be reduced a second time.  A
@@ -337,12 +364,24 @@ class GBasis:
         forms multiply out against rules that already exist.
         """
         linear, rest = [], []
-        for t in gen_dicts:
-            (linear if max(map(len, t)) <= 1 else rest).append(t)
+        max_deg = -1
+        for i, g in enumerate(gens):
+            terms = g.terms
+            if not terms:
+                raise ValueError(f"generator {i} is zero")
+            deg = max(map(len, terms))
+            if deg > max_deg:
+                max_deg = deg
+            (linear if deg <= 1 else rest).append(terms)
+        if max_deg < 0:
+            raise ValueError("empty generating set")
+        if self.bound < max_deg:
+            raise ValueError(
+                f"degree bound {self.bound} below generator degree {max_deg}")
         self.pending.extend(linear)
         self._drain()
-        dead = {lead[0] for lead in self.leads.values() if len(lead) == 1}
-        rest.sort(key=lambda t: max(sum(x in dead for x in w) for w in t))
+        dead = bytes({lead[0] for lead in self.leads.values() if len(lead) == 1})
+        rest.sort(key=lambda t: max(len(w) - len(w.translate(None, dead)) for w in t))
         self.pending.extend(rest)
         self._drain()
 
@@ -394,18 +433,9 @@ def complete(gens, *, degree_bound: int,
 
     Ambiguities are processed smallest degree first; those whose overlap
     word exceeds ``degree_bound`` are deferred and, if still relevant when
-    the queue empties, mark the basis incomplete.
+    the queue empties, mark the basis incomplete.  The generators' term
+    dicts are read, never copied or written.
     """
-    gen_list = list(gens)
-    if not gen_list:
-        raise ValueError("empty generating set")
-    for i, g in enumerate(gen_list):
-        if g.is_zero():
-            raise ValueError(f"generator {i} is zero")
-    max_deg = max(g.degree() for g in gen_list)
-    if degree_bound < max_deg:
-        raise ValueError(
-            f"degree bound {degree_bound} below generator degree {max_deg}")
     basis = GBasis(degree_bound, limits)
-    basis.run(dict(g.terms) for g in gen_list)
+    basis.run(gens)
     return basis

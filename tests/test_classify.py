@@ -728,6 +728,28 @@ def test_classification_pinned_on_eight_vertices_shuffled():
     assert _classified(8, True)[0] == PINNED[8]
 
 
+def test_classification_pinned_on_the_atlas(monkeypatch):
+    # the benchmark's atlas-g6 input, in atlas labelling and atlas order:
+    # its labels are not canonical, so presentations met again under other
+    # labels are looked up through _check_relabelled
+    relabelled = classify_module._check_relabelled
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return relabelled(*args)
+
+    monkeypatch.setattr(classify_module, "_check_relabelled", counting)
+    digest = hashlib.sha256()
+    for g in atlas_graphs():
+        rec = classify_with_record(g, ClassifyConfig())[1]
+        digest.update(repr((rec.graph6, rec.aut_order, rec.disjoint_pair, rec.verdict,
+                            rec.qsym_output, rec.gb_degree_bound, rec.gb_size)).encode() + b";")
+    assert len(calls) == 136
+    assert digest.hexdigest() == (
+        "ff90dcae817cfbc749f94fe2495815b90a6285d468602787f6092fb14d9c46d7")
+
+
 @pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
 def test_classification_pinned_on_nine_vertices():
     digest, kinds = _classified(9, False)

@@ -297,7 +297,7 @@ def _assert_index_matches_scan(systems):
     checked = touched = 0
     for gens, bound in systems:
         engine = _ScanCheckedBasis(bound, EngineLimits())
-        engine.run(dict(g.terms) for g in gens)
+        engine.run(gens)
         assert engine.polys == complete(gens, degree_bound=bound).polys
         # each count is the number of the rule's words that contain the subword
         rebuilt: dict = {}
@@ -351,10 +351,12 @@ class _MemoCheckedBasis(GBasis):
     that no live lead is a subword of another and a unit rule is the only
     rule, so that at most one lead matches at any position; that each
     memoised word normal form is the one the reference over the live
-    rules gives; and that the entry is recorded as built from the words
-    the live rules rewrite it into, which are memoised too; an entry
-    built from an old tail can hold the right value by chance.  (An
-    insert that takes no rule id changes no rule, and so forgets none.)"""
+    rules gives; that no memoised word is longer than ``memo_len``, the
+    bound ``_add`` reads to skip its scan of the memo; and that the entry
+    is recorded as built from the words the live rules rewrite it into,
+    which are memoised too; an entry built from an old tail can hold the
+    right value by chance.  (An insert that takes no rule id changes no
+    rule, and so forgets none.)"""
 
     checked = 0
     unit_reached = False
@@ -374,6 +376,7 @@ class _MemoCheckedBasis(GBasis):
             inner = {lead[i:j] for i in range(len(lead) + 1)
                      for j in range(i, len(lead) + 1)} - {lead}
             assert not inner & distinct, lead
+        assert all(len(w) <= self.memo_len for w in self.word_nf)
         live = sorted(leads)
         fresh = ListReducer([
             Poly({**self.tails[s], leads[s]: 1}, _trusted=True) for s in live])
@@ -402,7 +405,7 @@ def _sorted_basis(polys):
 def _assert_worklist_completion_agrees(gens, bound):
     basis = complete(gens, degree_bound=bound)
     engine = _WorklistBasis(bound, EngineLimits())
-    engine.run(dict(g.terms) for g in gens)
+    engine.run(gens)
     # terms may sit in another insertion order; values and types may not differ
     assert _sorted_basis(engine.polys) == _sorted_basis(basis.polys)
     assert engine.complete == basis.complete
@@ -461,7 +464,7 @@ def _assert_memo_stays_exact(systems):
     checked = 0
     for gens, bound in systems:
         engine = _MemoCheckedBasis(bound, EngineLimits())
-        engine.run(dict(g.terms) for g in gens)
+        engine.run(gens)
         assert _sorted_basis(engine.polys) == _sorted_basis(
             complete(gens, degree_bound=bound).polys)
         checked += engine.checked
@@ -484,9 +487,67 @@ def test_memo_equals_fresh_reducer_after_every_insert_when_one_enters_the_ideal(
     gens = [p({word(X, Y): 1, EMPTY_WORD: -1}), p({word(Y, X): 1}), idempotent(Z)]
     for bound in (3, 4):
         engine = _MemoCheckedBasis(bound, EngineLimits())
-        engine.run(dict(g.terms) for g in gens)
+        engine.run(gens)
         assert engine.unit_reached and engine.polys == [Poly.one()]
         assert engine.term_count == 1 and engine.checked > 0
+
+
+class _ScanCountingBasis(GBasis):
+    """Counts the rules whose ``_add`` scans the word memo for words that
+    contain the new lead, and the words other than the lead those scans
+    find, checking that each is forgotten."""
+
+    scans = 0
+    found = 0
+
+    def _add(self, rid, lead, tail):
+        if self.memo_len <= len(lead):
+            super()._add(rid, lead, tail)
+            return
+        found = [w for w in self.word_nf if lead in w and w != lead]
+        super()._add(rid, lead, tail)
+        assert not any(w in self.word_nf for w in found)
+        self.scans += 1
+        self.found += len(found)
+
+
+def _count_scans(systems):
+    scans = found = 0
+    for gens, bound in systems:
+        engine = _ScanCountingBasis(bound, EngineLimits())
+        engine.run(gens)
+        scans += engine.scans
+        found += engine.found
+    return scans, found
+
+
+def test_add_scans_the_memo_only_for_a_longer_word():
+    # the random systems reduce words longer than later leads, so the scan
+    # runs and finds other words; on the small graphs no lead is shorter
+    # than a word reduced before it
+    assert _count_scans(_random_systems()) == (756, 994)
+    assert _count_scans((relations, 4) for relations in _small_graph_presentations()) == (0, 0)
+
+
+def _assert_inputs_untouched(systems):
+    """Complete each system and check that every generator holds the terms
+    it held before, in the same order and of the same types, and that no
+    live rule keeps a generator's dict as its tail."""
+    for gens, bound in systems:
+        before = [[(w, c, type(c)) for w, c in g.terms.items()] for g in gens]
+        basis = complete(gens, degree_bound=bound)
+        assert [[(w, c, type(c)) for w, c in g.terms.items()] for g in gens] == before
+        inputs = {id(g.terms) for g in gens}
+        assert not any(id(tail) in inputs for tail in basis.tails.values())
+
+
+def test_completion_leaves_its_inputs_alone():
+    # complete hands the generators' own term dicts to the engine
+    Z = 2
+    unit = [p({word(X, Y): 1, EMPTY_WORD: -1}), p({word(Y, X): 1}), idempotent(Z)]
+    _assert_inputs_untouched([(unit, 3), (unit, 4)])
+    _assert_inputs_untouched(_random_systems())
+    _assert_inputs_untouched((relations, 4) for relations in _small_graph_presentations())
 
 
 def _assert_find_agrees_with_reference(gens, bound, rng):
