@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Classify all connected graphs on 4..6 vertices and print the tables.
+"""Classify all connected graphs on 4..7 vertices and print the tables.
 
 Each column lists, per automorphism-group order, how many graphs exist
 and how many of them have quantum symmetries.  Pass --n to restrict the
 sizes, --jobs for parallel classification, and --out to persist records.
 
-    python3 scripts/reproduce_tables.py --n 4 5 6
+    python3 scripts/reproduce_tables.py --n 4 5 6 7
 """
 
 import argparse
@@ -20,7 +20,7 @@ from qsymgraph.pipeline import RunConfig, render_table, run_batch
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, nargs="+", default=[4, 5, 6])
+    parser.add_argument("--n", type=int, nargs="+", default=[4, 5, 6, 7])
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None,
                         help="base path; per-size suffixes are appended")

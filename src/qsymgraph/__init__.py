@@ -25,7 +25,7 @@ from .classify import (
     classify,
     qsym_check,
 )
-from .freealg import Generators, Poly, Word, word
+from .freealg import Generators, Poly, Word
 from .fulton import ZeroPattern, render_pattern, zero_pattern
 from .graphs import (
     Graph,

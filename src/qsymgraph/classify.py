@@ -143,11 +143,10 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 if b != a:
                     w = bytes((a, b))
                     seen.add(w)
-                    relations.append(Poly({w: 1}, _trusted=True))
+                    relations.append(Poly({w: 1}))
                 elif not idempotent:
                     idempotent = True
-                    relations.append(
-                        Poly({bytes((a, a)): 1, bytes((a,)): -1}, _trusted=True))
+                    relations.append(Poly({bytes((a, a)): 1, bytes((a,)): -1}))
 
     # each row and column sums to 1; u_ii keeps every line non-empty
     sums: set[bytes] = set()
@@ -158,7 +157,7 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 sums.add(line)
                 terms = {bytes((b,)): 1 for b in line}
                 terms[b""] = -1
-                relations.append(Poly(terms, _trusted=True))
+                relations.append(Poly(terms))
 
     # the linear relations of uA = Au
     nbr = g.nbr
@@ -177,7 +176,7 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                         w = bytes((a, b))
                         if w not in seen:
                             seen.add(w)
-                            relations.append(Poly({w: 1}, _trusted=True))
+                            relations.append(Poly({w: 1}))
 
     return Presentation(gens, tuple(relations))
 
@@ -244,12 +243,12 @@ def _linear_block(nbr, alive_rows, alive_cols, bits) -> list[Poly]:
                 terms = {bytes((b,)): 1 for b in plus}
                 for a in minus:
                     terms[bytes((a,))] = -1
-                out.append(Poly(terms, _trusted=True))
+                out.append(Poly(terms))
     return out
 
 
 def _commutator(a: int, b: int) -> Poly:
-    return Poly({bytes((a, b)): 1, bytes((b, a)): -1}, _trusted=True)
+    return Poly({bytes((a, b)): 1, bytes((b, a)): -1})
 
 
 def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> CheckResult:

@@ -187,7 +187,7 @@ class GBasis:
 
     def normal_form(self, f: Poly) -> Poly:
         """Normal form of ``f`` by the current rules."""
-        return Poly(self._reduce(f.terms), _trusted=True)
+        return Poly(self._reduce(f.terms))
 
     def _reduce(self, terms: dict) -> dict:
         """Normal form of a term dict: the sum of c * N(w) over its terms,
@@ -419,7 +419,7 @@ class GBasis:
     def polys(self) -> list[Poly]:
         """The live rules as monic polynomials, in deglex order of lead."""
         leads, tails = self.leads, self.tails
-        return [Poly({**tails[r], leads[r]: 1}, _trusted=True)
+        return [Poly({**tails[r], leads[r]: 1})
                 for r in sorted(leads, key=lambda r: _deglex_key(leads[r]))]
 
 

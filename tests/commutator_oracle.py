@@ -17,9 +17,9 @@ from qsymgraph.classify import (
     ClassifyConfig,
     Presentation,
 )
-from qsymgraph.freealg import Poly
 from qsymgraph.groebner import complete
 
+from polyring import Poly, degree
 from worklist_oracle import ListReducer
 
 
@@ -35,7 +35,7 @@ def commutators(p: Presentation) -> list[Poly]:
     out = []
     for a in range(m):
         for b in range(a + 1, m):
-            out.append(Poly({bytes((a, b)): 1, bytes((b, a)): -1}, _trusted=True))
+            out.append(Poly({bytes((a, b)): 1, bytes((b, a)): -1}))
     return out
 
 
@@ -43,7 +43,7 @@ def all_pairs_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> 
     coms = commutators(p)
     if not coms:
         return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
-    rel_degree = max(r.degree() for r in p.relations)
+    rel_degree = max(degree(r) for r in p.relations)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
     last_bound = bound
     last_size = None

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qsymgraph.freealg import Poly, Word
+from qsymgraph.freealg import Word
 from qsymgraph.groebner import GBasis
+
+from polyring import Poly, leading_term
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def proper_overlaps(left_lead: Word, right_lead: Word):
 def find_obstructions(basis) -> list[Obstruction]:
     """All minimal ambiguities among leading words, containments included."""
     polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    leads = [p.leading_term()[0] for p in polys]
+    leads = [leading_term(p)[0] for p in polys]
     return obstructions_of_leads(leads)
 
 
@@ -80,7 +82,7 @@ def random_normal_form(f: Poly, polys, rng) -> Poly:
     """Rewrite ``f`` by the monic ``polys`` until no leading word divides
     any of its words, each time at a term, a rule and a position drawn
     by ``rng`` among all that match, with plain ``Poly`` arithmetic."""
-    rules = [(p.leading_term()[0], p) for p in polys]
+    rules = [(leading_term(p)[0], p) for p in polys]
     while True:
         hits = [
             (w, pos, lead, p)

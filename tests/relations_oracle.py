@@ -1,8 +1,8 @@
 """Relation builders for tests only.
 
 ``reference_relations`` builds the relations of ``build_relations`` by
-``Poly`` arithmetic, so that the word-level builder can be compared with
-it term for term.  Its linear relations of uA = Au are not built from the
+the ring arithmetic of ``polyring.Poly``, so that the word-level builder
+can be compared with it term for term.  Its linear relations of uA = Au are not built from the
 adjacency, as ``build_relations`` builds them, but read off the other
 relations by ``linear_consequences``.
 
@@ -14,10 +14,11 @@ forced one to zero by a relation u_ij; both present the same algebra.
 from __future__ import annotations
 
 from qsymgraph.classify import Presentation, build_relations
-from qsymgraph.freealg import Generators, Poly
+from qsymgraph.freealg import Generators
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import Graph
 
+from polyring import Poly
 from walk_oracle import adjacency
 
 
@@ -32,7 +33,7 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     for i in range(n):
         for j in range(n):
             if cl[i] != cl[j]:
-                u = Poly.gen(pres.gens.index(i + 1, j + 1))
+                u = Poly.gen(pres.gens.labels.index((i + 1, j + 1)))
                 if u not in relations:  # deduplicated, as build_relations does
                     relations.append(u)
     return Presentation(pres.gens, tuple(relations))
@@ -61,7 +62,7 @@ def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     positions = pattern.alive()
     alive = set(positions)
     gens = Generators.from_alive(positions)
-    flat = {pos: gens.index(pos[0] + 1, pos[1] + 1) for pos in positions}
+    flat = {pos: gens.labels.index((pos[0] + 1, pos[1] + 1)) for pos in positions}
 
     relations: list[Poly] = []
     seen: set = set()
@@ -225,7 +226,7 @@ def linear_consequences(p: Presentation) -> list[Poly]:
                     continue
                 seen.add(key)
                 seen.add(frozenset((w, -c) for w, c in terms.items()))
-                out.append(Poly(terms, _trusted=True))
+                out.append(Poly(terms))
     return out
 
 

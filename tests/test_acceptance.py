@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from qsymgraph import (
-    Poly,
     RunConfig,
     VerdictKind,
     automorphism_group,
@@ -29,7 +28,7 @@ from qsymgraph import (
     zero_pattern,
 )
 from qsymgraph.classify import build_relations
-from qsymgraph.freealg import EMPTY_WORD, word
+from qsymgraph.freealg import EMPTY_WORD
 from qsymgraph.groebner import complete
 from qsymgraph.pipeline import OrderRow
 
@@ -39,6 +38,7 @@ from conftest import FOUR_VERTEX_CASES, house_x, house_x_broken, rigid6, word_cm
 from enumeration_oracle import orbit_sweep_masks
 from walk_oracle import matrix_power
 from membership_oracle import SpanOracle
+from polyring import Poly, word
 from worklist_oracle import ListReducer, normal_form
 
 NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"

@@ -22,8 +22,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from qsymgraph.freealg import Generators, Poly, Word
+from qsymgraph.freealg import Generators, Word
 from qsymgraph.groebner import GBasis
+
+from polyring import Poly, gen_name, leading_term, render
 
 
 class ListReducer:
@@ -37,7 +39,7 @@ class ListReducer:
         self.leads: list[Word] = []
         self.tails: list[dict] = []
         for rid, f in enumerate(polys):
-            lead, lc = f.leading_term()
+            lead, lc = leading_term(f)
             if lc != 1:
                 raise ValueError(f"basis element {rid} is not monic")
             self.leads.append(lead)
@@ -90,7 +92,7 @@ class ListReducer:
         out: dict = {}
         for w, c in f.terms.items():
             _add_scaled(out, self.word_normal_form(w), c)
-        return Poly(out, _trusted=True)
+        return Poly(out)
 
 
 def _add_scaled(out: dict, terms: dict, c) -> None:
@@ -159,7 +161,7 @@ def normal_form(f: Poly, basis, *, trace: list | None = None) -> Poly:
     coeff * left * basis[rule_id] * right over its records.
     """
     polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    return Poly(reduce_terms(f.terms, ListReducer(polys), trace=trace), _trusted=True)
+    return Poly(reduce_terms(f.terms, ListReducer(polys), trace=trace))
 
 
 def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
@@ -174,13 +176,13 @@ def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
     nf = normal_form(f, basis, trace=trace)
 
     def word_str(w: Word) -> str:
-        return "*".join(gens.gen_name(x) for x in w) if w else "1"
+        return "*".join(gen_name(gens, x) for x in w) if w else "1"
 
     if nf.is_zero():
         lines = ["member"]
         for coeff, left, rid, right in trace:
-            element = basis.polys[rid].render(gens)
+            element = render(basis.polys[rid], gens)
             lines.append(f"({coeff}) * {word_str(left)} * [{element}] * {word_str(right)}")
         return "\n".join(lines)
     status = "non_member" if basis.complete else "unknown"
-    return f"{status}\nnormal_form: {nf.render(gens)}"
+    return f"{status}\nnormal_form: {render(nf, gens)}"
