@@ -110,23 +110,27 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     containing them vanish, sums simply omit them.  The relation list is
     deduplicated structurally.  Relations are built straight from words
     of generator indices, without polynomial arithmetic.
+
+    The adjacency is read only through the memo key's rows
+    (``_blocks_up_to_complement``), so a graph and its copies with
+    class-pair blocks complemented get equal relations.  The products are
+    the graph's own: complementing a block keeps which of its
+    off-diagonal entries are equal, and a product that meets the
+    diagonal is an orthogonality relation.
     """
     n = g.n
     positions = pattern.alive()
     gens = Generators.from_alive(positions)
     # alive (column, index) pairs per row and (row, index) pairs per
-    # column; bit k of bits[i] is set for each k in i's class, which holds
-    # the alive letters of row i and of column i alike; row_at[i][k] and
-    # col_at[j][k] are the indices at (i, k) and (k, j), or -1 where forced
+    # column; row_at[i][k] and col_at[j][k] are the indices at (i, k) and
+    # (k, j), or -1 where forced
     alive_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     alive_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    bits = [0] * n
     row_at = [[-1] * n for _ in range(n)]
     col_at = [[-1] * n for _ in range(n)]
     for a, (i, j) in enumerate(positions):  # row-major, as the table is
         alive_rows[i].append((j, a))
         alive_cols[j].append((i, a))
-        bits[i] |= 1 << j
         row_at[i][j] = col_at[j][i] = a
 
     relations: list[Poly] = []
@@ -160,9 +164,8 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 relations.append(Poly(terms))
 
     # the linear relations of uA = Au
-    nbr = g.nbr
-    if any(b != 1 << i for i, b in enumerate(bits)):  # else none
-        relations += _linear_block(nbr, alive_rows, alive_cols, bits)
+    nbr = _blocks_up_to_complement(g, pattern)
+    relations += _linear_block(nbr, alive_rows, alive_cols)
 
     # products vanish whenever adjacency disagrees between source and image;
     # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
@@ -181,68 +184,27 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     return Presentation(gens, tuple(relations))
 
 
-def _linear_block(nbr, alive_rows, alive_cols, bits) -> list[Poly]:
-    """The linear relations of uA = Au, given the row and column sums, on
-    the alive letters as ``build_relations`` lists them; bit k of
-    ``nbr[i]`` is A_ik, and bit k of ``bits[i]`` marks k in i's class,
-    the alive positions of row i and of column i.
+def _linear_block(nbr, alive_rows, alive_cols) -> list[Poly]:
+    """The nonzero entries of uA - Au on the alive letters, as
+    ``build_relations`` lists them, where bit k of ``nbr[i]`` is A_ik and
+    A is symmetric.
 
-    Entry (i, j) reads sum_k A_ik u_kj = sum_l u_il A_lj.  The alive u_kj
-    (k != i) with A_ik = v and the alive u_il (l != j) with A_lj = v form
-    one part when both sides hold some; every other letter is a part of
-    its own, and so is u_ij, which cancels.  A part with letters K and R
-    gives sum_K u_kj - sum_R u_il, which is in the ideal:
-
-        sum_R u_il * S'_j - sum_K S_i * u_kj
-            = sum_K u_kj - sum_R u_il
-              + sum_{l in R, k not in K} u_il*u_kj
-              - sum_{l not in R, k in K} u_il*u_kj,
-
-    where S_i and S'_j are the row and column sum relations, and every
-    product left over joins letters in different parts, so it vanishes.
-    Parts come in order of first appearance, over the u_kj and then the
-    u_il.  A lone part, empty parts and repeats up to sign give nothing,
-    so a table with only diagonal letters gives no relation.  The parts
-    depend on which letters share a value, not on the values, so a graph
-    and its complement get the same relations.
+    Entry (i, j) is sum_l u_il A_lj - sum_k A_ik u_kj.  Its coefficients
+    are 1 and -1, with no constant, and u_ij never occurs, since
+    A_ii = A_jj = 0.  Entries come in row-major order; zero entries and
+    repeats up to sign give nothing.
     """
-    n = len(nbr)
-    # bit k of far[i] is A_ik = 0 with k != i
-    far = [~(m | 1 << i) for i, m in enumerate(nbr)]
     out: list[Poly] = []
-    done: set[tuple[bytes, bytes]] = set()  # (K, R) of each part emitted
-    for i, near_i, far_i, bits_i in zip(range(n), nbr, far, bits):
-        for j, near_j, far_j, bits_j in zip(range(n), nbr, far, bits):
-            # bits l of the u_il (l != j) with A_lj = 1 and with A_lj = 0,
-            # then bits k of the u_kj (k != i) with A_ik = 1 and A_ik = 0
-            r1, r0 = bits_i & near_j, bits_i & far_j
-            c1, c0 = bits_j & near_i, bits_j & far_i
-            alive = bits_i >> j & 1
-            if alive:
-                if not (r0 or r1 or c0 or c1):
-                    continue  # u_ij alone
-            elif not (r0 or c0) or not (r1 or c1):
-                continue  # all of one value: a lone part
-            joined = (r0 and c0, r1 and c1)
-            # (K, R) of each part, keyed by its value if joined, else by letter
-            parts: dict = {}
-            for k, b in alive_cols[j]:
-                if k != i:
-                    v = near_i >> k & 1
-                    parts.setdefault((v,) if joined[v] else b, ([], []))[0].append(b)
-            for l, a in alive_rows[i]:
-                if l != j:
-                    v = near_j >> l & 1
-                    parts.setdefault((v,) if joined[v] else a, ([], []))[1].append(a)
-            for plus, minus in parts.values():
-                key = (bytes(plus), bytes(minus))
-                if key in done:
-                    continue
-                done.add(key)
-                done.add(key[::-1])
-                terms = {bytes((b,)): 1 for b in plus}
-                for a in minus:
-                    terms[bytes((a,))] = -1
+    done: set[tuple[bytes, bytes]] = set()  # (plus, minus) letters emitted
+    for row, near_i in zip(alive_rows, nbr):
+        for col, near_j in zip(alive_cols, nbr):
+            plus = bytes(a for l, a in row if near_j >> l & 1)
+            minus = bytes(b for k, b in col if near_i >> k & 1)
+            if (plus or minus) and (plus, minus) not in done:
+                done.add((plus, minus))
+                done.add((minus, plus))
+                terms = {bytes((a,)): 1 for a in plus}
+                terms.update((bytes((b,)), -1) for b in minus)
                 out.append(Poly(terms))
     return out
 
@@ -416,12 +378,8 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     The check's result is memoised under the zero pattern's classes, the
     adjacency blocks up to complement and the config, before any relation
     is built.  The key is exact: equal keys give equal presentations,
-    generator labels and relations in order.  The labels and the
-    orthogonality, idempotent and sum relations read only the classes.
-    Each product u_ik*u_jl (i, k in I; j, l in J) and each linear relation
-    of uA = Au at entry (i, j) reads only block (I, J), and only through
-    which of its off-diagonal entries are equal.  So complementing a
-    block leaves every relation, and their order, as they are.
+    generator labels and relations in order, since relations read the
+    adjacency only through the key's rows.
 
     On a miss, a pattern of several classes, not all singletons, is looked
     up once more in a labelling that depends on the key alone: the key's

@@ -2,9 +2,12 @@
 
 ``reference_relations`` builds the relations of ``build_relations`` by
 the ring arithmetic of ``polyring.Poly``, so that the word-level builder
-can be compared with it term for term.  Its linear relations of uA = Au are not built from the
-adjacency, as ``build_relations`` builds them, but read off the other
-relations by ``linear_consequences``.
+can be compared with it term for term.  Its linear relations of uA = Au
+are the entries of uA - Au for the adjacency ``key_adjacency`` reads
+off the graph and the classes, a block normalisation written here apart
+from the package's.  ``linear_consequences`` reads linear relations off
+the other relations instead, by a union-find over the letter pairs no
+product relation kills.
 
 ``build_relations`` deletes the generators a zero pattern forces.  The
 other way to apply a pattern keeps all n^2 generators and pins each
@@ -18,7 +21,7 @@ from qsymgraph.freealg import Generators
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import Graph
 
-from polyring import Poly
+from polyring import Poly, key
 from walk_oracle import adjacency
 
 
@@ -40,17 +43,69 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
 
 def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
-    """``build_relations`` by polynomial arithmetic and by
-    ``linear_consequences``: the magic-unitary relations of
-    ``magic_unitary_relations`` with their linear consequences inserted
-    right after the last sum relation."""
+    """``build_relations`` by polynomial arithmetic: the magic-unitary
+    relations of ``magic_unitary_relations`` with the entries of
+    ``commutation_entries`` inserted right after the last sum relation."""
     p = magic_unitary_relations(g, pattern)
-    derived = linear_consequences(p)
-    if not derived:
-        return p
     rows, cols = _line_sums(p)
     at = 1 + max([*rows.values(), *cols.values()])
-    return Presentation(p.gens, p.relations[:at] + tuple(derived) + p.relations[at:])
+    entries = commutation_entries(p.gens, key_adjacency(g, pattern))
+    return Presentation(p.gens, p.relations[:at] + tuple(entries) + p.relations[at:])
+
+
+def key_adjacency(g: Graph, pattern: ZeroPattern) -> list[list[int]]:
+    """The adjacency matrix of ``g`` with each class-pair block (I, J)
+    complemented off the diagonal where its first entry is 1: A between
+    the least members of I and J, or, when I = J, between the two least
+    members of I (a one-vertex class has no such entry)."""
+    adj = adjacency(g)
+    n = g.n
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(pattern.classes):
+        members.setdefault(c, []).append(v)
+    first = {}
+    for c, ms in members.items():
+        for d, md in members.items():
+            pair = next(((x, y) for x in ms for y in md if x != y), None)
+            first[c, d] = adj[pair[0]][pair[1]] if pair else 0
+    cl = pattern.classes
+    return [[1 - adj[i][j] if i != j and first[cl[i], cl[j]] else adj[i][j]
+             for j in range(n)] for i in range(n)]
+
+
+def commutation_matrix(gens: Generators, a) -> list[list[Poly]]:
+    """uA - Au over the letters of ``gens``, for the 0/1 matrix ``a``:
+    entry (i, j) is sum_l u_il a_lj - sum_k a_ik u_kj, where a forced u
+    is 0."""
+    n = len(a)
+    flat = {(r - 1, c - 1): x for x, (r, c) in enumerate(gens.labels)}
+    u = [[Poly.gen(flat[i, j]) if (i, j) in flat else Poly.zero() for j in range(n)]
+         for i in range(n)]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = Poly.zero()
+            for l in range(n):
+                entry = entry + u[i][l] * a[l][j]
+            for k in range(n):
+                entry = entry - a[i][k] * u[k][j]
+            row.append(entry)
+        out.append(row)
+    return out
+
+
+def commutation_entries(gens: Generators, a) -> list[Poly]:
+    """The nonzero entries of ``commutation_matrix`` in row-major order,
+    each kept once up to sign."""
+    out: list[Poly] = []
+    seen: set = set()
+    for entry in (e for row in commutation_matrix(gens, a) for e in row):
+        if not entry.is_zero() and key(entry) not in seen:
+            seen.add(key(entry))
+            seen.add(key(-entry))
+            out.append(entry)
+    return out
 
 
 def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
@@ -172,10 +227,12 @@ def linear_consequences(p: Presentation) -> list[Poly]:
     where S_i and S'_j are the row and column sum relations, and every
     product left over joins letters in different components, so it is a
     monomial relation.  On a presentation from
-    ``magic_unitary_relations`` these relations, with the sums, span the
-    same linear relations as the entries of uA - Au.  The component
-    covering every letter (it gives S'_j - S_i), zero relations and
-    repeats up to sign are left out; the order is deterministic.
+    ``magic_unitary_relations`` under the walk-count patterns the tests
+    try, these relations, with the sums, span the same linear relations
+    as the entries of uA - Au; under other partitions they can span
+    more.  The component covering every letter (it gives S'_j - S_i),
+    zero relations and repeats up to sign are left out; the order is
+    deterministic.
     """
     rows, cols = _line_sums(p)
     if not rows or not cols:

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -49,7 +50,14 @@ from conftest import (
     star4,
 )
 from polyring import Poly, degree, index, key
-from relations_oracle import explicit_zero_relations, reference_relations
+from relations_oracle import (
+    commutation_matrix,
+    explicit_zero_relations,
+    key_adjacency,
+    linear_consequences,
+    magic_unitary_relations,
+    reference_relations,
+)
 from walk_oracle import adjacency
 from worklist_oracle import ListReducer
 
@@ -85,16 +93,10 @@ def test_complete_graph_relation_count():
     g = complete_graph(4)
     pres = build_relations(g, zero_pattern(g))
     assert len(pres.gens) == 16
-    # on K4 the letters u_kj (k != i) and u_il (l != j) of entry (i, j) of
-    # uA = Au all carry the value 1 and form one part, so each pair (i, j)
-    # gives column j minus row i, with u_ij cancelled
-    column = {j: {index(pres.gens, k, j) for k in range(1, 5)} for j in range(1, 5)}
-    row = {i: {index(pres.gens, i, l) for l in range(1, 5)} for i in range(1, 5)}
-    block = {frozenset([*((bytes((b,)), 1) for b in column[j] - row[i]),
-                        *((bytes((a,)), -1) for a in row[i] - column[j])])
-             for i in range(1, 5) for j in range(1, 5)}
-    assert {frozenset(r.terms.items()) for r in _linear_block_of(pres)} == block
-    assert len(pres.relations) == brute_force_relation_count(g) + len(block) == 120 + 16
+    # K4 is one class whose block is complemented, so the adjacency the
+    # relations read is 0 and uA = Au gives no linear relation
+    assert _linear_block_of(pres) == []
+    assert len(pres.relations) == brute_force_relation_count(g) == 120
 
 
 def test_relations_use_only_alive_generators(broken_house):
@@ -128,9 +130,9 @@ def test_relations_pinned_on_small_graphs():
                 for rel in relations:
                     digest.update(repr(sorted(rel.terms.items())).encode() + b";")
                 digest.update(b"|")
-    assert count == 128798
+    assert count == 123154
     assert digest.hexdigest() == (
-        "88fa3d2065953b5a5f2f630b050bb223d713ef0b67d4b1f0ac6ad57f91c16cdc")
+        "4d4def03cd8193b28b6036f7572523f7b576c661e32b38937d7d33204fc362a9")
 
 
 def _linear_block_of(p):
@@ -141,9 +143,9 @@ def _linear_block_of(p):
 
 def _assert_matches_reference(g, pattern):
     """build_relations equals the Poly-arithmetic builder, whose linear
-    relations are read off its other relations: the same generators, the
-    same relations in the same order, and each relation's terms in the
-    same dict order."""
+    relations are the entries of uA - Au for the oracle's own block
+    normalisation: the same generators, the same relations in the same
+    order, and each relation's terms in the same dict order."""
     ref = reference_relations(g, pattern)
     pres = build_relations(g, pattern)
     assert pres.gens == ref.gens
@@ -861,55 +863,75 @@ def _sums_held(p, side):
     return out
 
 
-def _replays(p, f, row_sums, col_sums):
-    """Whether ``f`` equals
+def _entry_positions(g, pattern, p):
+    """{terms of E and of -E: the 1-based (i, j) of every nonzero entry E
+    of uA - Au equal to it}, A the oracle's key adjacency."""
+    out = collections.defaultdict(list)
+    matrix = commutation_matrix(p.gens, key_adjacency(g, pattern))
+    for i, row in enumerate(matrix, 1):
+        for j, e in enumerate(row, 1):
+            if not e.is_zero():
+                out[frozenset(e.terms.items())].append((i, j))
+                out[frozenset((-e).terms.items())].append((i, j))
+    return out
 
-        sum_R u_il * S'_j - sum_K S_i * u_kj - (monomial relations of p)
 
-    for a row sum S_i in ``row_sums`` and a column sum S'_j in
-    ``col_sums``, with R the letters of f with coefficient -1 and K those
-    with +1 (u_ij may sit in both, where it cancels)."""
+def _replays(p, adj, f, row_sums, col_sums, at=None):
+    """Whether, for a row sum S_i in ``row_sums`` and a column sum S'_j in
+    ``col_sums`` (with (i, j) in ``at``, if given), and c = 0 or -1,
+
+        +-f = sum_k A_ik S_i * u_kj - sum_l A_lj u_il * S'_j + c (S_i - S'_j)
+
+    up to monomial relations of p, A being ``adj``, the graph's own
+    adjacency.  The first two sums are entry (i, j) of uA - Au up to
+    products u_il*u_kj with A_lj != A_ik, which p kills; complementing
+    the block of (i, j) turns that entry into S_i - S'_j minus it."""
     monomials = {w for r in p.relations if len(r.terms) == 1 for w in r.terms}
     labels = p.gens.labels
-    plus = [w[0] for w, c in f.terms.items() if c == 1]
-    minus = [w[0] for w, c in f.terms.items() if c == -1]
-    # the letters fix the row and the column, unless a side is empty
-    rows = {labels[a][0] for a in minus} if minus else set(row_sums)
-    cols = {labels[b][1] for b in plus} if plus else set(col_sums)
-    for i in rows & set(row_sums):
+    for i, j in at or itertools.product(row_sums, col_sums):
+        if i not in row_sums or j not in col_sums:
+            continue
         s_row, row = row_sums[i]
-        for j in cols & set(col_sums):
-            s_col, col = col_sums[j]
-            for extra in ([], [a for a in row if a in col]):
-                cert = Poly()
-                for a in minus + extra:
-                    cert = cert + Poly.gen(a) * s_col
-                for b in plus + extra:
-                    cert = cert - s_row * Poly.gen(b)
-                if all(w in monomials for w in (cert - f).terms):
-                    return True
+        s_col, col = col_sums[j]
+        cert = Poly()
+        for b in col:
+            cert = cert + adj[i - 1][labels[b][0] - 1] * (s_row * Poly.gen(b))
+        for a in row:
+            cert = cert - adj[labels[a][1] - 1][j - 1] * (Poly.gen(a) * s_col)
+        for c in (0, -1):
+            rest = cert + c * (s_row - s_col)
+            if any(all(w in monomials for w in d.terms) for d in (rest - f, rest + f)):
+                return True
     return False
 
 
-def _assert_block_replays(p):
-    """Replay every linear relation of uA = Au in ``p`` from the sums and
-    the monomial relations of ``p``, and return them."""
+def _assert_block_replays(g, pattern, p):
+    """Each linear relation f of uA = Au in ``p`` is +- an entry of uA - Au
+    for the oracle's key adjacency, and replays from the row sum and the
+    column sum of that entry and monomial relations of ``p``.  Returns
+    {f: the 1-based (i, j) of every entry f is +- of}."""
     block = _linear_block_of(p)
     keys = {frozenset(f.terms.items()) for f in block}
     keys |= {frozenset((w, -c) for w, c in f.terms.items()) for f in block}
     assert len(keys) == 2 * len(block)  # no repeats up to sign
+    positions = _entry_positions(g, pattern, p)
+    adj = adjacency(g)
     row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
+    out = {}
     for f in block:
         assert all(c in (1, -1) for c in f.terms.values())
-        assert _replays(p, f, row_sums, col_sums), f
-    return block
+        out[f] = positions[frozenset(f.terms.items())]
+        assert out[f], f
+        assert _replays(p, adj, f, row_sums, col_sums, out[f]), f
+    return out
 
 
 def test_linear_consequences_replay_on_pairless_graphs():
-    presentations = _checked_presentations(6)
-    assert len(presentations) == 75
-    block = [_assert_block_replays(p) for p in presentations]
-    assert sum(map(len, block)) == 872
+    graphs = _pairless_graphs(6)
+    assert len(graphs) == 75
+    block = [_assert_block_replays(g, zero_pattern(g), build_relations(g, zero_pattern(g)))
+             for g in graphs]
+    assert sum(map(len, block)) == 297
 
 
 def test_linear_consequences_replay_on_random_graphs_and_patterns():
@@ -925,26 +947,89 @@ def test_linear_consequences_replay_on_random_graphs_and_patterns():
         partition = _random_partition(rng, n)
         one_class += partition.forced_count() == 0
         for pattern in (zero_pattern(g), partition):
-            total += len(_assert_block_replays(build_relations(g, pattern)))
+            total += len(_assert_block_replays(g, pattern, build_relations(g, pattern)))
     assert total > 0 and one_class > 0
 
 
 def test_linear_consequences_need_both_sums():
-    g = cycle_graph(4)
-    p = build_relations(g, zero_pattern(g))
+    g = cycle_graph(5)
+    pattern = zero_pattern(g)
+    p = build_relations(g, pattern)
+    adj = adjacency(g)
     row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
-    assert sorted(row_sums) == sorted(col_sums) == [1, 2, 3, 4]
-    block = _assert_block_replays(p)
-    # without the sum of row 1, exactly the relations with a row-1 letter
-    # on the minus side stop replaying; some do, some do not
-    row_1 = row_sums[1][1]
+    assert sorted(row_sums) == sorted(col_sums) == [1, 2, 3, 4, 5]
+    block = _assert_block_replays(g, pattern, p)
+    # C5's one block is complemented, so each of its 25 relations is an
+    # entry of uA - Au for the graph only up to a row sum and a column sum;
+    # without the sum of row 1, exactly the 5 entries of row 1 stop
+    # replaying, whichever pair of the sums left is tried
     cut = {i: s for i, s in row_sums.items() if i != 1}
-    uses_row_1 = [f for f in block if any(f.terms.get(bytes((a,))) == -1 for a in row_1)]
-    assert 0 < len(uses_row_1) < len(block)
+    row_1 = [f for f, at in block.items() if {i for i, _ in at} == {1}]
+    assert len(block) == 25 and len(row_1) == 5
     for f in block:
-        assert _replays(p, f, cut, col_sums) is (f not in uses_row_1), f
+        assert _replays(p, adj, f, cut, col_sums) is (f not in row_1), f
     # and without the column sums, none replays
-    assert not any(_replays(p, f, row_sums, {}) for f in block)
+    assert not any(_replays(p, adj, f, row_sums, {}) for f in block)
+
+
+def _rank(polys):
+    """The rank of ``polys`` as vectors over Q, by exact elimination."""
+    pivots = {}  # word -> a reduced row with coefficient 1 there
+    for f in polys:
+        v = {w: Fraction(c) for w, c in f.terms.items()}
+        while v:
+            w = max(v)
+            row = pivots.get(w)
+            if row is None:
+                pivots[w] = {x: c / v[w] for x, c in v.items()}
+                break
+            c = v[w]
+            for x, y in row.items():
+                z = v.get(x, 0) - c * y
+                if z:
+                    v[x] = z
+                else:
+                    del v[x]
+    return len(pivots)
+
+
+def _spans(g, pattern):
+    """The ranks of the row and column sums with the linear block of
+    ``build_relations``, with the union-find ``linear_consequences``, and
+    with both."""
+    p = build_relations(g, pattern)
+    sums = [f for f in p.relations if EMPTY_WORD in f.terms and degree(f) == 1]
+    block = _linear_block_of(p)
+    found = linear_consequences(magic_unitary_relations(g, pattern))
+    return _rank(sums + block), _rank(sums + found), _rank(sums + block + found)
+
+
+def test_linear_block_spans_the_union_find_consequences():
+    # with the sums, the entries of uA - Au span exactly the linear
+    # relations the union-find reads off the products under walk-count
+    # patterns, the only ones classify builds, so completion ends its
+    # degree <= 1 phase with the same rules either way.  Under other
+    # partitions the union-find can read off more, such as u_ij = 0 for i
+    # and j of one class with different degrees; the entries stay inside
+    # its span
+    graphs = [g for g in atlas_graphs() if find_disjoint_pair(automorphism_group(g)) is None]
+    assert len(graphs) == 582
+    for g in graphs:
+        block, found, both = _spans(g, zero_pattern(g))
+        assert block == found == both, to_graph6(g)
+    rng = random.Random(97)
+    less = 0
+    for _ in range(150):
+        n = rng.randint(2, 10)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < p], one_based=False)
+        block, found, both = _spans(g, zero_pattern(g))
+        assert block == found == both, to_graph6(g)
+        block, found, both = _spans(g, _random_partition(rng, n))
+        assert block <= found == both, to_graph6(g)
+        less += block < found
+    assert less > 0
 
 
 def test_completion_input_keeps_the_pinned_bases(monkeypatch):
