@@ -78,7 +78,9 @@ class ClassifyConfig:
     limits: EngineLimits = field(default_factory=EngineLimits)
 
     def __post_init__(self):
-        # every presentation has degree-2 relations (the idempotents)
+        # every presentation the check completes has degree-2 relations:
+        # a class of two or more keeps the idempotent of each letter that
+        # is last in neither its row nor its column
         if self.gb_degree_cap < 2:
             raise ValueError("gb_degree_cap must be >= 2")
 
@@ -107,59 +109,99 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     """Emit the defining relations over the generators the pattern leaves alive.
 
     Forced generators are removed from the presentation: products
-    containing them vanish, sums simply omit them.  The relation list is
-    deduplicated structurally.  Relations are built straight from words
-    of generator indices, without polynomial arithmetic.
+    containing them vanish, sums simply omit them.  Relations are built
+    straight from words of generator indices, without polynomial
+    arithmetic, and no relation is emitted twice.
 
     The adjacency is read only through the memo key's rows
-    (``_blocks_up_to_complement``), so a graph and its copies with
-    class-pair blocks complemented get equal relations.  The products are
-    the graph's own: complementing a block keeps which of its
-    off-diagonal entries are equal, and a product that meets the
+    (``_blocks_up_to_complement``), A' below, so a graph and its copies
+    with class-pair blocks complemented get equal relations.  The
+    products are the graph's own: complementing a block keeps which of
+    its off-diagonal entries are equal, and a product that meets the
     diagonal is an orthogonality relation.
+
+    Four families of degree-2 relations are left out, each an exact
+    consequence of relations that stay, so the ideal, and with it every
+    complete basis, is unchanged.  Write R_i - 1 and C_j - 1 for the
+    row and column sums and M_il = sum_k u_ik A'_kl - sum_m A'_im u_ml
+    for an entry of uA' - A'u.  A line's last letter is its alive letter
+    of largest index, u_is in row i and u_sj in column j, s the last
+    member of the class; it leads the line's sum.
+
+    (a) For the last letter p of a line and every other letter q of it,
+        q*p and p*q:
+        q*p = q*(R_i - 1) - (q^2 - q) - sum of q*u_il over the other l,
+        and p*q is the mirror, from (R_i - 1)*q; columns likewise by C_j.
+    (b) The idempotent of a line's last letter:
+        p^2 - p = p*(R_i - 1) - sum of p*u_il over l != s, words of (a).
+    (c) For i != j and an alive u_jl, of the products u_ik*u_jl with
+        k != l and A'_kl != A'_ij, the one with the largest k.  The sum
+        of all u_ik*u_jl with A'_kl != A'_ij (k = l is a column
+        orthogonality word) is M_il*u_jl + sum_{m != j} A'_im u_ml*u_jl
+        when A'_ij = 0, and (R_i - 1)*u_jl - M_il*u_jl
+        - sum_{m != j} A'_im u_ml*u_jl - (u_jl^2 - u_jl) when A'_ij = 1.
+    (d) The mirror of (c): for i != j and an alive u_ik, of the u_ik*u_jl
+        with l != k and A'_kl != A'_ij, the one with the largest l; the
+        sum comes from u_ik*M_jk, u_ik*(R_j - 1), the orthogonality of
+        column k and u_ik^2 - u_ik.
+
+    No derivation goes in a circle.  In (a), q^2 - q is left out only
+    when q is the last letter of its other line, which happens only in
+    the class's last row or column; its (b) derivation then uses (a)
+    words of a line that is not last, whose q^2 - q stay.  So the
+    omissions replay in the order: (a) of the lines that are not last,
+    (b) of their last letters, (a) of the last row and column, (b) of
+    u_ss, and then the products of each (i, j) by increasing k + l, as
+    a product derivation uses only products of the same (i, j) with a
+    smaller k + l.  Every derivation stays in degree 2.
     """
     n = g.n
+    cl = pattern.classes
     positions = pattern.alive()
     gens = Generators.from_alive(positions)
     # alive (column, index) pairs per row and (row, index) pairs per
-    # column; row_at[i][k] and col_at[j][k] are the indices at (i, k) and
-    # (k, j), or -1 where forced
+    # column; row i and column j of one class hold their letters at the
+    # class's members, in increasing order
     alive_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     alive_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    row_at = [[-1] * n for _ in range(n)]
-    col_at = [[-1] * n for _ in range(n)]
     for a, (i, j) in enumerate(positions):  # row-major, as the table is
         alive_rows[i].append((j, a))
         alive_cols[j].append((i, a))
-        row_at[i][j] = col_at[j][i] = a
 
     relations: list[Poly] = []
-    seen: set[bytes] = set()  # the product words emitted so far
 
     # orthogonality within each row and each column: for u_ij and each k,
     # u_ij * u_ik, then u_ij * u_kj; these words are pairwise distinct, and
-    # u_ij meets itself twice (k = j, then k = i) for one idempotent relation
+    # u_ij meets itself twice (k = j, then k = i) for one idempotent
+    # relation.  Nothing is emitted at k = s, and no row word of row i's
+    # last letter (j = s), no column word of column j's (i = s)
     for i in range(n):
-        ri = row_at[i]
-        for j, a in alive_rows[i]:
-            idempotent = False
-            for b in [b for pair in zip(ri, col_at[j]) for b in pair if b >= 0]:
+        row = alive_rows[i]
+        s = row[-1][0]
+        for j, a in row:
+            idempotent = s in (i, j)  # (b): left out
+            for (k, b), (_, c) in zip(row, alive_cols[j]):
+                if k == s:
+                    break
                 if b != a:
-                    w = bytes((a, b))
-                    seen.add(w)
-                    relations.append(Poly({w: 1}))
+                    if j != s:
+                        relations.append(Poly({bytes((a, b)): 1}))
+                elif not idempotent:
+                    idempotent = True
+                    relations.append(Poly({bytes((a, a)): 1, bytes((a,)): -1}))
+                if c != a:
+                    if i != s:
+                        relations.append(Poly({bytes((a, c)): 1}))
                 elif not idempotent:
                     idempotent = True
                     relations.append(Poly({bytes((a, a)): 1, bytes((a,)): -1}))
 
-    # each row and column sums to 1; u_ii keeps every line non-empty
-    sums: set[bytes] = set()
-    for at in (row_at, col_at):
-        for i in range(n):
-            line = bytes(b for b in at[i] if b >= 0)
-            if line not in sums:
-                sums.add(line)
-                terms = {bytes((b,)): 1 for b in line}
+    # each row and column sums to 1; u_ii keeps every line non-empty, and
+    # a line of one letter is its row and its column
+    for lines in (alive_rows, alive_cols):
+        for line in lines:
+            if lines is alive_rows or len(line) > 1:
+                terms = {bytes((b,)): 1 for _, b in line}
                 terms[b""] = -1
                 relations.append(Poly(terms))
 
@@ -168,18 +210,28 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     relations += _linear_block(nbr, alive_rows, alive_cols)
 
     # products vanish whenever adjacency disagrees between source and image;
-    # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order
+    # u_ik * u_jl for alive (i, k) and (j, l), in i, j, k, l order.  With
+    # i = j or k = l the word is an orthogonality word.  last[e, c][v] is
+    # the largest w != v of class c with A'_vw != e, or -1: the k that
+    # (c) leaves out for l = v, and the l that (d) leaves out for k = v
+    last = {}
+    for c, mc in _class_members(cl).items():
+        last[0, c] = [(mc & ~(1 << v) & nbr[v]).bit_length() - 1 for v in range(n)]
+        last[1, c] = [(mc & ~(1 << v) & ~nbr[v]).bit_length() - 1 for v in range(n)]
     for i in range(n):
+        row_i = alive_rows[i]
         for j in range(n):
-            eij = nbr[i] >> j & 1
-            for k, a in alive_rows[i]:
+            if j == i:
+                continue
+            e = nbr[i] >> j & 1
+            drop_k, drop_l = last[e, cl[i]], last[e, cl[j]]
+            row_j = alive_rows[j]
+            for k, a in row_i:
                 nbr_k = nbr[k]
-                for l, b in alive_rows[j]:
-                    if nbr_k >> l & 1 != eij:
-                        w = bytes((a, b))
-                        if w not in seen:
-                            seen.add(w)
-                            relations.append(Poly({w: 1}))
+                skip = drop_l[k]
+                for l, b in row_j:
+                    if nbr_k >> l & 1 != e and l != k and l != skip and k != drop_k[l]:
+                        relations.append(Poly({bytes((a, b)): 1}))
 
     return Presentation(gens, tuple(relations))
 

@@ -326,13 +326,15 @@ class GBasis:
             self.term_count += len(new_tail) - len(tail)
             self._count_words(s, [w for w in tail if w not in new_tail], -1)
             self._count_words(s, [w for w in new_tail if w not in tail], 1)
-        leads = self.leads
+        # an ambiguity of two rules without tails has S-polynomial 0, and
+        # an empty tail stays empty, so only one over the bound is kept
+        leads, tails = self.leads, self.tails
         for i, j, k in self._overlaps(rid):
             entry = (len(leads[i]) + len(leads[j]) - k, i, j, k)
-            if entry[0] <= self.bound:
-                heapq.heappush(self.heap, entry)
-            else:
+            if entry[0] > self.bound:
                 self.deferred.append(entry)
+            elif tails[i] or tails[j]:
+                heapq.heappush(self.heap, entry)
 
     def spoly(self, i: int, j: int, k: int) -> dict:
         a = self.leads[i]

@@ -1,11 +1,13 @@
 """Relation builders for tests only.
 
-``reference_relations`` builds the relations of ``build_relations`` by
-the ring arithmetic of ``polyring.Poly``, so that the word-level builder
-can be compared with it term for term.  Its linear relations of uA = Au
-are the entries of uA - Au for the adjacency ``key_adjacency`` reads
-off the graph and the classes, a block normalisation written here apart
-from the package's.  ``linear_consequences`` reads linear relations off
+``reference_relations`` builds the magic-unitary presentation by the
+ring arithmetic of ``polyring.Poly``, every relation of each family, so
+that the word-level builder can be compared with it term for term:
+``build_relations`` is the reference, in order, without the relations
+``left_out`` lists, which it derives from the others.  Its linear
+relations of uA = Au are the entries of uA - Au for the adjacency
+``key_adjacency`` reads off the graph and the classes, a block
+normalisation written here apart from the package's.  ``linear_consequences`` reads linear relations off
 the other relations instead, by a union-find over the letter pairs no
 product relation kills.
 
@@ -43,14 +45,137 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
 
 def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
-    """``build_relations`` by polynomial arithmetic: the magic-unitary
-    relations of ``magic_unitary_relations`` with the entries of
-    ``commutation_entries`` inserted right after the last sum relation."""
+    """``build_relations`` by polynomial arithmetic, with nothing left
+    out: the magic-unitary relations of ``magic_unitary_relations`` with
+    the entries of ``commutation_entries`` inserted right after the last
+    sum relation."""
     p = magic_unitary_relations(g, pattern)
     rows, cols = _line_sums(p)
     at = 1 + max([*rows.values(), *cols.values()])
     entries = commutation_entries(p.gens, key_adjacency(g, pattern))
     return Presentation(p.gens, p.relations[:at] + tuple(entries) + p.relations[at:])
+
+
+def left_out(g: Graph, pattern: ZeroPattern) -> list[tuple[Poly, list]]:
+    """The relations of ``reference_relations`` that ``build_relations``
+    leaves out, in the order its docstring replays them, each with a
+    derivation: steps (c, left, relation, right), where c * left *
+    relation * right summed over the steps is the relation left out,
+    and each relation used is one that stays or one listed earlier (a
+    linear one up to sign).
+
+    A is ``key_adjacency``, M its uA - Au, s the last member of a class,
+    R_i - 1 and C_j - 1 the sums of row i and column j; u_is is row i's
+    last letter and u_sj column j's.
+
+    (a) For a line's last letter p and each other letter q of it, q*p
+        and p*q, from q*S, S*q, q^2 - q and the other words of q in the
+        line, S the line's sum.  Step 1, or step 3 when q^2 - q is left
+        out itself: when q is the last letter of its other line, which
+        happens in the row or column s.
+    (b) p^2 - p for each last letter p, from p*S and the (a) words p*o
+        of its row (its column when p is a column's last letter only).
+        Step 2, or step 4 for u_ss, whose (a) words are step 3.
+    (c) For i != j and each alive u_jl, of the u_ik*u_jl with A_kl !=
+        A_ij and k != l the one with the largest k: the family's sum is
+        M_il*u_jl + sum_{m != j} A_im u_ml*u_jl when A_ij = 0, and
+        (R_i - 1)*u_jl minus that minus u_jl^2 - u_jl when A_ij = 1.
+    (d) For i != j and each alive u_ik, of the u_ik*u_jl with A_kl !=
+        A_ij and l != k the one with the largest l: the family's sum is
+        u_ik*M_jk + sum_{m != i} A_jm u_ik*u_mk when A_ij = 0, and
+        u_ik*(R_j - 1) minus that minus u_ik^2 - u_ik when A_ij = 1.
+        A product both (c) and (d) pick is listed once, by (c).
+    The products come last, by increasing k + l: each family member
+    other than the one left out has a smaller k + l, or is a column
+    orthogonality word (k = l).
+    """
+    n = g.n
+    cl = pattern.classes
+    gens = Generators.from_alive(pattern.alive())
+    flat = {(r - 1, c - 1): x for x, (r, c) in enumerate(gens.labels)}
+    adj = key_adjacency(g, pattern)
+    m = commutation_matrix(gens, adj)
+    members = {c: [v for v in range(n) if cl[v] == c] for c in cl}
+    one = Poly.one()
+
+    def u(i, j):
+        return Poly.gen(flat[i, j])
+
+    def total(letters):
+        return sum(letters, Poly.constant(-1))
+
+    def idempotent(x):
+        return x * x - x
+
+    staged = []  # (step, order within the step, relation, derivation)
+    for c, ms in members.items():
+        s = ms[-1]
+        for t in ms:
+            for row, line in ((True, [u(t, k) for k in ms]), (False, [u(k, t) for k in ms])):
+                p, others, sum_ = line[-1], line[:-1], total(line)
+                # (a): q*p and p*q for each other letter q
+                step = 3 if t == s else 1
+                for q in others:
+                    rest = [o for o in others if o != q]
+                    staged.append((step, 0, q * p, [
+                        (1, q, sum_, one), (-1, one, idempotent(q), one),
+                        *((-1, one, q * o, one) for o in rest)]))
+                    staged.append((step, 0, p * q, [
+                        (1, one, sum_, q), (-1, one, idempotent(q), one),
+                        *((-1, one, o * q, one) for o in rest)]))
+                # (b): p^2 - p, by the row when p is last in both lines
+                if row or t != s:
+                    staged.append((4 if t == s else 2, 0, idempotent(p), [
+                        (1, p, sum_, one), *((-1, one, p * o, one) for o in others)]))
+
+    def row_sum(i):
+        return total([u(i, k) for k in members[cl[i]]])
+
+    picked = set()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            e = adj[i][j]
+            # (c), for each alive u_jl
+            for l in members[cl[j]]:
+                family = [k for k in members[cl[i]] if adj[k][l] != e]
+                candidates = [k for k in family if k != l]
+                if not candidates:
+                    continue
+                top = max(candidates)
+                ujl = u(j, l)
+                steps = [(1, one, m[i][l], ujl)]
+                steps += [(1, one, u(x, l) * ujl, one)
+                          for x in members[cl[l]] if x != j and adj[i][x]]
+                if e:
+                    steps = [(1, one, row_sum(i), ujl), (-1, one, idempotent(ujl), one),
+                             *((-c, left, rel, right) for c, left, rel, right in steps)]
+                steps += [(-1, one, u(i, k) * ujl, one) for k in family if k != top]
+                picked.add((i, top, j, l))
+                staged.append((5, top + l, u(i, top) * ujl, steps))
+            # (d), for each alive u_ik
+            for k in members[cl[i]]:
+                family = [l for l in members[cl[j]] if adj[k][l] != e]
+                candidates = [l for l in family if l != k]
+                if not candidates:
+                    continue
+                top = max(candidates)
+                if (i, k, j, top) in picked:
+                    continue
+                uik = u(i, k)
+                steps = [(1, uik, m[j][k], one)]
+                steps += [(1, one, uik * u(x, k), one)
+                          for x in members[cl[k]] if x != i and adj[j][x]]
+                if e:
+                    steps = [(1, uik, row_sum(j), one),
+                             (-1, one, idempotent(uik), one),
+                             *((-c, left, rel, right) for c, left, rel, right in steps)]
+                steps += [(-1, one, uik * u(j, l), one) for l in family if l != top]
+                staged.append((5, k + top, uik * u(j, top), steps))
+
+    staged.sort(key=lambda x: x[:2])  # stable: the order of listing breaks ties
+    return [(rel, [st for st in steps if not st[2].is_zero()]) for _, _, rel, steps in staged]
 
 
 def key_adjacency(g: Graph, pattern: ZeroPattern) -> list[list[int]]:

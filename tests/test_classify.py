@@ -56,6 +56,7 @@ from relations_oracle import (
     key_adjacency,
     linear_consequences,
     magic_unitary_relations,
+    left_out,
     reference_relations,
 )
 from walk_oracle import adjacency
@@ -96,7 +97,13 @@ def test_complete_graph_relation_count():
     # K4 is one class whose block is complemented, so the adjacency the
     # relations read is 0 and uA = Au gives no linear relation
     assert _linear_block_of(pres) == []
-    assert len(pres.relations) == brute_force_relation_count(g) == 120
+    assert brute_force_relation_count(g) == 120
+    # left out: (a) the 3 * 2 orthogonality words of each line's last
+    # letter, in 4 rows and 4 columns; (b) the idempotents of the 7 last
+    # letters; no product of (c) or (d), as the adjacency read is 0
+    omitted = left_out(g, zero_pattern(g))
+    assert len(omitted) == 8 * 3 * 2 + 7
+    assert len(pres.relations) == brute_force_relation_count(g) - len(omitted) == 65
 
 
 def test_relations_use_only_alive_generators(broken_house):
@@ -118,7 +125,9 @@ def test_relations_pinned_on_small_graphs():
     # SHA-256 over every relation list, in order, for all connected graphs
     # on <= 6 vertices, with the forced generators deleted and then kept
     # under explicit zero relations, as deduplicated through Poly.key; the
-    # lists include the linear relations of uA = Au
+    # lists include the linear relations of uA = Au and leave out the four
+    # families of ``left_out`` (with them: 123,154 relations, digest
+    # 4d4def03cd8193b28b6036f7572523f7b576c661e32b38937d7d33204fc362a9)
     digest = hashlib.sha256()
     count = 0
     for n in range(1, 7):
@@ -130,9 +139,9 @@ def test_relations_pinned_on_small_graphs():
                 for rel in relations:
                     digest.update(repr(sorted(rel.terms.items())).encode() + b";")
                 digest.update(b"|")
-    assert count == 123154
+    assert count == 67208
     assert digest.hexdigest() == (
-        "4d4def03cd8193b28b6036f7572523f7b576c661e32b38937d7d33204fc362a9")
+        "0a1d8e3d5a1ae0204a4f95488586504b8dcce212e00c241fbf8a7a9ba4f92596")
 
 
 def _linear_block_of(p):
@@ -144,12 +153,19 @@ def _linear_block_of(p):
 def _assert_matches_reference(g, pattern):
     """build_relations equals the Poly-arithmetic builder, whose linear
     relations are the entries of uA - Au for the oracle's own block
-    normalisation: the same generators, the same relations in the same
-    order, and each relation's terms in the same dict order."""
+    normalisation, without exactly the relations ``left_out`` lists, each
+    of which the reference holds once: the same generators, the other
+    relations in the same order, and each relation's terms in the same
+    dict order."""
     ref = reference_relations(g, pattern)
     pres = build_relations(g, pattern)
+    held = collections.Counter(frozenset(r.terms.items()) for r in ref.relations)
+    omitted = left_out(g, pattern)
+    dropped = {frozenset(r.terms.items()) for r, _ in omitted}
+    assert len(dropped) == len(omitted) and all(held[d] == 1 for d in dropped)
+    kept = [r for r in ref.relations if frozenset(r.terms.items()) not in dropped]
     assert pres.gens == ref.gens
-    assert [repr(r.terms) for r in pres.relations] == [repr(r.terms) for r in ref.relations]
+    assert [repr(r.terms) for r in pres.relations] == [repr(r.terms) for r in kept]
 
 
 def test_relations_match_reference_on_pairless_graphs():
@@ -186,6 +202,81 @@ def test_relations_match_reference_on_random_graphs_and_patterns():
         one_class += pattern.forced_count() == 0
         _assert_matches_reference(g, pattern)
     assert one_class > 0
+
+
+def _assert_left_out_replays(g, pattern):
+    """Replay each relation ``left_out`` lists, in its order, as an exact
+    identity from the relations ``build_relations`` keeps and the ones
+    replayed before it; return how many were replayed."""
+    held = {frozenset(r.terms.items()) for r in build_relations(g, pattern).relations}
+    omitted = left_out(g, pattern)
+    for rel, steps in omitted:
+        total = Poly()
+        for c, left, used, right in steps:
+            assert (frozenset(used.terms.items()) in held
+                    or frozenset((-used).terms.items()) in held), (rel, used)
+            total = total + c * (left * used * right)
+        assert total == rel, rel
+        held.add(frozenset(rel.terms.items()))
+    return len(omitted)
+
+
+def test_left_out_relations_replay_on_pairless_graphs():
+    graphs = [g for g in atlas_graphs() if find_disjoint_pair(automorphism_group(g)) is None]
+    assert len(graphs) == 582
+    assert sum(_assert_left_out_replays(g, zero_pattern(g)) for g in graphs) == 20389
+
+
+def test_left_out_relations_replay_on_random_graphs_and_patterns():
+    # walk-count patterns of random graphs up to n = 10, and random
+    # partitions, among them the one-class pattern with every generator alive
+    rng = random.Random(67)
+    replayed = one_class = 0
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < rng.choice((0.2, 0.5, 0.8))]
+        g = Graph.from_edges(n, edges)
+        pattern = _random_partition(rng, n)
+        one_class += pattern.forced_count() == 0
+        replayed += _assert_left_out_replays(g, zero_pattern(g))
+        replayed += _assert_left_out_replays(g, pattern)
+    assert one_class > 0 and replayed == 11143
+
+
+def test_left_out_relations_leave_every_basis_as_it_was(monkeypatch):
+    # every omission is a degree-2 consequence of relations that stay, so
+    # even the bases truncated at bound 2 do not move; the cases are the
+    # 75 presentations of the graphs on <= 6 vertices and the distinct
+    # ones classify builds for the atlas graphs and the 7-vertex graphs
+    built = {}
+    original = classify_module.build_relations
+
+    def recording(g, pattern):
+        p = original(g, pattern)
+        built.setdefault(p.relations, (g, pattern))
+        return p
+
+    monkeypatch.setattr(classify_module, "build_relations", recording)
+    for g in [*atlas_graphs(), *enumerate_connected(7)]:
+        classify(g)
+    cases = [(g, zero_pattern(g)) for g in _pairless_graphs(6)] + list(built.values())
+    assert len(cases) == 75 + 35
+    truncated = 0
+    for g, pattern in cases:
+        trimmed = build_relations(g, pattern).relations
+        untrimmed = reference_relations(g, pattern).relations
+        assert len(trimmed) < len(untrimmed)
+        for bound in (2, 3, 4):
+            a = complete(trimmed, degree_bound=bound)
+            b = complete(untrimmed, degree_bound=bound)
+            assert _typed_polys(a) == _typed_polys(b) and a.complete == b.complete
+            truncated += not a.complete
+    assert truncated == 98
+
+
+def _typed_polys(basis):
+    return [sorted((w, c, type(c)) for w, c in f.terms.items()) for f in basis.polys]
 
 
 def test_broken_house_block_matches_triangle_system(broken_house):
@@ -883,9 +974,11 @@ def _replays(p, adj, f, row_sums, col_sums, at=None):
         +-f = sum_k A_ik S_i * u_kj - sum_l A_lj u_il * S'_j + c (S_i - S'_j)
 
     up to monomial relations of p, A being ``adj``, the graph's own
-    adjacency.  The first two sums are entry (i, j) of uA - Au up to
-    products u_il*u_kj with A_lj != A_ik, which p kills; complementing
-    the block of (i, j) turns that entry into S_i - S'_j minus it."""
+    adjacency; p is the untrimmed ``reference_relations``, as
+    ``build_relations`` leaves out monomials that it derives.  The first
+    two sums are entry (i, j) of uA - Au up to products u_il*u_kj with
+    A_lj != A_ik, which p kills; complementing the block of (i, j) turns
+    that entry into S_i - S'_j minus it."""
     monomials = {w for r in p.relations if len(r.terms) == 1 for w in r.terms}
     labels = p.gens.labels
     for i, j in at or itertools.product(row_sums, col_sums):
@@ -908,9 +1001,12 @@ def _replays(p, adj, f, row_sums, col_sums, at=None):
 def _assert_block_replays(g, pattern, p):
     """Each linear relation f of uA = Au in ``p`` is +- an entry of uA - Au
     for the oracle's key adjacency, and replays from the row sum and the
-    column sum of that entry and monomial relations of ``p``.  Returns
+    column sum of that entry and monomial relations of the untrimmed
+    reference, whose linear relations are those of ``p``.  Returns
     {f: the 1-based (i, j) of every entry f is +- of}."""
     block = _linear_block_of(p)
+    ref = reference_relations(g, pattern)
+    assert _linear_block_of(ref) == block
     keys = {frozenset(f.terms.items()) for f in block}
     keys |= {frozenset((w, -c) for w, c in f.terms.items()) for f in block}
     assert len(keys) == 2 * len(block)  # no repeats up to sign
@@ -922,7 +1018,7 @@ def _assert_block_replays(g, pattern, p):
         assert all(c in (1, -1) for c in f.terms.values())
         out[f] = positions[frozenset(f.terms.items())]
         assert out[f], f
-        assert _replays(p, adj, f, row_sums, col_sums, out[f]), f
+        assert _replays(ref, adj, f, row_sums, col_sums, out[f]), f
     return out
 
 
@@ -955,6 +1051,7 @@ def test_linear_consequences_need_both_sums():
     g = cycle_graph(5)
     pattern = zero_pattern(g)
     p = build_relations(g, pattern)
+    ref = reference_relations(g, pattern)
     adj = adjacency(g)
     row_sums, col_sums = _sums_held(p, 0), _sums_held(p, 1)
     assert sorted(row_sums) == sorted(col_sums) == [1, 2, 3, 4, 5]
@@ -967,9 +1064,9 @@ def test_linear_consequences_need_both_sums():
     row_1 = [f for f, at in block.items() if {i for i, _ in at} == {1}]
     assert len(block) == 25 and len(row_1) == 5
     for f in block:
-        assert _replays(p, adj, f, cut, col_sums) is (f not in row_1), f
+        assert _replays(ref, adj, f, cut, col_sums) is (f not in row_1), f
     # and without the column sums, none replays
-    assert not any(_replays(p, adj, f, row_sums, {}) for f in block)
+    assert not any(_replays(ref, adj, f, row_sums, {}) for f in block)
 
 
 def _rank(polys):
@@ -1074,8 +1171,11 @@ def test_linear_consequences_keep_the_seven_vertex_bases():
         if key in seen or not commutators(p):
             continue
         seen.add(key)
-        block = _linear_block_of(p)
-        before = sorted_basis([r for r in p.relations if r not in block])
+        # the block with nothing left out: the products left out follow
+        # from the block, so the trimmed relations need it
+        ref = reference_relations(g, zero_pattern(g))
+        block = _linear_block_of(ref)
+        before = sorted_basis([r for r in ref.relations if r not in block])
         assert before[0]
-        assert sorted_basis(p.relations) == before
+        assert sorted_basis(ref.relations) == sorted_basis(p.relations) == before
     assert len(seen) == 58
