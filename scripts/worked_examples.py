@@ -59,8 +59,8 @@ def show(name: str, g: Graph, power: int) -> None:
         print(f"  disjoint automorphisms: {cycle_notation(s)} and {cycle_notation(t)}")
     if verdict.algebra:
         a = verdict.algebra
-        print(f"  algebra check: {a.status.value}, {a.commutator_count} commutators, "
-              f"bound {a.degree_bound}, basis size {a.basis_size}")
+        how = "vacuous" if a.vacuous else f"bound {a.degree_bound}, basis size {a.basis_size}"
+        print(f"  algebra check: {a.status.value}, {how}")
     print()
 
 

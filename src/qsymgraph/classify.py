@@ -28,7 +28,7 @@ from .automorphisms import (
     find_disjoint_pair,
     is_automorphism,
 )
-from .freealg import Generators, Poly
+from .freealg import Poly
 from .fulton import ZeroPattern, zero_pattern
 from .graphs import Graph, Permutation, _canonical_labelling
 from .groebner import EngineLimits, complete
@@ -36,10 +36,23 @@ from .groebner import EngineLimits, complete
 
 @dataclass(frozen=True)
 class Presentation:
-    """Relation ideal of the universal algebra over the surviving generators."""
+    """Relation ideal of the universal algebra over the surviving
+    generators: letter a is u at the 0-based ``positions[a]``, in
+    row-major order, so byte order is generator order."""
 
-    gens: Generators
+    positions: tuple[tuple[int, int], ...]
     relations: tuple[Poly, ...]
+
+    def __post_init__(self):
+        pos = self.positions
+        if any(a >= b for a, b in zip(pos, pos[1:])):
+            raise ValueError("generator positions must be strictly increasing, row-major")
+        if len(pos) > 256:
+            raise ValueError("at most 256 generators supported")
+
+    @property
+    def gens(self) -> tuple[tuple[int, int], ...]:
+        return self.positions  # the name perfbench/tracing.py counts letters under
 
 
 class CheckStatus(Enum):
@@ -53,7 +66,6 @@ class CheckResult:
     """Outcome of the commutativity check, with machine-checkable context."""
 
     status: CheckStatus
-    commutator_count: int
     degree_bound: int | None = None
     basis_size: int | None = None
     witness: Poly | None = None
@@ -113,8 +125,8 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     straight from words of generator indices, without polynomial
     arithmetic, and no relation is emitted twice.
 
-    The adjacency is read only through the memo key's rows
-    (``_blocks_up_to_complement``), A' below, so a graph and its copies
+    Relations are built from the memo key alone, the classes and the rows
+    of ``_blocks_up_to_complement``, A' below, so a graph and its copies
     with class-pair blocks complemented get equal relations.  The
     products are the graph's own: complementing a block keeps which of
     its off-diagonal entries are equal, and a product that meets the
@@ -155,16 +167,20 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     a product derivation uses only products of the same (i, j) with a
     smaller k + l.  Every derivation stays in degree 2.
     """
-    n = g.n
+    return _relations(_blocks_up_to_complement(g.nbr, pattern.classes), pattern)
+
+
+def _relations(nbr: tuple[int, ...], pattern: ZeroPattern) -> Presentation:
+    """``build_relations`` from the memo key's rows ``nbr``, the A' there."""
+    n = len(nbr)
     cl = pattern.classes
-    positions = pattern.alive()
-    gens = Generators.from_alive(positions)
+    positions = tuple(pattern.alive())
     # alive (column, index) pairs per row and (row, index) pairs per
     # column; row i and column j of one class hold their letters at the
     # class's members, in increasing order
     alive_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     alive_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, (i, j) in enumerate(positions):  # row-major, as the table is
+    for a, (i, j) in enumerate(positions):  # row-major
         alive_rows[i].append((j, a))
         alive_cols[j].append((i, a))
 
@@ -206,7 +222,6 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 relations.append(Poly(terms))
 
     # the linear relations of uA = Au
-    nbr = _blocks_up_to_complement(g, pattern)
     relations += _linear_block(nbr, alive_rows, alive_cols)
 
     # products vanish whenever adjacency disagrees between source and image;
@@ -233,7 +248,7 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                     if nbr_k >> l & 1 != e and l != k and l != skip and k != drop_k[l]:
                         relations.append(Poly({bytes((a, b)): 1}))
 
-    return Presentation(gens, tuple(relations))
+    return Presentation(positions, tuple(relations))
 
 
 def _linear_block(nbr, alive_rows, alive_cols) -> list[Poly]:
@@ -282,35 +297,30 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     witness needs the other pairs, and it is the first commutator of
     u_a, u_b (a < b, in index order) whose normal form is nonzero.
     """
-    m = len(p.gens)
+    m = len(p.positions)
     # with only diagonal generators, each is pinned to 1 by its row sum,
     # so the algebra is trivially commutative; so it is with one generator
-    if m < 2 or all(r == c for r, c in p.gens.labels):
-        return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
-    count = m * (m - 1) // 2
+    if m < 2 or all(i == j for i, j in p.positions):
+        return CheckResult(CheckStatus.COMMUTATIVE, vacuous=True)
     rel_degree = max(map(len, chain.from_iterable(r.terms for r in p.relations)), default=-1)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
-    last_bound = bound
-    last_size = None
+    # with a relation above the cap no bound runs, and none is reported
+    last_bound = last_size = None
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
         free = [a for a in range(m) if bytes((a,)) not in basis.by_lead]
         if all(basis.normal_form(_commutator(a, b)).is_zero()
                for a, b in combinations(free, 2)):
-            return CheckResult(
-                CheckStatus.COMMUTATIVE, count,
-                degree_bound=bound, basis_size=basis.size)
+            return CheckResult(CheckStatus.COMMUTATIVE, degree_bound=bound,
+                               basis_size=basis.size)
         if basis.complete:
             witness = next(c for c in starmap(_commutator, combinations(range(m), 2))
                            if not basis.normal_form(c).is_zero())
-            return CheckResult(
-                CheckStatus.NOT_SHOWN_COMMUTATIVE, count,
-                degree_bound=bound, basis_size=basis.size, witness=witness)
+            return CheckResult(CheckStatus.NOT_SHOWN_COMMUTATIVE, degree_bound=bound,
+                               basis_size=basis.size, witness=witness)
         last_bound, last_size = bound, basis.size
         bound += GB_BOUND_STEP
-    return CheckResult(
-        CheckStatus.TRUNCATED, count,
-        degree_bound=last_bound, basis_size=last_size)
+    return CheckResult(CheckStatus.TRUNCATED, degree_bound=last_bound, basis_size=last_size)
 
 
 # Results of the algebra check, keyed by the zero pattern's classes, the
@@ -330,14 +340,13 @@ def _class_members(classes: tuple[int, ...]) -> dict[int, int]:
     return members
 
 
-def _blocks_up_to_complement(g: Graph, pattern: ZeroPattern) -> tuple[int, ...]:
-    """The rows of ``g.nbr``, each class-pair block (I, J) complemented off
-    the diagonal where its first entry is 1.  That entry is A between
-    min I and min J, or, when I = J, between min I and the next member of
-    I.  A block between two singleton classes is always 0."""
-    cl = pattern.classes
+def _blocks_up_to_complement(nbr, cl: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjacency rows ``nbr``, each block (I, J) of the classes ``cl``
+    complemented off the diagonal where its first entry is 1.  That entry
+    is A between min I and min J, or, when I = J, between min I and the
+    next member of I.  A block between two singleton classes is always 0,
+    and rows with any blocks complemented give the same tuple."""
     members = _class_members(cl)
-    nbr = g.nbr
     flip = {}  # least vertex of I -> bits of every J whose block is flipped
     for c, mc in members.items():
         row = nbr[c]
@@ -382,39 +391,41 @@ def _canonical_order(rows: tuple[int, ...], classes: tuple[int, ...]) -> tuple[i
     return _canonical_labelling(sparser, tuple(members[c] for c in sorted(members, key=rank)))[1]
 
 
-def _relabel(g: Graph, pattern: ZeroPattern, order) -> tuple[Graph, ZeroPattern]:
-    """``g`` and its pattern with vertex ``order[p]`` moved to position p."""
-    at = [0] * g.n  # vertex -> its new position
-    for p, v in enumerate(order):
-        at[v] = p
-    nbr = g.nbr
-    moved = tuple(sum(1 << at[u] for u in range(g.n) if nbr[v] >> u & 1) for v in order)
-    least: dict[int, int] = {}
-    classes = tuple(least.setdefault(pattern.classes[v], p) for p, v in enumerate(order))
-    return Graph(g.n, moved), ZeroPattern(classes, pattern.max_power_used)
-
-
 def _remember(key, result: CheckResult) -> None:
     if len(_memo) >= QSYM_MEMO_MAX:
         del _memo[next(iter(_memo))]
     _memo[key] = result
 
 
-def _check_relabelled(g: Graph, pattern: ZeroPattern, rows: tuple[int, ...],
+def _check_relabelled(pattern: ZeroPattern, rows: tuple[int, ...],
                       cfg: ClassifyConfig) -> CheckResult:
-    """The algebra check of ``g``, run on ``g`` relabelled by the canonical
-    order of its key's ``rows`` and memoised under the key of that
-    labelling; a witness comes back in ``g``'s own generator indices."""
+    """The algebra check of the key ``(pattern.classes, rows)``, run on it
+    relabelled by the canonical order of ``rows`` and memoised under the
+    key of that labelling; a witness comes back in the first key's
+    generator indices.
+
+    Vertex ``order[p]`` moves to position p.  Relabelling commutes with
+    complementing blocks, so the moved rows are the relabelled graph with
+    some blocks complemented, and ``_blocks_up_to_complement`` turns them
+    into that graph's key rows."""
     order = _canonical_order(rows, pattern.classes)
-    h, moved = _relabel(g, pattern, order)
-    key = (moved.classes, _blocks_up_to_complement(h, moved), cfg)
+    n = len(order)
+    at = [0] * n  # vertex -> its new position
+    for p, v in enumerate(order):
+        at[v] = p
+    least: dict[int, int] = {}
+    classes = tuple(least.setdefault(pattern.classes[v], p) for p, v in enumerate(order))
+    moved = ZeroPattern(classes, pattern.max_power_used)
+    moved_rows = _blocks_up_to_complement(
+        [sum(1 << at[u] for u in range(n) if rows[v] >> u & 1) for v in order], classes)
+    key = (classes, moved_rows, cfg)
     result = _memo.get(key)
     if result is None:
-        result = qsym_check(build_relations(h, moved), cfg)
+        result = qsym_check(_relations(moved_rows, moved), cfg)
         _remember(key, result)
     if result.witness is None:
         return result
-    # letter a of h is u at (p, q) there, and u at (order[p], order[q]) in g
+    # moved letter a is u at (p, q), and u at (order[p], order[q]) unmoved
     index = {ij: a for a, ij in enumerate(pattern.alive())}
     to_g = [index[order[p], order[q]] for p, q in moved.alive()]
     witness = Poly({bytes(to_g[x] for x in w): c for w, c in result.witness.terms.items()})
@@ -430,18 +441,19 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     The check's result is memoised under the zero pattern's classes, the
     adjacency blocks up to complement and the config, before any relation
     is built.  The key is exact: equal keys give equal presentations,
-    generator labels and relations in order, since relations read the
-    adjacency only through the key's rows.
+    generator positions and relations in order, since relations are
+    built from the key alone.
 
     On a miss, a pattern of several classes, not all singletons, is looked
     up once more in a labelling that depends on the key alone: the key's
     rows with every block on its sparser side (the key's side on a tie)
-    are put in canonical order, class by class, and ``g`` and its pattern
-    are relabelled by that order.  Only a second miss builds relations,
-    and it builds them for the relabelled graph, whose algebra is ``g``'s
-    up to renaming the letters; a witness is renamed back.  The result is
-    stored under both keys, and it is a function of the first, so the
-    memo stays exact and a batch's results do not depend on its order.
+    are put in canonical order, class by class, and the key is relabelled
+    by that order.  Only a second miss builds relations, from the
+    relabelled key alone; they are those of the relabelled graph, whose
+    algebra is ``g``'s up to renaming the letters, and a witness is
+    renamed back.  The result is stored under both keys, and it is a
+    function of the first, so the memo stays exact and a batch's results
+    do not depend on its order.
     Its bound and basis size are those of the relabelled presentation,
     which equal those of ``g``'s own on every connected graph with
     n <= 9.  A pattern of one class keeps its own labelling: relabelling
@@ -458,16 +470,16 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
             raise AssertionError("disjoint pair evidence failed validation")
         return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order, disjoint_pair=pair)
     pattern = zero_pattern(g)
-    rows = _blocks_up_to_complement(g, pattern)
+    rows = _blocks_up_to_complement(g.nbr, pattern.classes)
     key = (pattern.classes, rows, cfg)
     algebra = _memo.get(key)
     if algebra is None:
         # one class keeps its labelling; with n singleton classes every
         # block is 0, so the canonical key would be the first one
         if 1 < len(set(pattern.classes)) < g.n:
-            algebra = _check_relabelled(g, pattern, rows, cfg)
+            algebra = _check_relabelled(pattern, rows, cfg)
         else:
-            algebra = qsym_check(build_relations(g, pattern), cfg)
+            algebra = qsym_check(_relations(rows, pattern), cfg)
         _remember(key, algebra)
     if algebra.status is CheckStatus.COMMUTATIVE:
         return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,

@@ -1,9 +1,9 @@
 """Polynomials in the free associative unital algebra over the rationals.
 
 Words are ``bytes`` of generator indices; concatenation is multiplication
-and the empty word is the unit.  Generator indices refer to a
-:class:`Generators` table mapping them to matrix positions (row, col),
-ordered row-major so that byte order equals generator precedence.
+and the empty word is the unit.  Letter a stands for u at the 0-based
+``positions[a]`` of a ``classify.Presentation``, ordered row-major so
+that byte order equals generator precedence.
 
 The one word order is deglex: degree first, then letters left to right.
 It is admissible (total, multiplicative, 1 minimal), which is all the
@@ -18,7 +18,6 @@ normal forms and witnesses the package hands out, and has no arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Word = bytes
@@ -29,27 +28,6 @@ EMPTY_WORD: Word = b""
 def _deglex_key(w: Word):
     """Sort key of the deglex order."""
     return (len(w), w)
-
-
-@dataclass(frozen=True)
-class Generators:
-    """Ordered table of algebra generators labeled by 1-based (row, col)."""
-
-    labels: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if list(self.labels) != sorted(self.labels):
-            raise ValueError("generator labels must be sorted row-major")
-        if len(self.labels) > 256:
-            raise ValueError("at most 256 generators supported")
-
-    @staticmethod
-    def from_alive(positions) -> "Generators":
-        """Table from 0-based (row, col) positions; stored labels are 1-based."""
-        return Generators(tuple(sorted((i + 1, j + 1) for i, j in positions)))
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def exact_div(c, d):

@@ -29,9 +29,9 @@ def commutators(p: Presentation) -> list[Poly]:
     When only diagonal generators survive, each one is pinned to 1 by its
     row sum, so the algebra is trivially commutative and the list is empty.
     """
-    if all(r == c for r, c in p.gens.labels):
+    if all(i == j for i, j in p.positions):
         return []
-    m = len(p.gens)
+    m = len(p.positions)
     out = []
     for a in range(m):
         for b in range(a + 1, m):
@@ -42,25 +42,21 @@ def commutators(p: Presentation) -> list[Poly]:
 def all_pairs_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> CheckResult:
     coms = commutators(p)
     if not coms:
-        return CheckResult(CheckStatus.COMMUTATIVE, 0, vacuous=True)
+        return CheckResult(CheckStatus.COMMUTATIVE, vacuous=True)
     rel_degree = max(degree(r) for r in p.relations)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
-    last_bound = bound
-    last_size = None
+    last_bound = last_size = None
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
         reducer = ListReducer(basis.polys)
         witness = next((c for c in coms if not reducer.normal_form(c).is_zero()), None)
         if witness is None:
             return CheckResult(
-                CheckStatus.COMMUTATIVE, len(coms),
-                degree_bound=bound, basis_size=basis.size)
+                CheckStatus.COMMUTATIVE, degree_bound=bound, basis_size=basis.size)
         if basis.complete:
             return CheckResult(
-                CheckStatus.NOT_SHOWN_COMMUTATIVE, len(coms),
+                CheckStatus.NOT_SHOWN_COMMUTATIVE,
                 degree_bound=bound, basis_size=basis.size, witness=witness)
         last_bound, last_size = bound, basis.size
         bound += GB_BOUND_STEP
-    return CheckResult(
-        CheckStatus.TRUNCATED, len(coms),
-        degree_bound=last_bound, basis_size=last_size)
+    return CheckResult(CheckStatus.TRUNCATED, degree_bound=last_bound, basis_size=last_size)

@@ -113,7 +113,7 @@ def pairless_presentations(labelling: str) -> tuple:
     for g in graphs:
         if find_disjoint_pair(automorphism_group(g)) is None:
             p = build_relations(g, zero_pattern(g))
-            out.setdefault((p.gens.labels, p.relations), p)
+            out.setdefault((p.positions, p.relations), p)
     return tuple(out.values())
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qsymgraph import freealg
-from qsymgraph.freealg import EMPTY_WORD, Generators, Word, _deglex_key, exact_div
+from qsymgraph.freealg import EMPTY_WORD, Word, _deglex_key, exact_div
 
 Coeff = int | Fraction
 
@@ -28,22 +28,23 @@ def word(*letters: int) -> Word:
     return bytes(letters)
 
 
-# generator tables
+# letter tables: the 0-based (row, col) of each letter, row-major, as
+# ``Presentation.positions`` holds them
 
 
-def full(n: int) -> Generators:
+def full(n: int) -> tuple[tuple[int, int], ...]:
     """The table of all n^2 generators."""
-    return Generators(tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1)))
+    return tuple((i, j) for i in range(n) for j in range(n))
 
 
-def index(gens: Generators, row: int, col: int) -> int:
+def index(positions, row: int, col: int) -> int:
     """Flat index of the generator at 1-based (row, col)."""
-    return gens.labels.index((row, col))
+    return positions.index((row - 1, col - 1))
 
 
-def gen_name(gens: Generators, idx: int) -> str:
-    r, c = gens.labels[idx]
-    return f"u({r},{c})"
+def gen_name(positions, idx: int) -> str:
+    r, c = positions[idx]
+    return f"u({r + 1},{c + 1})"
 
 
 # queries, on any polynomial
@@ -71,14 +72,14 @@ def key(f: freealg.Poly) -> tuple:
     return tuple((w, Fraction(c)) for w, c in items)
 
 
-def render(f: freealg.Poly, gens: Generators) -> str:
+def render(f: freealg.Poly, positions) -> str:
     """Stable human-readable rendering, terms in descending word order."""
     if not f.terms:
         return "0"
     parts = []
     for w, c in sorted(f.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True):
         if w:
-            body = "*".join(gen_name(gens, idx) for idx in w)
+            body = "*".join(gen_name(positions, idx) for idx in w)
             if c == 1:
                 text = body
             elif c == -1:

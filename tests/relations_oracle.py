@@ -14,12 +14,15 @@ product relation kills.
 ``build_relations`` deletes the generators a zero pattern forces.  The
 other way to apply a pattern keeps all n^2 generators and pins each
 forced one to zero by a relation u_ij; both present the same algebra.
+
+``relabelled_relations`` builds the relabelled graph and its pattern and
+reads their relations, the reference for ``classify._check_relabelled``,
+which relabels only the memo key.
 """
 
 from __future__ import annotations
 
 from qsymgraph.classify import Presentation, build_relations
-from qsymgraph.freealg import Generators
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import Graph
 
@@ -38,10 +41,22 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     for i in range(n):
         for j in range(n):
             if cl[i] != cl[j]:
-                u = Poly.gen(pres.gens.labels.index((i + 1, j + 1)))
+                u = Poly.gen(pres.positions.index((i, j)))
                 if u not in relations:  # deduplicated, as build_relations does
                     relations.append(u)
-    return Presentation(pres.gens, tuple(relations))
+    return Presentation(pres.positions, tuple(relations))
+
+
+def relabelled_relations(g: Graph, pattern: ZeroPattern, order) -> Presentation:
+    """``build_relations`` of ``g`` and ``pattern`` with vertex ``order[p]``
+    moved to position p, from a relabelled ``Graph`` and ``ZeroPattern``."""
+    at = [0] * g.n  # vertex -> its new position
+    for p, v in enumerate(order):
+        at[v] = p
+    moved = tuple(sum(1 << at[u] for u in range(g.n) if g.nbr[v] >> u & 1) for v in order)
+    least: dict[int, int] = {}
+    classes = tuple(least.setdefault(pattern.classes[v], p) for p, v in enumerate(order))
+    return build_relations(Graph(g.n, moved), ZeroPattern(classes, pattern.max_power_used))
 
 
 def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
@@ -52,8 +67,8 @@ def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     p = magic_unitary_relations(g, pattern)
     rows, cols = _line_sums(p)
     at = 1 + max([*rows.values(), *cols.values()])
-    entries = commutation_entries(p.gens, key_adjacency(g, pattern))
-    return Presentation(p.gens, p.relations[:at] + tuple(entries) + p.relations[at:])
+    entries = commutation_entries(p.positions, key_adjacency(g, pattern))
+    return Presentation(p.positions, p.relations[:at] + tuple(entries) + p.relations[at:])
 
 
 def left_out(g: Graph, pattern: ZeroPattern) -> list[tuple[Poly, list]]:
@@ -91,10 +106,10 @@ def left_out(g: Graph, pattern: ZeroPattern) -> list[tuple[Poly, list]]:
     """
     n = g.n
     cl = pattern.classes
-    gens = Generators.from_alive(pattern.alive())
-    flat = {(r - 1, c - 1): x for x, (r, c) in enumerate(gens.labels)}
+    positions = tuple(pattern.alive())
+    flat = {pos: x for x, pos in enumerate(positions)}
     adj = key_adjacency(g, pattern)
-    m = commutation_matrix(gens, adj)
+    m = commutation_matrix(positions, adj)
     members = {c: [v for v in range(n) if cl[v] == c] for c in cl}
     one = Poly.one()
 
@@ -198,12 +213,12 @@ def key_adjacency(g: Graph, pattern: ZeroPattern) -> list[list[int]]:
              for j in range(n)] for i in range(n)]
 
 
-def commutation_matrix(gens: Generators, a) -> list[list[Poly]]:
-    """uA - Au over the letters of ``gens``, for the 0/1 matrix ``a``:
+def commutation_matrix(positions, a) -> list[list[Poly]]:
+    """uA - Au over the letters at ``positions``, for the 0/1 matrix ``a``:
     entry (i, j) is sum_l u_il a_lj - sum_k a_ik u_kj, where a forced u
     is 0."""
     n = len(a)
-    flat = {(r - 1, c - 1): x for x, (r, c) in enumerate(gens.labels)}
+    flat = {pos: x for x, pos in enumerate(positions)}
     u = [[Poly.gen(flat[i, j]) if (i, j) in flat else Poly.zero() for j in range(n)]
          for i in range(n)]
     out = []
@@ -220,12 +235,12 @@ def commutation_matrix(gens: Generators, a) -> list[list[Poly]]:
     return out
 
 
-def commutation_entries(gens: Generators, a) -> list[Poly]:
+def commutation_entries(positions, a) -> list[Poly]:
     """The nonzero entries of ``commutation_matrix`` in row-major order,
     each kept once up to sign."""
     out: list[Poly] = []
     seen: set = set()
-    for entry in (e for row in commutation_matrix(gens, a) for e in row):
+    for entry in (e for row in commutation_matrix(positions, a) for e in row):
         if not entry.is_zero() and key(entry) not in seen:
             seen.add(key(entry))
             seen.add(key(-entry))
@@ -239,10 +254,9 @@ def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     of ``Poly`` generators, deduplicated on its set of terms, in the same
     i, j, k, l order."""
     n = g.n
-    positions = pattern.alive()
+    positions = tuple(pattern.alive())
     alive = set(positions)
-    gens = Generators.from_alive(positions)
-    flat = {pos: gens.labels.index((pos[0] + 1, pos[1] + 1)) for pos in positions}
+    flat = {pos: x for x, pos in enumerate(positions)}
 
     relations: list[Poly] = []
     seen: set = set()
@@ -301,7 +315,7 @@ def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                     if (j, l) in alive and adj[k][l] != adj[i][j]:
                         add(Poly.gen(flat[(i, k)]) * Poly.gen(flat[(j, l)]))
 
-    return Presentation(gens, tuple(relations))
+    return Presentation(positions, tuple(relations))
 
 
 def _line_sums(p: Presentation) -> tuple[dict[int, int], dict[int, int]]:
@@ -312,12 +326,12 @@ def _line_sums(p: Presentation) -> tuple[dict[int, int], dict[int, int]]:
     the line, each with coefficient 1.  One relation can be both a row
     and a column sum (a line with a single letter in each).
     """
-    n = max((max(label) for label in p.gens.labels), default=0)
+    n = max((max(pos) + 1 for pos in p.positions), default=0)
     row_terms: list[dict] = [{b"": -1} for _ in range(n)]
     col_terms: list[dict] = [{b"": -1} for _ in range(n)]
-    for a, (r, c) in enumerate(p.gens.labels):
-        row_terms[r - 1][bytes((a,))] = 1
-        col_terms[c - 1][bytes((a,))] = 1
+    for a, (r, c) in enumerate(p.positions):
+        row_terms[r][bytes((a,))] = 1
+        col_terms[c][bytes((a,))] = 1
     rows: dict[int, int] = {}
     cols: dict[int, int] = {}
     for pos, rel in enumerate(p.relations):
@@ -327,11 +341,11 @@ def _line_sums(p: Presentation) -> tuple[dict[int, int], dict[int, int]]:
         letter = next(w for w in terms if w)
         if len(letter) != 1:
             continue
-        r, c = p.gens.labels[letter[0]]
-        if terms == row_terms[r - 1]:
-            rows[r - 1] = pos
-        if terms == col_terms[c - 1]:
-            cols[c - 1] = pos
+        r, c = p.positions[letter[0]]
+        if terms == row_terms[r]:
+            rows[r] = pos
+        if terms == col_terms[c]:
+            cols[c] = pos
     return rows, cols
 
 
@@ -363,7 +377,7 @@ def linear_consequences(p: Presentation) -> list[Poly]:
     if not rows or not cols:
         return []
     # after[a]: the letters b with a*b a monomial relation
-    after: list[set[int]] = [set() for _ in p.gens.labels]
+    after: list[set[int]] = [set() for _ in p.positions]
     for rel in p.relations:
         if len(rel.terms) == 1:
             (w,) = rel.terms
@@ -371,11 +385,11 @@ def linear_consequences(p: Presentation) -> list[Poly]:
                 after[w[0]].add(w[1])
     row_letters: dict[int, list[int]] = {i: [] for i in rows}
     col_letters: dict[int, list[int]] = {j: [] for j in cols}
-    for a, (r, c) in enumerate(p.gens.labels):
-        if r - 1 in row_letters:
-            row_letters[r - 1].append(a)
-        if c - 1 in col_letters:
-            col_letters[c - 1].append(a)
+    for a, (r, c) in enumerate(p.positions):
+        if r in row_letters:
+            row_letters[r].append(a)
+        if c in col_letters:
+            col_letters[c].append(a)
 
     out: list[Poly] = []
     seen: set[frozenset] = set()

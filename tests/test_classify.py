@@ -30,7 +30,7 @@ from qsymgraph import (
     zero_pattern,
 )
 from qsymgraph.classify import CheckResult, Presentation
-from qsymgraph.freealg import EMPTY_WORD, Generators
+from qsymgraph.freealg import EMPTY_WORD
 from qsymgraph.fulton import ZeroPattern
 from qsymgraph.graphs import _connected_masks
 from qsymgraph.groebner import EngineLimits, GBasis, ResourceCapError, complete
@@ -58,6 +58,7 @@ from relations_oracle import (
     magic_unitary_relations,
     left_out,
     reference_relations,
+    relabelled_relations,
 )
 from walk_oracle import adjacency
 from worklist_oracle import ListReducer
@@ -93,7 +94,7 @@ def brute_force_relation_count(g: Graph) -> int:
 def test_complete_graph_relation_count():
     g = complete_graph(4)
     pres = build_relations(g, zero_pattern(g))
-    assert len(pres.gens) == 16
+    assert len(pres.positions) == 16
     # K4 is one class whose block is complemented, so the adjacency the
     # relations read is 0 and uA = Au gives no linear relation
     assert _linear_block_of(pres) == []
@@ -108,7 +109,7 @@ def test_complete_graph_relation_count():
 
 def test_relations_use_only_alive_generators(broken_house):
     pres = build_relations(broken_house, zero_pattern(broken_house))
-    m = len(pres.gens)
+    m = len(pres.positions)
     for rel in pres.relations:
         assert not rel.is_zero()
         for w in rel.terms:
@@ -164,7 +165,7 @@ def _assert_matches_reference(g, pattern):
     dropped = {frozenset(r.terms.items()) for r, _ in omitted}
     assert len(dropped) == len(omitted) and all(held[d] == 1 for d in dropped)
     kept = [r for r in ref.relations if frozenset(r.terms.items()) not in dropped]
-    assert pres.gens == ref.gens
+    assert pres.positions == ref.positions
     assert [repr(r.terms) for r in pres.relations] == [repr(r.terms) for r in kept]
 
 
@@ -248,16 +249,17 @@ def test_left_out_relations_leave_every_basis_as_it_was(monkeypatch):
     # every omission is a degree-2 consequence of relations that stay, so
     # even the bases truncated at bound 2 do not move; the cases are the
     # 75 presentations of the graphs on <= 6 vertices and the distinct
-    # ones classify builds for the atlas graphs and the 7-vertex graphs
+    # ones classify builds for the atlas graphs and the 7-vertex graphs,
+    # each from a memo key's rows, which are a graph with those relations
     built = {}
-    original = classify_module.build_relations
+    original = classify_module._relations
 
-    def recording(g, pattern):
-        p = original(g, pattern)
-        built.setdefault(p.relations, (g, pattern))
+    def recording(rows, pattern):
+        p = original(rows, pattern)
+        built.setdefault(p.relations, (Graph(len(rows), rows), pattern))
         return p
 
-    monkeypatch.setattr(classify_module, "build_relations", recording)
+    monkeypatch.setattr(classify_module, "_relations", recording)
     for g in [*atlas_graphs(), *enumerate_connected(7)]:
         classify(g)
     cases = [(g, zero_pattern(g)) for g in _pairless_graphs(6)] + list(built.values())
@@ -286,9 +288,9 @@ def test_broken_house_block_matches_triangle_system(broken_house):
     tri_pres = build_relations(triangle, zero_pattern(triangle))
 
     # indices of block generators (rows/cols 2..4) inside each table
-    block = {index(pres.gens, i, j) for i in (2, 3, 4) for j in (2, 3, 4)}
+    block = {index(pres.positions, i, j) for i in (2, 3, 4) for j in (2, 3, 4)}
     to_triangle = {
-        index(pres.gens, i, j): index(tri_pres.gens, i - 1, j - 1)
+        index(pres.positions, i, j): index(tri_pres.positions, i - 1, j - 1)
         for i in (2, 3, 4)
         for j in (2, 3, 4)
     }
@@ -308,7 +310,7 @@ def test_broken_house_block_matches_triangle_system(broken_house):
 def test_single_vertex_graph_forces_unit():
     g = Graph(1, (0,))
     pres = build_relations(g, zero_pattern(g))
-    assert len(pres.gens) == 1
+    assert len(pres.positions) == 1
     assert Poly({bytes((0,)): 1, EMPTY_WORD: -1}) in pres.relations
     assert commutators(pres) == []
     result = qsym_check(pres)
@@ -318,28 +320,28 @@ def test_single_vertex_graph_forces_unit():
 def test_commutator_counts():
     g2 = path_graph(3)  # pattern leaves a 2x2 block plus the center
     pres = build_relations(g2, zero_pattern(g2))
-    assert len(commutators(pres)) == len(pres.gens) * (len(pres.gens) - 1) // 2
+    assert len(commutators(pres)) == len(pres.positions) * (len(pres.positions) - 1) // 2
 
     k4 = complete_graph(4)
     pres4 = build_relations(k4, zero_pattern(k4))
     assert len(commutators(pres4)) == 120
 
     pres6 = build_relations(rigid6(), zero_pattern(rigid6()))
-    assert len(pres6.gens) == 6
+    assert len(pres6.positions) == 6
     assert commutators(pres6) == []
 
-    # the check counts every pair, though it reduces only the free ones
-    for p in (pres, pres4, pres6):
-        assert qsym_check(p).commutator_count == len(commutators(p))
+    # with only diagonal letters the check is vacuous and runs no bound
+    assert qsym_check(pres6) == CheckResult(CheckStatus.COMMUTATIVE, vacuous=True)
+    assert not qsym_check(pres).vacuous
 
 
 def test_relations_mode_keeps_all_generators(broken_house):
     # the "relations" mode, now a test oracle: forced zeros as relations
     pattern = zero_pattern(broken_house)
     pres = explicit_zero_relations(broken_house, pattern)
-    assert len(pres.gens) == 25
+    assert len(pres.positions) == 25
     cl = pattern.classes
-    forced = {index(pres.gens, i + 1, j + 1) for i in range(5) for j in range(5)
+    forced = {index(pres.positions, i + 1, j + 1) for i in range(5) for j in range(5)
               if cl[i] != cl[j]}
     assert len(forced) == pattern.forced_count() == 14
     # each forced u_ij is a relation; uA = Au on the full table also gives
@@ -380,14 +382,23 @@ def test_truncated_when_cap_too_low():
     assert result.status is CheckStatus.TRUNCATED
 
 
+def test_truncated_above_the_cap_reports_no_bound():
+    # a relation of degree 3 under a cap of 2: no bound runs, so the
+    # result names none, and no basis
+    u0, u1 = Poly.gen(0), Poly.gen(1)
+    p = Presentation(((0, 0), (0, 1)), (u0 * u0 * u1, u0 + u1 - 1))
+    assert qsym_check(p, ClassifyConfig(gb_degree_cap=2)) == CheckResult(CheckStatus.TRUNCATED)
+    assert qsym_check(p, ClassifyConfig(gb_degree_cap=3)).degree_bound == 3
+
+
 def test_broken_house_commutators_reduce_to_zero(broken_house):
     from qsymgraph.groebner import complete as gb_complete
 
     pres = build_relations(broken_house, zero_pattern(broken_house))
     basis = gb_complete(pres.relations, degree_bound=6)
     reducer = ListReducer(basis.polys)
-    a = index(pres.gens, 2, 2)
-    b = index(pres.gens, 3, 3)
+    a = index(pres.positions, 2, 2)
+    b = index(pres.positions, 3, 3)
     commutator = Poly({bytes((a, b)): 1, bytes((b, a)): -1})
     assert reducer.normal_form(commutator).is_zero()
 
@@ -417,7 +428,7 @@ def test_rigid6_short_circuits_to_trivial_algebra():
     assert verdict.kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
     assert verdict.aut_order == 1
     assert verdict.algebra.vacuous
-    assert verdict.algebra.commutator_count == 0
+    assert verdict.algebra.degree_bound is None
     assert verdict.qsym_output == 1
 
 
@@ -444,7 +455,7 @@ def test_undecided_when_pairless_and_truncated(monkeypatch, tmp_path):
     # resolves at caps 2 and 3), so the branch runs on a stubbed check
     cfg = ClassifyConfig(gb_degree_cap=2)
     assert classify(star4(), cfg).kind is VerdictKind.NOT_QUANTUM_SYMMETRIC
-    truncated = CheckResult(CheckStatus.TRUNCATED, 15, degree_bound=2, basis_size=7)
+    truncated = CheckResult(CheckStatus.TRUNCATED, degree_bound=2, basis_size=7)
     monkeypatch.setattr(classify_module, "qsym_check", lambda p, cfg: truncated)
     classify_module._memo.clear()  # else the star's stored result answers
 
@@ -501,7 +512,7 @@ def test_commutative_spot_check_against_span_oracle():
         pres = build_relations(g, zero_pattern(g))
         result = qsym_check(pres)
         assert result.status is CheckStatus.COMMUTATIVE
-        oracle = SpanOracle(pres.relations, len(pres.gens), result.degree_bound)
+        oracle = SpanOracle(pres.relations, len(pres.positions), result.degree_bound)
         coms = commutators(pres)
         for c in rng.sample(coms, min(3, len(coms))):
             assert oracle.contains(c)
@@ -516,8 +527,7 @@ def _commutator(a, b):
 
 
 def _fields(r):
-    return (r.status, r.degree_bound, r.basis_size, r.commutator_count,
-            r.vacuous, r.witness)
+    return r.status, r.degree_bound, r.basis_size, r.vacuous, r.witness
 
 
 def _counting_complete(monkeypatch):
@@ -546,7 +556,7 @@ def _checked_presentations(max_n):
 
 def _memo_key(g, pattern):
     """The memo key of ``classify`` without the config."""
-    return pattern.classes, classify_module._blocks_up_to_complement(g, pattern)
+    return pattern.classes, classify_module._blocks_up_to_complement(g.nbr, pattern.classes)
 
 
 def _complement(g):
@@ -579,7 +589,10 @@ def test_memo_hit_equals_fresh_check_on_small_graphs(monkeypatch):
     assert len(classify_module._memo) == 47
     assert len(calls) == 19
     for g, got in zip(graphs, memoised):
-        assert _fields(qsym_check(build_relations(g, zero_pattern(g)))) == _fields(got)
+        pattern = zero_pattern(g)
+        p = build_relations(g, pattern)
+        assert p.positions == tuple(pattern.alive())
+        assert _fields(qsym_check(p)) == _fields(got)
 
 
 def test_memo_separates_configs(monkeypatch):
@@ -691,7 +704,7 @@ def test_memo_maps_a_witness_back_to_the_graphs_letters(monkeypatch):
         (a, b), = {tuple(sorted(w)) for w in result.witness.terms}
         assert a != b and result.witness in (_commutator(a, b), -_commutator(a, b))
         p = build_relations(g, zero_pattern(g))
-        assert b < len(p.gens)
+        assert b < len(p.positions)
         basis = complete(p.relations, degree_bound=result.degree_bound)
         assert not basis.normal_form(result.witness).is_zero(), to_graph6(g)
     assert len(calls) == 1  # the test's own completions are not counted
@@ -707,13 +720,46 @@ def test_memo_results_do_not_depend_on_batch_order():
     assert {g: _fields(classify(g).algebra) for g in shuffled} == forward
 
 
+@pytest.mark.parametrize("labelling, relabelled", [("canonical", 422), ("atlas", 422)])
+def test_relabelled_key_gives_the_relabelled_graphs_relations(monkeypatch, labelling,
+                                                              relabelled):
+    # _check_relabelled builds relations from the memo key relabelled by
+    # its canonical order; the reference builds the relabelled Graph and
+    # ZeroPattern and reads their relations.  The check is stubbed, to
+    # catch the presentation it is handed
+    built = []
+
+    def catch(p, cfg):
+        built.append(p)
+        return CheckResult(CheckStatus.COMMUTATIVE)
+
+    monkeypatch.setattr(classify_module, "qsym_check", catch)
+    graphs = (_pairless_graphs(7) if labelling == "canonical" else
+              [g for g in atlas_graphs() if find_disjoint_pair(automorphism_group(g)) is None])
+    count = 0
+    for g in graphs:
+        pattern = zero_pattern(g)
+        if not 1 < len(set(pattern.classes)) < g.n:  # classify keeps the labelling
+            continue
+        rows = classify_module._blocks_up_to_complement(g.nbr, pattern.classes)
+        classify_module._memo.clear()
+        classify_module._check_relabelled(pattern, rows, ClassifyConfig())
+        ref = relabelled_relations(g, pattern, classify_module._canonical_order(
+            rows, pattern.classes))
+        assert built[-1].positions == ref.positions, to_graph6(g)
+        assert [repr(r.terms) for r in built[-1].relations] == [
+            repr(r.terms) for r in ref.relations], to_graph6(g)
+        count += 1
+    assert len(built) == count == relabelled
+
+
 def test_vacuous_check_reads_the_labels():
     # the same relations over the diagonal and over the anti-diagonal of a
-    # 2 x 2 table: only the labels tell the vacuous check from the other
+    # 2 x 2 table: only the positions tell the vacuous check from the other
     u0, u1 = Poly.gen(0), Poly.gen(1)
     relations = (u0 * u0 - u0, u1 * u1 - u1, u0 - 1, u1 - 1)
-    diagonal = Presentation(Generators(((1, 1), (2, 2))), relations)
-    anti = Presentation(Generators(((1, 2), (2, 1))), relations)
+    diagonal = Presentation(((0, 0), (1, 1)), relations)
+    anti = Presentation(((0, 1), (1, 0)), relations)
     assert qsym_check(diagonal).vacuous
     assert not qsym_check(anti).vacuous
 
@@ -723,12 +769,12 @@ def test_vacuous_check_reads_the_labels():
 
 def _assert_keys_exact(cases):
     """Equal memo keys hold exactly when the presentations are equal: the
-    generator labels and every relation's terms, in order.  Returns the
+    generator positions and every relation's terms, in order.  Returns the
     number of keys."""
     by_key = {}
     for g, pattern in cases:
         p = build_relations(g, pattern)
-        presentation = (p.gens.labels, tuple(tuple(r.terms.items()) for r in p.relations))
+        presentation = (p.positions, tuple(tuple(r.terms.items()) for r in p.relations))
         assert by_key.setdefault(_memo_key(g, pattern), presentation) == presentation, (
             to_graph6(g), pattern.classes)
     assert len(set(by_key.values())) == len(by_key)
@@ -907,7 +953,7 @@ def _one_pair_apart(m, dead, a, b):
     relations = [u[i] * u[i] - u[i] for i in live]
     relations += [u[i] * u[j] for i in live for j in live if i != j and {i, j} != {a, b}]
     relations.append(u[dead] - u[0])
-    return Presentation(Generators(tuple((1, k) for k in range(1, m + 1))), tuple(relations))
+    return Presentation(tuple((0, k) for k in range(m)), tuple(relations))
 
 
 def test_every_free_pair_is_reduced():
@@ -933,8 +979,9 @@ def test_only_free_commutators_are_reduced(monkeypatch):
 
     monkeypatch.setattr(GBasis, "normal_form", counting)
     g = four_vertex_path()
-    result = qsym_check(build_relations(g, zero_pattern(g)))
-    assert result.status is CheckStatus.COMMUTATIVE and result.commutator_count == 28
+    p = build_relations(g, zero_pattern(g))
+    result = qsym_check(p)
+    assert result.status is CheckStatus.COMMUTATIVE and len(commutators(p)) == 28
     assert calls == []
 
 
@@ -946,8 +993,8 @@ def _sums_held(p, side):
     whose sum relation S = sum of its letters - 1 is a relation of ``p``."""
     held = {frozenset(r.terms.items()) for r in p.relations}
     out = {}
-    for line in {label[side] for label in p.gens.labels}:
-        letters = [a for a, label in enumerate(p.gens.labels) if label[side] == line]
+    for line in {pos[side] + 1 for pos in p.positions}:  # 1-based
+        letters = [a for a, pos in enumerate(p.positions) if pos[side] + 1 == line]
         total = sum((Poly.gen(a) for a in letters), Poly.constant(-1))
         if frozenset(total.terms.items()) in held:
             out[line] = (total, letters)
@@ -958,7 +1005,7 @@ def _entry_positions(g, pattern, p):
     """{terms of E and of -E: the 1-based (i, j) of every nonzero entry E
     of uA - Au equal to it}, A the oracle's key adjacency."""
     out = collections.defaultdict(list)
-    matrix = commutation_matrix(p.gens, key_adjacency(g, pattern))
+    matrix = commutation_matrix(p.positions, key_adjacency(g, pattern))
     for i, row in enumerate(matrix, 1):
         for j, e in enumerate(row, 1):
             if not e.is_zero():
@@ -980,7 +1027,7 @@ def _replays(p, adj, f, row_sums, col_sums, at=None):
     A_lj != A_ik, which p kills; complementing the block of (i, j) turns
     that entry into S_i - S'_j minus it."""
     monomials = {w for r in p.relations if len(r.terms) == 1 for w in r.terms}
-    labels = p.gens.labels
+    positions = p.positions
     for i, j in at or itertools.product(row_sums, col_sums):
         if i not in row_sums or j not in col_sums:
             continue
@@ -988,9 +1035,9 @@ def _replays(p, adj, f, row_sums, col_sums, at=None):
         s_col, col = col_sums[j]
         cert = Poly()
         for b in col:
-            cert = cert + adj[i - 1][labels[b][0] - 1] * (s_row * Poly.gen(b))
+            cert = cert + adj[i - 1][positions[b][0]] * (s_row * Poly.gen(b))
         for a in row:
-            cert = cert - adj[labels[a][1] - 1][j - 1] * (Poly.gen(a) * s_col)
+            cert = cert - adj[positions[a][1]][j - 1] * (Poly.gen(a) * s_col)
         for c in (0, -1):
             rest = cert + c * (s_row - s_col)
             if any(all(w in monomials for w in d.terms) for d in (rest - f, rest + f)):
@@ -1167,7 +1214,7 @@ def test_linear_consequences_keep_the_seven_vertex_bases():
         if find_disjoint_pair(automorphism_group(g)) is not None:
             continue
         p = build_relations(g, zero_pattern(g))
-        key = (p.gens.labels, p.relations)
+        key = (p.positions, p.relations)
         if key in seen or not commutators(p):
             continue
         seen.add(key)

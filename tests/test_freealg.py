@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsymgraph import Generators, build_relations, freealg, zero_pattern
+from qsymgraph import Presentation, build_relations, freealg, zero_pattern
 from qsymgraph.freealg import EMPTY_WORD
 
 from conftest import house_x, word_cmp
@@ -153,9 +153,9 @@ def test_leading_term_constant_vs_generator():
 
 def test_leading_term_of_row_sum():
     # u(1,1) + u(1,2) + u(1,3) - 1 on a 3x3 generator table
-    gens = full(3)
-    f = sum((Poly.gen(index(gens, 1, k)) for k in (1, 2, 3)), Poly.zero()) - 1
-    assert leading_term(f) == (word(index(gens, 1, 3)), 1)
+    positions = full(3)
+    f = sum((Poly.gen(index(positions, 1, k)) for k in (1, 2, 3)), Poly.zero()) - 1
+    assert leading_term(f) == (word(index(positions, 1, 3)), 1)
 
 
 def test_leading_term_of_zero_fails():
@@ -174,21 +174,33 @@ def test_monic_divides_exactly():
 
 
 def test_generator_table_row_major():
-    gens = full(2)
-    assert gens.labels == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert index(gens, 2, 1) == 2
-    assert gen_name(gens, 3) == "u(2,2)"
+    positions = full(2)
+    assert positions == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert Presentation(positions, ()).positions == positions
+    assert index(positions, 2, 1) == 2
+    assert gen_name(positions, 3) == "u(2,2)"
 
 
 def test_generator_table_from_alive():
-    gens = Generators.from_alive([(1, 1), (0, 0), (2, 2)])
-    assert gens.labels == ((1, 1), (2, 2), (3, 3))
+    g = house_x()
+    pattern = zero_pattern(g)
+    assert build_relations(g, pattern).positions == tuple(pattern.alive())
+
+
+@pytest.mark.parametrize("positions", [
+    ((1, 1), (0, 0), (2, 2)),  # not row-major
+    ((1, 1), (1, 1)),  # one letter twice, which would read as vacuous
+    tuple((i, j) for i in range(17) for j in range(17)),  # 289 letters
+])
+def test_generator_table_rejects_what_is_not_strictly_increasing_or_too_long(positions):
+    with pytest.raises(ValueError):
+        Presentation(positions, ())
 
 
 def test_render_stable():
-    gens = full(2)
+    positions = full(2)
     f = Poly({word(0, 3): 1, word(3, 0): -1})
-    assert render(f, gens) == "-u(2,2)*u(1,1) + u(1,1)*u(2,2)"
+    assert render(f, positions) == "-u(2,2)*u(1,1) + u(1,1)*u(2,2)"
     g = Poly({EMPTY_WORD: Fraction(-1, 2), word(1): 2})
-    assert render(g, gens) == "2*u(1,2) - 1/2"
-    assert render(Poly.zero(), gens) == "0"
+    assert render(g, positions) == "2*u(1,2) - 1/2"
+    assert render(Poly.zero(), positions) == "0"

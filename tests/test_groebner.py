@@ -742,8 +742,8 @@ def test_complete_graph_relations_prove_noncommutativity():
     pres = build_relations(k4, zero_pattern(k4))
     basis = complete(pres.relations, degree_bound=6)
     assert basis.complete
-    a = index(pres.gens, 1, 1)
-    b = index(pres.gens, 2, 2)
+    a = index(pres.positions, 1, 1)
+    b = index(pres.positions, 2, 2)
     commutator = p({word(a, b): 1, word(b, a): -1})
     assert not nf(commutator, basis.polys).is_zero()
 
@@ -884,21 +884,19 @@ def test_every_basis_element_lies_in_the_ideal(gens):
 
 
 def test_membership_certificates(commuting_pair_basis):
-    from qsymgraph.freealg import Generators
-
-    gens = Generators(((1, 1), (1, 2)))
+    positions = ((0, 0), (0, 1))  # X = u(1,1), Y = u(1,2)
     member = p({word(X, Y, X): 1, word(Y): -1})
-    cert = membership_certificate(member, commuting_pair_basis, gens)
+    cert = membership_certificate(member, commuting_pair_basis, positions)
     lines = cert.splitlines()
     assert lines[0] == "member"
     assert len(lines) > 1 and all("*" in line for line in lines[1:])
     non_member = p({word(Y): 1})
-    cert2 = membership_certificate(non_member, commuting_pair_basis, gens)
+    cert2 = membership_certificate(non_member, commuting_pair_basis, positions)
     assert cert2 == "non_member\nnormal_form: u(1,2)"
     # identical calls give identical certificates
-    assert cert == membership_certificate(member, commuting_pair_basis, gens)
+    assert cert == membership_certificate(member, commuting_pair_basis, positions)
     truncated = complete([p({word(X, X, X): 1, word(X): -1})], degree_bound=3)
-    cert3 = membership_certificate(p({word(X, X, X, X): 1}), truncated, gens)
+    cert3 = membership_certificate(p({word(X, X, X, X): 1}), truncated, positions)
     assert cert3 == "unknown\nnormal_form: u(1,1)*u(1,1)"
 
 

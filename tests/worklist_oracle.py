@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from qsymgraph.freealg import Generators, Word
+from qsymgraph.freealg import Word
 from qsymgraph.groebner import GBasis
 
 from polyring import Poly, gen_name, leading_term, render
@@ -164,7 +164,7 @@ def normal_form(f: Poly, basis, *, trace: list | None = None) -> Poly:
     return Poly(reduce_terms(f.terms, ListReducer(polys), trace=trace))
 
 
-def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
+def membership_certificate(f: Poly, basis: GBasis, positions) -> str:
     """Printable evidence for a membership answer.
 
     For members, the cofactor decomposition f = sum of
@@ -176,13 +176,13 @@ def membership_certificate(f: Poly, basis: GBasis, gens: Generators) -> str:
     nf = normal_form(f, basis, trace=trace)
 
     def word_str(w: Word) -> str:
-        return "*".join(gen_name(gens, x) for x in w) if w else "1"
+        return "*".join(gen_name(positions, x) for x in w) if w else "1"
 
     if nf.is_zero():
         lines = ["member"]
         for coeff, left, rid, right in trace:
-            element = render(basis.polys[rid], gens)
+            element = render(basis.polys[rid], positions)
             lines.append(f"({coeff}) * {word_str(left)} * [{element}] * {word_str(right)}")
         return "\n".join(lines)
     status = "non_member" if basis.complete else "unknown"
-    return f"{status}\nnormal_form: {render(nf, gens)}"
+    return f"{status}\nnormal_form: {render(nf, positions)}"
