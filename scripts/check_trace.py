@@ -12,7 +12,11 @@ naming each problem, when the last line of the run's standard output is
 not a result, when that result is not ``correct`` or counts ``failed``
 graphs (the traced outputs failed the benchmark's checks), when a
 workload in BENCHMARK.json lacks one of the per-layer metrics listed
-there, or when standard error has an ``absent layer`` line.
+there, when a workload ran completions (``groebner.complete_calls``
+above 0) but counted no relations (``classify.relations`` of 0), which
+means the package built its presentations past the probed
+``classify.build_relations``, or when standard error has an ``absent
+layer`` line.
 """
 
 import argparse
@@ -43,6 +47,11 @@ def problems(stdout: str, stderr: str, spec: dict) -> list[str]:
             name = f"{workload['name']}.{metric['name']}"
             if name not in metrics:
                 found.append(f"missing per-layer metric {name}")
+        calls, relations = (metrics.get(f"{workload['name']}.{m}", {}).get("value")
+                            for m in ("groebner.complete_calls", "classify.relations"))
+        if calls and relations == 0:
+            found.append(f"{workload['name']}: groebner.complete_calls is {calls} but "
+                         "classify.relations is 0")
     return found
 
 

@@ -38,13 +38,22 @@ def automorphism_group(g: Graph) -> AutGroup:
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
     """Whether ``perm`` permutes the vertices and maps the neighbours of
     each vertex i onto the neighbours of perm[i]."""
-    n = g.n
-    if sorted(perm) != list(range(n)):
+    nbr = g.nbr
+    if sorted(perm) != list(range(g.n)):
         return False
-    return all(
-        sum(1 << perm[j] for j in range(n) if x >> j & 1) == g.nbr[perm[i]]
-        for i, x in enumerate(g.nbr)
-    )
+    # a fixed point's bit maps to itself, so only the moved bits of a row
+    # are mapped one by one
+    fixed = sum(1 << v for v, img in enumerate(perm) if img == v)
+    for i, x in enumerate(nbr):
+        image = x & fixed
+        x &= ~fixed
+        while x:
+            low = x & -x
+            image |= 1 << perm[low.bit_length() - 1]
+            x ^= low
+        if image != nbr[perm[i]]:
+            return False
+    return True
 
 
 def moved_points(perm: Permutation) -> frozenset[int]:

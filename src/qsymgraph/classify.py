@@ -167,13 +167,9 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     a product derivation uses only products of the same (i, j) with a
     smaller k + l.  Every derivation stays in degree 2.
     """
-    return _relations(_blocks_up_to_complement(g.nbr, pattern.classes), pattern)
-
-
-def _relations(nbr: tuple[int, ...], pattern: ZeroPattern) -> Presentation:
-    """``build_relations`` from the memo key's rows ``nbr``, the A' there."""
-    n = len(nbr)
     cl = pattern.classes
+    nbr = _blocks_up_to_complement(g.nbr, cl)  # the rows of A'
+    n = len(nbr)
     positions = tuple(pattern.alive())
     # alive (column, index) pairs per row and (row, index) pairs per
     # column; row i and column j of one class hold their letters at the
@@ -407,7 +403,9 @@ def _check_relabelled(pattern: ZeroPattern, rows: tuple[int, ...],
     Vertex ``order[p]`` moves to position p.  Relabelling commutes with
     complementing blocks, so the moved rows are the relabelled graph with
     some blocks complemented, and ``_blocks_up_to_complement`` turns them
-    into that graph's key rows."""
+    into that graph's key rows.  Key rows are a symmetric matrix with a
+    zero diagonal, which ``_blocks_up_to_complement`` maps to itself, so
+    ``build_relations`` reads them as a graph of their own."""
     order = _canonical_order(rows, pattern.classes)
     n = len(order)
     at = [0] * n  # vertex -> its new position
@@ -421,7 +419,7 @@ def _check_relabelled(pattern: ZeroPattern, rows: tuple[int, ...],
     key = (classes, moved_rows, cfg)
     result = _memo.get(key)
     if result is None:
-        result = qsym_check(_relations(moved_rows, moved), cfg)
+        result = qsym_check(build_relations(Graph(n, moved_rows), moved), cfg)
         _remember(key, result)
     if result.witness is None:
         return result
@@ -479,7 +477,7 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
         if 1 < len(set(pattern.classes)) < g.n:
             algebra = _check_relabelled(pattern, rows, cfg)
         else:
-            algebra = qsym_check(_relations(rows, pattern), cfg)
+            algebra = qsym_check(build_relations(g, pattern), cfg)
         _remember(key, algebra)
     if algebra.status is CheckStatus.COMMUTATIVE:
         return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,

@@ -49,14 +49,28 @@ class Graph:
         if not 1 <= n <= MAX_VERTICES:
             raise GraphError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         # a negative mask has bits at and above n too, so m >> n is -1
-        if len(self.nbr) != n or any(m >> n for m in self.nbr):
+        nbr = self.nbr
+        if len(nbr) != n or any(m >> n for m in nbr):
             raise GraphError("adjacency matrix is not n x n")
-        for i, m in enumerate(self.nbr):
+        # the columns, from the set bits of the rows; every mask is now
+        # non-negative, so each bit loop ends
+        cols = [0] * n
+        for i, m in enumerate(nbr):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                cols[low.bit_length() - 1] |= bit
+                m ^= low
+        # row i differs from column i first at the row's first asymmetric
+        # entry, and every earlier row equals its column, so this is the
+        # first asymmetric entry in row-major order; the diagonal never differs
+        for i, (m, col) in enumerate(zip(nbr, cols)):
             if m >> i & 1:
                 raise GraphError(f"self-loop at vertex {i + 1}")
-            for j, x in enumerate(self.nbr):
-                if (m >> j ^ x >> i) & 1:
-                    raise GraphError(f"asymmetric adjacency at ({i + 1},{j + 1})")
+            diff = m ^ col
+            if diff:
+                j = (diff & -diff).bit_length()
+                raise GraphError(f"asymmetric adjacency at ({i + 1},{j})")
 
     @staticmethod
     def from_edges(n: int, edges, *, one_based: bool = True) -> "Graph":
@@ -186,10 +200,13 @@ class Search:
         n = len(nbr)
         self.n = n
         self.nbr = nbr
-        deg = [x.bit_count() for x in nbr]
-        self.deg = deg
-        self.same_degree = [[j for j in range(n) if deg[j] == deg[v]] for v in range(n)]
-        self.earlier_nbrs = [[m for m in range(v) if nbr[v] >> m & 1] for v in range(n)]
+        by_degree: dict[int, int] = {}
+        for v, x in enumerate(nbr):
+            d = x.bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
+        # bits of the vertices of v's degree, v's own among them
+        self.same_degree = [by_degree[x.bit_count()] for x in nbr]
+        self.earlier_nbrs = [_members(x & (1 << v) - 1) for v, x in enumerate(nbr)]
 
     def first(self, forced: dict[int, int], nonidentity: bool = False,
               prune=None) -> Permutation | None:
@@ -198,8 +215,14 @@ class Search:
         With ``nonidentity`` the identity does not count.  ``prune`` is
         called with the bitmask of the points a partial map moves, each
         time that set grows; it returns True to drop every completion.
+        A level forced to itself passes every test and moves no point,
+        so the search starts after the longest run of such levels from 0.
         """
-        return self._extend(0, [0] * self.n, 0, 0, forced, nonidentity, prune)
+        k = 0
+        while forced.get(k) == k:
+            k += 1
+        return self._extend(k, list(range(self.n)), (1 << k) - 1, 0, forced, nonidentity,
+                            prune)
 
     def _extend(self, k, images, used, moved, forced, nonidentity, prune):
         if k == self.n:
@@ -209,14 +232,16 @@ class Search:
         want = 0
         for m in self.earlier_nbrs[k]:
             want |= 1 << images[m]
+        candidates = self.same_degree[k] & ~used
         f = forced.get(k)
-        if f is None:
-            candidates = self.same_degree[k]
-        else:
-            candidates = (f,) if self.deg[f] == self.deg[k] else ()
-        for j in candidates:
-            bit = 1 << j
-            if used & bit or self.nbr[j] & used != want:
+        if f is not None:
+            candidates &= 1 << f
+        nbr = self.nbr
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            j = bit.bit_length() - 1
+            if nbr[j] & used != want:
                 continue
             grown = moved if j == k else moved | bit | 1 << k
             if grown != moved and prune is not None and prune(grown):
@@ -226,6 +251,16 @@ class Search:
             if found is not None:
                 return found
         return None
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a non-negative ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def orbit(point: int, gens) -> set[int]:
@@ -256,18 +291,31 @@ def generators(search: Search) -> tuple[list[Permutation], int]:
     becomes a new generator.  On exit the generators reach every image
     of i under G_i, so they generate G_i.
     """
+    n = search.n
     gens: list[Permutation] = []
     order = 1
-    for i in reversed(range(search.n)):
-        fixed = {v: v for v in range(i)}
-        basic = {i}
-        for j in search.same_degree[i]:
-            if j > i and j not in basic:
-                perm = search.first({**fixed, i: j})
+    # the orbits of the group the generators found so far generate, each
+    # the set cell[v] of every point v in it: a new generator joins the
+    # cells of each point and its image
+    cell = [{v} for v in range(n)]
+    forced = {v: v for v in range(n)}
+    for i in reversed(range(n)):
+        for j in _members(search.same_degree[i] & -(2 << i)):  # j > i
+            if j not in cell[i]:
+                forced[i] = j
+                perm = search.first(forced)
                 if perm is not None:
                     gens.append(perm)
-                    basic = orbit(i, gens)
-        order *= len(basic)
+                    for v, w in enumerate(perm):
+                        a, b = cell[v], cell[w]
+                        if a is not b:
+                            if len(a) < len(b):
+                                a, b = b, a
+                            a |= b
+                            for u in b:
+                                cell[u] = a
+        del forced[i]  # level i - 1 forces 0..i-2 only
+        order *= len(cell[i])
     return gens, order
 
 
@@ -435,40 +483,41 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("truncated bit payload")
     if len(payload) > need:
         raise Graph6Error("trailing characters after bit payload")
-    bits = []
+    x = 0
     for c in payload:
         v = ord(c) - 63
         if not 0 <= v < 64:
             raise Graph6Error(f"malformed payload byte {c!r}")
-        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[k:]):
+        x = x << 6 | v
+    pad = 6 * need - k
+    if x & (1 << pad) - 1:
         raise Graph6Error("nonzero padding bits")
+    # the k bits list the pairs (i, j), i < j, column by column, the first
+    # most significant; reversed, bit j(j-1)/2 + i holds (i, j), so column
+    # j is the part of nbr[j] below bit j
+    y = int(format(x >> pad, f"0{k}b")[::-1], 2)
     nbr = [0] * n
-    p = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[p]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-            p += 1
+        col = y >> j * (j - 1) // 2 & (1 << j) - 1
+        nbr[j] |= col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            nbr[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(nbr))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as graph6; bit-exact inverse of :func:`parse_graph6`."""
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(g.nbr[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for p in range(0, len(bits), 6):
-        v = 0
-        for b in bits[p:p + 6]:
-            v = v << 1 | b
-        chars.append(chr(v + 63))
-    return "".join(chars)
+    n = g.n
+    k = n * (n - 1) // 2
+    y = 0  # the payload reversed, as parse_graph6 reads it
+    for j in range(n - 1, 0, -1):
+        y = y << j | g.nbr[j] & (1 << j) - 1
+    need = (k + 5) // 6
+    x = int(format(y, f"0{k}b")[::-1], 2) << 6 * need - k
+    return chr(n + 63) + "".join([chr(63 + (x >> s & 63)) for s in range(6 * need - 6, -1, -6)])
 
 
 def looks_like_adjacency(text: str) -> bool:

@@ -236,11 +236,7 @@ def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
     """
     if cfg.n is not None:
         return enumerate_connected(cfg.n), []
-    path = Path(cfg.graph6_path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = _read_utf8(Path(cfg.graph6_path))
     if looks_like_adjacency(text):
         # a block is a run of lines that are not blank after strip()
         runs = groupby(text.splitlines(), key=lambda line: bool(line.strip()))
@@ -257,6 +253,14 @@ def load_graphs(cfg: RunConfig) -> tuple[list[Graph], list[str]]:
         except GraphError as exc:
             errors.append(f"{unit} {no}: {exc}")
     return graphs, errors
+
+
+def _read_utf8(path: Path) -> str:
+    """The text of a file; one that is not UTF-8 raises GraphError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def aggregate(records) -> tuple[OrderRow, ...]:
@@ -327,9 +331,10 @@ def write_records(records, path: Path) -> None:
 
 def read_records(path: Path) -> list[GraphRecord]:
     """The records of an NDJSON file; a malformed line raises ValueError
-    naming the line."""
+    naming the line, and a file that is not UTF-8 one naming the file
+    (a GraphError, as :func:`load_graphs` raises)."""
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(Path(path)).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -30,6 +30,22 @@ def permute(g: Graph, perm) -> Graph:
     return Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()], one_based=False)
 
 
+def twinned_graph(rng, n: int) -> Graph:
+    """A random graph on n vertices in which each vertex past a random
+    first few copies the neighbours of an earlier one, so that the group
+    is seldom trivial, in a random labelling."""
+    first = rng.randint(1, n)
+    edges = [(i, j) for i in range(first) for j in range(i + 1, first) if rng.random() < 0.5]
+    for v in range(first, n):
+        u = rng.randrange(v)
+        edges += [(w, v) for a, w in edges if a == u] + [(a, v) for a, w in edges if w == u]
+        if rng.random() < 0.5:
+            edges.append((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permute(Graph.from_edges(n, edges, one_based=False), perm)
+
+
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
 

@@ -51,6 +51,17 @@ def test_absent_layer_fails():
     assert check_trace.problems(_run(), err, SPEC) == [err.strip()]
 
 
+def test_completions_without_relations_fail():
+    # a completion runs on relations, so a workload that traced one but
+    # counted none built its presentations where the tracer does not look
+    out = json.loads(_run().splitlines()[-1])
+    out["metrics"]["atlas-g6.groebner.complete_calls"]["value"] = 30
+    assert check_trace.problems(json.dumps(out) + "\n", "", SPEC) == [
+        "atlas-g6: groebner.complete_calls is 30 but classify.relations is 0"]
+    out["metrics"]["atlas-g6.classify.relations"]["value"] = 4322
+    assert check_trace.problems(json.dumps(out) + "\n", "", SPEC) == []
+
+
 def test_failed_checks_fail():
     assert check_trace.problems(_run(correct=False, failed=3), "", SPEC) == [
         "the outputs failed the benchmark's checks: correct is False",

@@ -252,14 +252,15 @@ def test_left_out_relations_leave_every_basis_as_it_was(monkeypatch):
     # ones classify builds for the atlas graphs and the 7-vertex graphs,
     # each from a memo key's rows, which are a graph with those relations
     built = {}
-    original = classify_module._relations
+    original = classify_module.build_relations
 
-    def recording(rows, pattern):
-        p = original(rows, pattern)
-        built.setdefault(p.relations, (Graph(len(rows), rows), pattern))
+    def recording(g, pattern):
+        p = original(g, pattern)
+        rows = classify_module._blocks_up_to_complement(g.nbr, pattern.classes)
+        built.setdefault(p.relations, (Graph(g.n, rows), pattern))
         return p
 
-    monkeypatch.setattr(classify_module, "_relations", recording)
+    monkeypatch.setattr(classify_module, "build_relations", recording)
     for g in [*atlas_graphs(), *enumerate_connected(7)]:
         classify(g)
     cases = [(g, zero_pattern(g)) for g in _pairless_graphs(6)] + list(built.values())

@@ -5,6 +5,7 @@ silently in environments without networkx.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,11 @@ from qsymgraph import (
     parse_graph6,
     to_graph6,
 )
+from qsymgraph.automorphisms import is_automorphism
+from qsymgraph.graphs import Search, generators
 
 import automorphism_oracle
+from conftest import twinned_graph
 
 
 def random_graph(rng, n):
@@ -28,15 +32,47 @@ def random_graph(rng, n):
 
 
 def test_graph6_codec_against_networkx():
+    # seeded random graphs for every n, so every payload length and every
+    # padding of 0 to 5 bits; the densities include the empty and the
+    # complete graph
     rng = random.Random(99)
-    for _ in range(200):
-        n = rng.randint(1, 16)
-        g, edges = random_graph(rng, n)
-        decoded = nx.from_graph6_bytes(to_graph6(g).encode())
-        assert set(decoded.nodes) == set(range(n))
-        assert {tuple(sorted(e)) for e in decoded.edges} == set(g.edges())
-        external = nx.to_graph6_bytes(decoded, header=False).decode().strip()
-        assert set(parse_graph6(external).edges()) == set(g.edges())
+    for n in range(1, 17):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0, *(rng.random() for _ in range(10))):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            g = Graph.from_edges(n, edges, one_based=False)
+            decoded = nx.from_graph6_bytes(to_graph6(g).encode())
+            assert set(decoded.nodes) == set(range(n))
+            assert sorted(tuple(sorted(e)) for e in decoded.edges) == g.edges()
+            external = nx.to_graph6_bytes(decoded, header=False).decode().strip()
+            assert external == to_graph6(g)
+            assert parse_graph6(external) == g
+
+
+def test_is_automorphism_against_a_networkx_edge_check():
+    # random permutations, most of them not automorphisms, and products of
+    # the group's generators, which are; twinned graphs seldom have a
+    # trivial group
+    rng = random.Random(103)
+    verdicts = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = twinned_graph(rng, n)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(g.edges())
+        gens, _ = generators(Search(g.nbr))
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(5)]
+        for _ in range(5 if gens else 0):
+            perm = tuple(range(n))
+            for s in rng.choices(gens, k=rng.randint(1, 4)):
+                perm = tuple(s[v] for v in perm)
+            perms.append(perm)
+        for perm in perms:
+            # a permutation that maps every edge to an edge is an automorphism
+            expected = all(G.has_edge(perm[u], perm[v]) for u, v in G.edges)
+            assert is_automorphism(g, perm) == expected, (g, perm)
+            verdicts[expected] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
 
 
 def test_automorphism_orders_against_vf2():

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,11 @@ from conftest import (
     path_graph,
     permute,
     rigid6,
+    twinned_graph,
 )
 import automorphism_oracle
 from enumeration_oracle import all_children_masks, brute_force_canonical_mask, orbit_sweep_masks
+from graph_oracle import validation_error
 from walk_oracle import adjacency, matrix_power
 
 NIGHTLY = os.environ.get("RUN_NIGHTLY") == "1"
@@ -186,6 +189,95 @@ def test_graph_validation():
         Graph.from_edges(3, [(1, 4)])
     with pytest.raises(GraphError, match="vertex range"):
         Graph.from_edges(3, [(0, 2)])  # 1-based input must not wrap
+
+
+def test_graph_validation_matches_the_entry_by_entry_reference():
+    # seeded corruptions of valid masks: one to three entries flipped,
+    # the diagonal and both triangles alike, sometimes a bit past n or a
+    # negative mask; the message names the first fault in row-major order
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 16)
+        nbr = list(random_graph(rng, n).nbr)
+        for _ in range(rng.randint(1, 3)):
+            i, kind = rng.randrange(n), rng.random()
+            if kind < 0.9:
+                nbr[i] ^= 1 << rng.randrange(n)
+            elif kind < 0.95:
+                nbr[i] |= 1 << rng.randrange(n, n + 3)
+            else:
+                nbr[i] = ~nbr[i]
+        expected = validation_error(n, nbr)
+        try:
+            Graph(n, tuple(nbr))
+            got = None
+        except GraphError as exc:
+            got = str(exc)
+        assert got == expected, (n, nbr)
+        seen[(expected or "valid").split(" at")[0]] += 1
+    assert sorted(seen) == ["adjacency matrix is not n x n", "asymmetric adjacency",
+                            "self-loop", "valid"]
+    assert min(seen.values()) > 50
+
+
+# the automorphism search
+
+
+def _first_from_level_0(search, forced, nonidentity, prune):
+    """``Search.first`` without skipping its identity prefix."""
+    return search._extend(0, [0] * search.n, 0, 0, forced, nonidentity, prune)
+
+
+def test_search_skips_its_identity_prefix_without_changing_a_result():
+    # the same automorphism, and prune called with the same moved sets in
+    # the same order, as the search that walks every level from 0
+    rng = random.Random(43)
+    found = 0
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        search = graphs.Search(twinned_graph(rng, n).nbr)
+        prefix = rng.randint(0, n)
+        forced = {v: v for v in range(prefix)}
+        for v in rng.sample(range(prefix, n), rng.randint(0, n - prefix)):
+            forced[v] = v if rng.random() < 0.5 else rng.randrange(n)
+        nonidentity = rng.random() < 0.5
+        limit = rng.randint(1, n + 1)
+
+        def pruner(log):
+            return lambda moved: log.append(moved) or moved.bit_count() > limit
+
+        skipped, walked = [], []
+        got = search.first(forced, nonidentity, pruner(skipped))
+        assert got == _first_from_level_0(search, forced, nonidentity, pruner(walked))
+        assert skipped == walked, (search.nbr, forced)
+        found += got is not None
+    assert 100 < found < 500
+
+
+def _generators_from_level_0(search):
+    """``generators`` with each search walking every level from 0."""
+    gens, order = [], 1
+    for i in reversed(range(search.n)):
+        fixed = {v: v for v in range(i)}
+        basic = {i}
+        for j in range(i + 1, search.n):
+            if search.nbr[j].bit_count() == search.nbr[i].bit_count() and j not in basic:
+                perm = _first_from_level_0(search, {**fixed, i: j}, False, None)
+                if perm is not None:
+                    gens.append(perm)
+                    basic = graphs.orbit(i, gens)
+        order *= len(basic)
+    return gens, order
+
+
+def test_generators_list_the_same_generators_as_searches_from_level_0():
+    rng = random.Random(47)
+    graphs_ = [twinned_graph(rng, rng.randint(1, 12)) for _ in range(300)]
+    graphs_ += [complete_graph(9), cycle_graph(8), rigid6()]
+    for g in graphs_:
+        search = graphs.Search(g.nbr)
+        assert graphs.generators(search) == _generators_from_level_0(search), g
 
 
 # connectivity

@@ -555,6 +555,18 @@ def test_cli_table_rejects_a_pair_the_graph_does_not_have(tmp_path, capsys, reco
     assert captured.err == f"error: line 1: {message}\n"
 
 
+def test_cli_table_on_a_file_that_is_not_utf8_names_it(tmp_path, capsys):
+    # the same message batch and check print for such a file
+    src = tmp_path / "latin1.ndjson"
+    src.write_bytes(b"\xe9\n")
+    assert cli_main(["table", "--input", str(src)]) == 1
+    table = capsys.readouterr()
+    assert table.out == ""
+    assert table.err == f"error: {src}: not UTF-8 text (invalid continuation byte at byte 0)\n"
+    assert cli_main(["batch", "--input", str(src)]) == 1
+    assert capsys.readouterr().err == table.err
+
+
 def test_record_of_an_undecided_graph_reads_back(n4_report):
     # an algebra check that ended truncated or not shown commutative
     for qsym_output in (None, 0):
