@@ -28,7 +28,6 @@ from .automorphisms import (
     find_disjoint_pair,
     is_automorphism,
 )
-from .freealg import Poly
 from .fulton import ZeroPattern, zero_pattern
 from .graphs import Graph, Permutation, _canonical_labelling
 from .groebner import EngineLimits, complete
@@ -41,7 +40,7 @@ class Presentation:
     row-major order, so byte order is generator order."""
 
     positions: tuple[tuple[int, int], ...]
-    relations: tuple[Poly, ...]
+    relations: tuple[dict, ...]  # term dicts
 
     def __post_init__(self):
         pos = self.positions
@@ -68,7 +67,7 @@ class CheckResult:
     status: CheckStatus
     degree_bound: int | None = None
     basis_size: int | None = None
-    witness: Poly | None = None
+    witness: dict | None = None
     vacuous: bool = False
 
 
@@ -180,7 +179,7 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
         alive_rows[i].append((j, a))
         alive_cols[j].append((i, a))
 
-    relations: list[Poly] = []
+    relations: list[dict] = []
 
     # orthogonality within each row and each column: for u_ij and each k,
     # u_ij * u_ik, then u_ij * u_kj; these words are pairwise distinct, and
@@ -197,16 +196,16 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                     break
                 if b != a:
                     if j != s:
-                        relations.append(Poly({bytes((a, b)): 1}))
+                        relations.append({bytes((a, b)): 1})
                 elif not idempotent:
                     idempotent = True
-                    relations.append(Poly({bytes((a, a)): 1, bytes((a,)): -1}))
+                    relations.append({bytes((a, a)): 1, bytes((a,)): -1})
                 if c != a:
                     if i != s:
-                        relations.append(Poly({bytes((a, c)): 1}))
+                        relations.append({bytes((a, c)): 1})
                 elif not idempotent:
                     idempotent = True
-                    relations.append(Poly({bytes((a, a)): 1, bytes((a,)): -1}))
+                    relations.append({bytes((a, a)): 1, bytes((a,)): -1})
 
     # each row and column sums to 1; u_ii keeps every line non-empty, and
     # a line of one letter is its row and its column
@@ -215,7 +214,7 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
             if lines is alive_rows or len(line) > 1:
                 terms = {bytes((b,)): 1 for _, b in line}
                 terms[b""] = -1
-                relations.append(Poly(terms))
+                relations.append(terms)
 
     # the linear relations of uA = Au
     relations += _linear_block(nbr, alive_rows, alive_cols)
@@ -242,12 +241,12 @@ def build_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
                 skip = drop_l[k]
                 for l, b in row_j:
                     if nbr_k >> l & 1 != e and l != k and l != skip and k != drop_k[l]:
-                        relations.append(Poly({bytes((a, b)): 1}))
+                        relations.append({bytes((a, b)): 1})
 
     return Presentation(positions, tuple(relations))
 
 
-def _linear_block(nbr, alive_rows, alive_cols) -> list[Poly]:
+def _linear_block(nbr, alive_rows, alive_cols) -> list[dict]:
     """The nonzero entries of uA - Au on the alive letters, as
     ``build_relations`` lists them, where bit k of ``nbr[i]`` is A_ik and
     A is symmetric.
@@ -257,7 +256,7 @@ def _linear_block(nbr, alive_rows, alive_cols) -> list[Poly]:
     A_ii = A_jj = 0.  Entries come in row-major order; zero entries and
     repeats up to sign give nothing.
     """
-    out: list[Poly] = []
+    out: list[dict] = []
     done: set[tuple[bytes, bytes]] = set()  # (plus, minus) letters emitted
     for row, near_i in zip(alive_rows, nbr):
         for col, near_j in zip(alive_cols, nbr):
@@ -268,12 +267,12 @@ def _linear_block(nbr, alive_rows, alive_cols) -> list[Poly]:
                 done.add((minus, plus))
                 terms = {bytes((a,)): 1 for a in plus}
                 terms.update((bytes((b,)), -1) for b in minus)
-                out.append(Poly(terms))
+                out.append(terms)
     return out
 
 
-def _commutator(a: int, b: int) -> Poly:
-    return Poly({bytes((a, b)): 1, bytes((b, a)): -1})
+def _commutator(a: int, b: int) -> dict:
+    return {bytes((a, b)): 1, bytes((b, a)): -1}
 
 
 def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> CheckResult:
@@ -298,20 +297,20 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
     # so the algebra is trivially commutative; so it is with one generator
     if m < 2 or all(i == j for i, j in p.positions):
         return CheckResult(CheckStatus.COMMUTATIVE, vacuous=True)
-    rel_degree = max(map(len, chain.from_iterable(r.terms for r in p.relations)), default=-1)
+    rel_degree = max(map(len, chain.from_iterable(p.relations)), default=-1)
     bound = max(min(GB_START_BOUND, cfg.gb_degree_cap), rel_degree)
     # with a relation above the cap no bound runs, and none is reported
     last_bound = last_size = None
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
         free = [a for a in range(m) if bytes((a,)) not in basis.by_lead]
-        if all(basis.normal_form(_commutator(a, b)).is_zero()
+        if all(not basis.normal_form(_commutator(a, b))
                for a, b in combinations(free, 2)):
             return CheckResult(CheckStatus.COMMUTATIVE, degree_bound=bound,
                                basis_size=basis.size)
         if basis.complete:
             witness = next(c for c in starmap(_commutator, combinations(range(m), 2))
-                           if not basis.normal_form(c).is_zero())
+                           if basis.normal_form(c))
             return CheckResult(CheckStatus.NOT_SHOWN_COMMUTATIVE, degree_bound=bound,
                                basis_size=basis.size, witness=witness)
         last_bound, last_size = bound, basis.size
@@ -426,7 +425,7 @@ def _check_relabelled(pattern: ZeroPattern, rows: tuple[int, ...],
     # moved letter a is u at (p, q), and u at (order[p], order[q]) unmoved
     index = {ij: a for a, ij in enumerate(pattern.alive())}
     to_g = [index[order[p], order[q]] for p, q in moved.alive()]
-    witness = Poly({bytes(to_g[x] for x in w): c for w, c in result.witness.terms.items()})
+    witness = {bytes(to_g[x] for x in w): c for w, c in result.witness.items()}
     return replace(result, witness=witness)
 
 

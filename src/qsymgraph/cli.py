@@ -9,13 +9,16 @@ Subcommands:
 * ``table``  -- re-aggregate previously stored NDJSON records.
 
 Exit codes: 0 success, 1 malformed input or a usage error, 2 engine
-resource cap exceeded (a partial report is still written).
+resource cap exceeded (a partial report is still written).  A reader
+that closes stdout early ends the output, not the run: the exit code
+stays what it would be with stdout open.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +38,19 @@ from .pipeline import (
     run_batch,
     write_records,
 )
+
+
+def _print(*lines: str) -> None:
+    """Write ``lines`` to stdout.  If the reader has closed the pipe, the
+    rest of the output, the flush at exit included, goes to the null
+    device, so the command still writes its files, reports to stderr and
+    returns its own exit code."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_classify_flags(p: argparse.ArgumentParser):
@@ -73,20 +89,19 @@ def cmd_check(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.fmt == "text":
-        print(f"graph6:     {record.graph6}")
-        print(f"vertices:   {record.n}")
-        print(f"|Aut|:      {record.aut_order}")
         pair = " ".join(record.disjoint_pair) if record.disjoint_pair else "none"
-        print(f"disjoint:   {pair}")
         output = "-" if record.qsym_output is None else record.qsym_output
-        print(f"qsym:       {output}")
-        print(f"verdict:    {record.verdict}")
-        print("generators:")
         pattern = verdict.pattern or zero_pattern(g)
-        for line in render_pattern(pattern).splitlines():
-            print(f"  {line}")
+        _print(f"graph6:     {record.graph6}",
+               f"vertices:   {record.n}",
+               f"|Aut|:      {record.aut_order}",
+               f"disjoint:   {pair}",
+               f"qsym:       {output}",
+               f"verdict:    {record.verdict}",
+               "generators:",
+               *(f"  {line}" for line in render_pattern(pattern).splitlines()))
     else:  # json, the only other format check takes
-        print(json.dumps(record.to_json_dict()))
+        _print(json.dumps(record.to_json_dict()))
     return 1 if errors else 0
 
 
@@ -109,7 +124,7 @@ def cmd_batch(args) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(render_table(report, args.fmt))
+    _print(render_table(report, args.fmt))
     for msg in report.input_errors:
         print(f"input error: {msg}", file=sys.stderr)
     for msg in report.cap_failures:
@@ -134,7 +149,7 @@ def cmd_table(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    print(render_table(report, args.fmt))
+    _print(render_table(report, args.fmt))
     return 0
 
 

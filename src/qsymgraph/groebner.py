@@ -1,5 +1,17 @@
 """Two-sided Groebner bases in the free algebra, degree truncated.
 
+Words are ``bytes`` of generator indices; concatenation is multiplication
+and the empty word is the unit.  Letter a stands for u at the 0-based
+``positions[a]`` of a ``classify.Presentation``, ordered row-major so
+that byte order equals generator precedence.  A polynomial is a term
+dict: a map from words to nonzero exact coefficients, ``int`` where
+possible and ``fractions.Fraction`` after non-integral division.  No
+floating point anywhere.
+
+The one word order is deglex: degree first, then letters left to right.
+It is admissible (total, multiplicative, 1 minimal), which is all the
+completion machinery needs.
+
 Buchberger-style completion over overlap ambiguities of leading words.
 The basis is kept monic and interreduced throughout: no leading word
 contains another as a subword, and every tail is in normal form.
@@ -17,7 +29,24 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import EMPTY_WORD, Poly, Word, _deglex_key, exact_div
+Word = bytes
+
+EMPTY_WORD: Word = b""
+
+
+def _deglex_key(w: Word):
+    """Sort key of the deglex order."""
+    return (len(w), w)
+
+
+def exact_div(c, d):
+    """Exact coefficient division, staying in ``int`` when it divides evenly."""
+    if isinstance(c, int) and isinstance(d, int):
+        q, r = divmod(c, d)
+        if r == 0:
+            return q
+    q = Fraction(c) / Fraction(d)
+    return q.numerator if q.denominator == 1 else q
 
 
 class ResourceCapError(RuntimeError):
@@ -54,8 +83,8 @@ class GBasis:
     the bound.  ``find`` looks up, at each position, the slice of every
     length up to the bound in ``by_lead``; the first hit at the leftmost
     reducible position rewrites, and which rule that is does not depend
-    on the order the rules came in.  The unit rule reduces everything
-    to 0.
+    on the order the rules came in.  The unit rule, whose lead is the
+    empty word, reduces everything to 0.
 
     Which rule rewrites a word depends on the word alone, so reduction is
     linear: nf(f) is the sum of c * N(w) over the terms c*w of f, where
@@ -94,8 +123,7 @@ class GBasis:
         self.limits = limits
         self.leads: dict[int, Word] = {}
         self.tails: dict[int, dict] = {}
-        self.by_lead: dict[Word, int] = {}  # nonempty lead -> rule id
-        self.unit_rule: int | None = None
+        self.by_lead: dict[Word, int] = {}  # lead -> rule id
         self.word_nf: dict[Word, dict] = {}
         self.memo_len = 0  # no key of word_nf is longer
         # entry -> entries built from it; rule id -> entries it rewrote
@@ -118,19 +146,15 @@ class GBasis:
             self._forget((lead,))
         self.leads[rid] = lead
         self.tails[rid] = tail
-        if lead:
-            self.by_lead[lead] = rid
-        else:
-            self.unit_rule = rid
+        self.by_lead[lead] = rid
         for k in range(1, len(lead)):
             self.prefix[lead[:k]].add(rid)
             self.suffix[lead[-k:]].add(rid)
         self._count_words(rid, [lead, *tail], 1)
 
     def _drop(self, rid: int) -> tuple[Word, dict]:
-        """Undo ``_add`` of a rule other than the unit rule, except that
-        the entries it rewrote stay until the next ``_add`` forgets them;
-        return its lead and tail."""
+        """Undo ``_add``, except that the entries the rule rewrote stay
+        until the next ``_add`` forgets them; return its lead and tail."""
         self.rewrote.pop(rid, None)
         lead = self.leads.pop(rid)
         tail = self.tails.pop(rid)
@@ -170,9 +194,10 @@ class GBasis:
     def find(self, w: Word):
         """(rule id, position, lead) of the rewrite at the leftmost
         reducible position of ``w``; None if irreducible."""
-        if self.unit_rule is not None:
-            return self.unit_rule, 0, EMPTY_WORD
         by_lead = self.by_lead
+        unit = by_lead.get(EMPTY_WORD)
+        if unit is not None:
+            return unit, 0, EMPTY_WORD
         sizes = range(1, self.bound + 1)
         n = len(w)
         for pos in range(n):
@@ -185,9 +210,9 @@ class GBasis:
                     return rid, pos, self.leads[rid]
         return None
 
-    def normal_form(self, f: Poly) -> Poly:
-        """Normal form of ``f`` by the current rules."""
-        return Poly(self._reduce(f.terms))
+    def normal_form(self, f: dict) -> dict:
+        """Normal form of the term dict ``f`` by the current rules."""
+        return self._reduce(f)
 
     def _reduce(self, terms: dict) -> dict:
         """Normal form of a term dict: the sum of c * N(w) over its terms,
@@ -354,10 +379,10 @@ class GBasis:
         return out
 
     def run(self, gens) -> None:
-        """Complete the generators, which must be nonzero and no longer
-        than the bound: first those of degree <= 1, then the others, in
-        a stable order by the most letters that lead a degree-1 rule in
-        one of their words, fewest first.
+        """Complete the generators, term dicts that must be nonzero and
+        no longer than the bound: first those of degree <= 1, then the
+        others, in a stable order by the most letters that lead a
+        degree-1 rule in one of their words, fewest first.
 
         A linear relation that came after the products its lead divides
         would retire them, and they would be reduced a second time.  A
@@ -367,8 +392,7 @@ class GBasis:
         """
         linear, rest = [], []
         max_deg = -1
-        for i, g in enumerate(gens):
-            terms = g.terms
+        for i, terms in enumerate(gens):
             if not terms:
                 raise ValueError(f"generator {i} is zero")
             deg = max(map(len, terms))
@@ -418,10 +442,10 @@ class GBasis:
         return len(self.leads)
 
     @property
-    def polys(self) -> list[Poly]:
-        """The live rules as monic polynomials, in deglex order of lead."""
+    def polys(self) -> list[dict]:
+        """The live rules as monic term dicts, in deglex order of lead."""
         leads, tails = self.leads, self.tails
-        return [Poly({**tails[r], leads[r]: 1})
+        return [{**tails[r], leads[r]: 1}
                 for r in sorted(leads, key=lambda r: _deglex_key(leads[r]))]
 
 

@@ -274,8 +274,8 @@ def aggregate(records) -> tuple[OrderRow, ...]:
         rows.append(OrderRow(
             order=order,
             total=len(group),
-            qsym=sum(r.verdict == "QuantumSymmetric" for r in group),
-            undecided=sum(r.verdict == "Undecided" for r in group),
+            qsym=sum(r.verdict == VerdictKind.QUANTUM_SYMMETRIC.value for r in group),
+            undecided=sum(r.verdict == VerdictKind.UNDECIDED.value for r in group),
         ))
     return tuple(rows)
 

@@ -49,7 +49,7 @@ def all_pairs_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> 
     while bound <= cfg.gb_degree_cap:
         basis = complete(p.relations, degree_bound=bound, limits=cfg.limits)
         reducer = ListReducer(basis.polys)
-        witness = next((c for c in coms if not reducer.normal_form(c).is_zero()), None)
+        witness = next((c for c in coms if reducer.normal_form(c)), None)
         if witness is None:
             return CheckResult(
                 CheckStatus.COMMUTATIVE, degree_bound=bound, basis_size=basis.size)

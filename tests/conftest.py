@@ -22,7 +22,7 @@ from qsymgraph import (
     zero_pattern,
 )
 
-from polyring import Poly, leading_term
+from polyring import Poly, key, leading_term
 
 
 def permute(g: Graph, perm) -> Graph:
@@ -129,7 +129,7 @@ def pairless_presentations(labelling: str) -> tuple:
     for g in graphs:
         if find_disjoint_pair(automorphism_group(g)) is None:
             p = build_relations(g, zero_pattern(g))
-            out.setdefault((p.positions, p.relations), p)
+            out.setdefault((p.positions, tuple(map(key, p.relations))), p)
     return tuple(out.values())
 
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from qsymgraph.freealg import Poly
-
 
 class OracleCapExceeded(RuntimeError):
     """Saturation grew past the configured pivot budget."""
@@ -137,15 +135,15 @@ class SpanOracle:
             row = new
         return row
 
-    def contains(self, f: Poly) -> bool:
+    def contains(self, f: dict) -> bool:
         """Exact span membership of ``f``."""
         return not self._reduce(self._project(_as_int_terms(f)))
 
 
-def _as_int_terms(f: Poly) -> dict:
+def _as_int_terms(f: dict) -> dict:
     """Clear denominators so the row is integral."""
     denom = 1
-    for c in f.terms.values():
+    for c in f.values():
         d = getattr(c, "denominator", 1)
         denom = denom * d // gcd(denom, d)
-    return {w: int(c * denom) for w, c in f.terms.items()}
+    return {w: int(c * denom) for w, c in f.items()}

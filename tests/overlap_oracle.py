@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qsymgraph.freealg import Word
-from qsymgraph.groebner import GBasis
+from qsymgraph.groebner import GBasis, Word
 
 from polyring import Poly, leading_term
 
@@ -86,7 +85,7 @@ def random_normal_form(f: Poly, polys, rng) -> Poly:
     while True:
         hits = [
             (w, pos, lead, p)
-            for w in sorted(f.terms, key=lambda w: (len(w), w))  # deglex
+            for w in sorted(f, key=lambda w: (len(w), w))  # deglex
             for lead, p in rules
             for pos in range(len(w) - len(lead) + 1)
             if w.startswith(lead, pos)
@@ -94,6 +93,6 @@ def random_normal_form(f: Poly, polys, rng) -> Poly:
         if not hits:
             return f
         w, pos, lead, p = hits[rng.randrange(len(hits))]
-        left = Poly.term(w[:pos], f.terms[w])
+        left = Poly.term(w[:pos], f[w])
         right = Poly.term(w[pos + len(lead):], 1)
         f = f - left * p * right

@@ -1,25 +1,24 @@
 """Ring arithmetic and rendering of free-algebra polynomials, for tests only.
 
-The package builds relations and reads normal forms on term dicts; its
-``qsymgraph.freealg.Poly`` is a value with no arithmetic.  The tests and
-oracles add, multiply and print polynomials, and do it here.
+The package builds relations and reads normal forms on term dicts: maps
+from words to nonzero exact coefficients, with no arithmetic.  The tests
+and oracles add, multiply and print polynomials, and do it here.
 
-``Poly`` is a subclass of the package's: its constructor drops zero
-coefficients, and it has the ring operators, which take a package
-``Poly`` or a constant as the other operand.  A package ``Poly`` and a
-``Poly`` of this module with the same terms are equal and hash alike.
-The queries ``degree``, ``leading_term``, ``coefficient``, ``key`` and
-``render`` are functions of ``.terms``, so they read the values the
-package returns (``Presentation.relations``, ``GBasis.polys``,
-``CheckResult.witness``) as they are.
+``Poly`` is a ``dict`` subclass: its constructor drops zero
+coefficients, and it has the ring operators, which take a term dict or a
+constant as the other operand.  It compares equal to the term dict with
+the same terms, and like a dict it cannot be hashed; ``key`` gives a
+hashable form.  The queries ``degree``, ``leading_term``,
+``coefficient``, ``key`` and ``render`` read any term dict, so they read
+the values the package returns (``Presentation.relations``,
+``GBasis.polys``, ``CheckResult.witness``) as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qsymgraph import freealg
-from qsymgraph.freealg import EMPTY_WORD, Word, _deglex_key, exact_div
+from qsymgraph.groebner import EMPTY_WORD, Word, _deglex_key, exact_div
 
 Coeff = int | Fraction
 
@@ -47,37 +46,37 @@ def gen_name(positions, idx: int) -> str:
     return f"u({r + 1},{c + 1})"
 
 
-# queries, on any polynomial
+# queries, on any term dict
 
 
-def degree(f: freealg.Poly) -> int:
+def degree(f: dict) -> int:
     """Maximal word length; -1 for the zero polynomial."""
-    return max((len(w) for w in f.terms), default=-1)
+    return max((len(w) for w in f), default=-1)
 
 
-def leading_term(f: freealg.Poly) -> tuple[Word, Coeff]:
-    if not f.terms:
+def leading_term(f: dict) -> tuple[Word, Coeff]:
+    if not f:
         raise ValueError("zero polynomial has no leading term")
-    w = max(f.terms, key=_deglex_key)
-    return w, f.terms[w]
+    w = max(f, key=_deglex_key)
+    return w, f[w]
 
 
-def coefficient(f: freealg.Poly, w: Word) -> Coeff:
-    return f.terms.get(w, 0)
+def coefficient(f: dict, w: Word) -> Coeff:
+    return f.get(w, 0)
 
 
-def key(f: freealg.Poly) -> tuple:
+def key(f: dict) -> tuple:
     """Canonical hashable form: terms sorted by descending word order."""
-    items = sorted(f.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True)
+    items = sorted(f.items(), key=lambda t: _deglex_key(t[0]), reverse=True)
     return tuple((w, Fraction(c)) for w, c in items)
 
 
-def render(f: freealg.Poly, positions) -> str:
+def render(f: dict, positions) -> str:
     """Stable human-readable rendering, terms in descending word order."""
-    if not f.terms:
+    if not f:
         return "0"
     parts = []
-    for w, c in sorted(f.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True):
+    for w, c in sorted(f.items(), key=lambda t: _deglex_key(t[0]), reverse=True):
         if w:
             body = "*".join(gen_name(positions, idx) for idx in w)
             if c == 1:
@@ -110,14 +109,14 @@ def _add_term(terms: dict, w: Word, c) -> None:
 
 def _terms(x) -> dict:
     """Terms of a polynomial, or of a constant."""
-    if isinstance(x, freealg.Poly):
-        return x.terms
+    if isinstance(x, dict):
+        return x
     return {EMPTY_WORD: x} if x else {}
 
 
-class Poly(freealg.Poly):
-    """A package ``Poly`` with the ring operators; all of them return
-    fresh polynomials."""
+class Poly(dict):
+    """A term dict with the ring operators; all of them return fresh
+    polynomials."""
 
     __slots__ = ()
 
@@ -145,10 +144,10 @@ class Poly(freealg.Poly):
         return Poly({w: c})
 
     def __neg__(self) -> Poly:
-        return Poly({w: -c for w, c in self.terms.items()})
+        return Poly({w: -c for w, c in self.items()})
 
     def __add__(self, other) -> Poly:
-        out = dict(self.terms)
+        out = dict(self)
         for w, c in _terms(other).items():
             _add_term(out, w, c)
         return Poly(out)
@@ -156,7 +155,7 @@ class Poly(freealg.Poly):
     __radd__ = __add__
 
     def __sub__(self, other) -> Poly:
-        out = dict(self.terms)
+        out = dict(self)
         for w, c in _terms(other).items():
             _add_term(out, w, -c)
         return Poly(out)
@@ -165,24 +164,24 @@ class Poly(freealg.Poly):
         return Poly(_terms(other)) - self
 
     def __mul__(self, other) -> Poly:
-        if not isinstance(other, freealg.Poly):
+        if not isinstance(other, dict):
             return self.scale(other)
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        for w1, c1 in self.items():
+            for w2, c2 in other.items():
                 _add_term(out, w1 + w2, c1 * c2)
         return Poly(out)
 
     def __rmul__(self, other) -> Poly:
-        if isinstance(other, freealg.Poly):
-            return Poly(other.terms) * self
+        if isinstance(other, dict):
+            return Poly(other) * self
         return self.scale(other)
 
     def scale(self, c) -> Poly:
-        return Poly({w: cc * c for w, cc in self.terms.items()})
+        return Poly({w: cc * c for w, cc in self.items()})
 
     def monic(self) -> Poly:
         _, lc = leading_term(self)
         if lc == 1:
             return self
-        return Poly({w: exact_div(c, lc) for w, c in self.terms.items()})
+        return Poly({w: exact_div(c, lc) for w, c in self.items()})

@@ -190,7 +190,7 @@ def left_out(g: Graph, pattern: ZeroPattern) -> list[tuple[Poly, list]]:
                 staged.append((5, k + top, uik * u(j, top), steps))
 
     staged.sort(key=lambda x: x[:2])  # stable: the order of listing breaks ties
-    return [(rel, [st for st in steps if not st[2].is_zero()]) for _, _, rel, steps in staged]
+    return [(rel, [st for st in steps if st[2]]) for _, _, rel, steps in staged]
 
 
 def key_adjacency(g: Graph, pattern: ZeroPattern) -> list[list[int]]:
@@ -241,7 +241,7 @@ def commutation_entries(positions, a) -> list[Poly]:
     out: list[Poly] = []
     seen: set = set()
     for entry in (e for row in commutation_matrix(positions, a) for e in row):
-        if not entry.is_zero() and key(entry) not in seen:
+        if entry and key(entry) not in seen:
             seen.add(key(entry))
             seen.add(key(-entry))
             out.append(entry)
@@ -263,7 +263,7 @@ def magic_unitary_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
 
     def add(p: Poly):
         # every coefficient is an int, so the term items hash as they are
-        k = frozenset(p.terms.items())
+        k = frozenset(p.items())
         if k not in seen:
             seen.add(k)
             relations.append(p)
@@ -334,8 +334,7 @@ def _line_sums(p: Presentation) -> tuple[dict[int, int], dict[int, int]]:
         col_terms[c][bytes((a,))] = 1
     rows: dict[int, int] = {}
     cols: dict[int, int] = {}
-    for pos, rel in enumerate(p.relations):
-        terms = rel.terms
+    for pos, terms in enumerate(p.relations):
         if terms.get(b"") != -1 or len(terms) < 2:
             continue
         letter = next(w for w in terms if w)
@@ -379,8 +378,8 @@ def linear_consequences(p: Presentation) -> list[Poly]:
     # after[a]: the letters b with a*b a monomial relation
     after: list[set[int]] = [set() for _ in p.positions]
     for rel in p.relations:
-        if len(rel.terms) == 1:
-            (w,) = rel.terms
+        if len(rel) == 1:
+            (w,) = rel
             if len(w) == 2:
                 after[w[0]].add(w[1])
     row_letters: dict[int, list[int]] = {i: [] for i in rows}

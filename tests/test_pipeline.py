@@ -3,11 +3,15 @@
 import dataclasses
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qsymgraph
 from qsymgraph import RunConfig, render_table, run_batch, to_graph6
 from qsymgraph.classify import ClassifyConfig
 from qsymgraph.cli import main as cli_main
@@ -628,6 +632,37 @@ def test_cli_batch_reads_its_input_once(tmp_path, capsys, monkeypatch, name, tex
     assert cli_main(["batch", "--input", str(src), "--format", "csv"]) == 0
     assert reads == [src]
     assert capsys.readouterr().out.splitlines()[1:-1] == rows
+
+
+@pytest.mark.parametrize("setup, source, status, messages", [
+    ("", ["--n", "7"], 0, []),
+    ("", ["--input", "mixed.g6"], 1, ["input error: line 2: "]),
+    # a basis cap of one rule stops the house's completion
+    ("groebner.EngineLimits.__init__.__defaults__ = (1, 2_000_000)",
+     ["--input", "house.g6"], 2, ["resource cap: "]),
+])
+def test_cli_batch_into_a_closed_pipe(tmp_path, setup, source, status, messages):
+    # a reader that stops early (| head -1) ends the output, not the run:
+    # no traceback, the --out files and the stderr lines all there, and
+    # the exit code of the run
+    (tmp_path / "mixed.g6").write_text("C~\nnope\n")
+    (tmp_path / "house.g6").write_text(to_graph6(house_x()) + "\nBw\n")
+    script = "\n".join(["import sys", "from qsymgraph import cli, groebner", setup,
+                         "sys.exit(cli.main(sys.argv[1:]))"])
+    src = str(Path(qsymgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "batch", *source, "--format", "json",
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the run writes anything
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == status, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    lines = err.splitlines()
+    assert len(lines) == len(messages)
+    assert all(line.startswith(m) for line, m in zip(lines, messages)), err
+    assert (tmp_path / "out.ndjson").exists() and (tmp_path / "out.summary.json").exists()
 
 
 def test_cli_missing_file_exits_one(tmp_path, capsys):

@@ -22,8 +22,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from qsymgraph.freealg import Word
-from qsymgraph.groebner import GBasis
+from qsymgraph.groebner import GBasis, Word
 
 from polyring import Poly, gen_name, leading_term, render
 
@@ -43,7 +42,7 @@ class ListReducer:
             if lc != 1:
                 raise ValueError(f"basis element {rid} is not monic")
             self.leads.append(lead)
-            self.tails.append({w: c for w, c in f.terms.items() if w != lead})
+            self.tails.append({w: c for w, c in f.items() if w != lead})
         self.unit = next((rid for rid, lead in enumerate(self.leads) if not lead), None)
         self.memo: dict[Word, dict] = {}
 
@@ -88,9 +87,9 @@ class ListReducer:
             memo[v] = out
         return memo[w]
 
-    def normal_form(self, f: Poly) -> Poly:
+    def normal_form(self, f: dict) -> Poly:
         out: dict = {}
-        for w, c in f.terms.items():
+        for w, c in f.items():
             _add_scaled(out, self.word_normal_form(w), c)
         return Poly(out)
 
@@ -154,17 +153,17 @@ def reduce_terms(terms: dict, rules, *, trace: list | None = None) -> dict:
     return out
 
 
-def normal_form(f: Poly, basis, *, trace: list | None = None) -> Poly:
+def normal_form(f: dict, basis, *, trace: list | None = None) -> Poly:
     """Reduce ``f`` by a list of monic polynomials (or a GBasis).
 
     With ``trace`` a list, f - normal_form(f) equals the sum of
     coeff * left * basis[rule_id] * right over its records.
     """
     polys = basis.polys if isinstance(basis, GBasis) else list(basis)
-    return Poly(reduce_terms(f.terms, ListReducer(polys), trace=trace))
+    return Poly(reduce_terms(f, ListReducer(polys), trace=trace))
 
 
-def membership_certificate(f: Poly, basis: GBasis, positions) -> str:
+def membership_certificate(f: dict, basis: GBasis, positions) -> str:
     """Printable evidence for a membership answer.
 
     For members, the cofactor decomposition f = sum of
@@ -178,7 +177,7 @@ def membership_certificate(f: Poly, basis: GBasis, positions) -> str:
     def word_str(w: Word) -> str:
         return "*".join(gen_name(positions, x) for x in w) if w else "1"
 
-    if nf.is_zero():
+    if not nf:
         lines = ["member"]
         for coeff, left, rid, right in trace:
             element = render(basis.polys[rid], positions)
