@@ -22,17 +22,19 @@ from .graphs import Graph, Permutation, Search, generators
 
 @dataclass(frozen=True)
 class AutGroup:
-    """The automorphism group of a graph, known by its order and searched with ``search``."""
+    """The automorphism group of a graph, known by its order and its
+    number of orbits, and searched with ``search``."""
 
     search: Search
     order: int
+    orbits: int
 
 
 def automorphism_group(g: Graph) -> AutGroup:
     """|Aut g| as the product of the basic orbit lengths along the base 0..n-1."""
     search = Search(g.nbr)
-    _, order = generators(search)
-    return AutGroup(search, order)
+    _, order, orbits = generators(search)
+    return AutGroup(search, order, orbits)
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:

@@ -320,9 +320,10 @@ def qsym_check(p: Presentation, cfg: ClassifyConfig = ClassifyConfig()) -> Check
 
 # Results of the algebra check, keyed by the zero pattern's classes, the
 # adjacency blocks up to complement and the config, oldest first.  A miss
-# on a pattern of several classes stores two entries, under the key in the
-# graph's labelling and under the key in the canonical one; the connected
-# graphs leave 336 entries at n = 8 (43 checks) and 2,032 at n = 9 (82).
+# stores up to three entries: under the key in the graph's labelling,
+# under that key without its pinned vertices, and under the key in the
+# canonical labelling.  The connected graphs leave 393 entries at n = 8
+# (44 completions) and 2,822 at n = 9 (85).
 QSYM_MEMO_MAX = 4096
 _memo: dict = {}
 
@@ -420,13 +421,70 @@ def _check_relabelled(pattern: ZeroPattern, rows: tuple[int, ...],
     if result is None:
         result = qsym_check(build_relations(Graph(n, moved_rows), moved), cfg)
         _remember(key, result)
+    return _renamed(result, pattern, order, moved)
+
+
+def _renamed(result: CheckResult, pattern: ZeroPattern, order, moved: ZeroPattern
+             ) -> CheckResult:
+    """``result`` with its witness, the commutator of two letters of
+    ``moved``, renamed into those of ``pattern``, the lower letter first:
+    moved letter a is u at (p, q), and u at (order[p], order[q]) in
+    ``pattern``."""
     if result.witness is None:
         return result
-    # moved letter a is u at (p, q), and u at (order[p], order[q]) unmoved
     index = {ij: a for a, ij in enumerate(pattern.alive())}
     to_g = [index[order[p], order[q]] for p, q in moved.alive()]
-    witness = {bytes(to_g[x] for x in w): c for w, c in result.witness.items()}
-    return replace(result, witness=witness)
+    (a, b), = (w for w, c in result.witness.items() if c == 1)
+    return replace(result, witness=_commutator(*sorted((to_g[a], to_g[b]))))
+
+
+def _check_key(pattern: ZeroPattern, rows: tuple[int, ...], cfg: ClassifyConfig
+               ) -> CheckResult:
+    """The algebra check of the key ``(pattern.classes, rows)``.
+
+    A vertex v is pinned when its class is {v} and its key row is 0.  Its
+    letter u_vv then meets no orthogonality, linear or product relation,
+    so the relations are those of the key without v, letters renumbered
+    in order, plus u_vv - 1 in v's row-sum slot.  The rule u_vv -> 1
+    enters no overlap and only shifts later rule ids, so completion runs
+    the same steps on both keys: the result is the stripped key's, with
+    one more basis rule per pinned vertex, and its witness renamed, since
+    every commutator with u_vv reduces to 0.  So a key with pinned
+    vertices takes the result of its stripped key, looked up and stored
+    as a key without them is; with every vertex pinned, every letter is
+    diagonal and the check is vacuous.  ``cfg.limits`` bound the stripped
+    completion, which holds k fewer rules and 2k fewer terms than the
+    full one for k pinned vertices.  At n <= 7 every singleton class is
+    pinned: walk classes are orbits there, and a fixed vertex is adjacent
+    to all or none of each other orbit.
+
+    A key without pinned vertices is checked in its own labelling when
+    it has one class, and through ``_check_relabelled`` otherwise.
+    """
+    cl = pattern.classes
+    n = len(cl)
+    members = _class_members(cl)
+    kept = [v for v in range(n) if rows[v] or members[cl[v]] != 1 << v]
+    if len(kept) == n:
+        if len(members) == 1:
+            return qsym_check(build_relations(Graph(n, rows), pattern), cfg)
+        return _check_relabelled(pattern, rows, cfg)
+    if not kept:
+        return CheckResult(CheckStatus.COMMUTATIVE, vacuous=True)
+    # no kept row holds a pinned vertex, and stripping pins no other one
+    least: dict[int, int] = {}
+    stripped = ZeroPattern(tuple(least.setdefault(cl[v], p) for p, v in enumerate(kept)),
+                           pattern.max_power_used)
+    stripped_rows = tuple(sum(1 << p for p, u in enumerate(kept) if rows[v] >> u & 1)
+                          for v in kept)
+    key = (stripped.classes, stripped_rows, cfg)
+    result = _memo.get(key)
+    if result is None:
+        result = _check_key(stripped, stripped_rows, cfg)
+        _remember(key, result)
+    if result.basis_size is not None:
+        result = replace(result, basis_size=result.basis_size + n - len(kept))
+    return _renamed(result, pattern, kept, stripped)
 
 
 def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
@@ -441,23 +499,30 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
     generator positions and relations in order, since relations are
     built from the key alone.
 
-    On a miss, a pattern of several classes, not all singletons, is looked
-    up once more in a labelling that depends on the key alone: the key's
-    rows with every block on its sparser side (the key's side on a tie)
-    are put in canonical order, class by class, and the key is relabelled
-    by that order.  Only a second miss builds relations, from the
-    relabelled key alone; they are those of the relabelled graph, whose
-    algebra is ``g``'s up to renaming the letters, and a witness is
-    renamed back.  The result is stored under both keys, and it is a
-    function of the first, so the memo stays exact and a batch's results
-    do not depend on its order.
-    Its bound and basis size are those of the relabelled presentation,
-    which equal those of ``g``'s own on every connected graph with
-    n <= 9.  A pattern of one class keeps its own labelling: relabelling
-    a vertex-transitive graph can make its completion several times
-    slower.  At most ``QSYM_MEMO_MAX`` results are kept, the oldest
-    evicted first; a ``ResourceCapError`` is never stored, so it is
-    raised again on every call.
+    On a miss, a key with pinned vertices, each alone in its class with
+    a key row of 0, takes the result of the key without them, with one
+    more basis rule per pinned vertex (see ``_check_key``): that stripped
+    key is looked up, and on a miss checked, as the key of a graph with
+    no pinned vertex is, and stored too.  With every vertex pinned the
+    check is vacuous and builds no relations.
+
+    A key of several classes and no pinned vertex is looked up once more
+    in a labelling that depends on the key alone: the key's rows with
+    every block on its sparser side (the key's side on a tie) are put in
+    canonical order, class by class, and the key is relabelled by that
+    order.  Only a second miss builds relations, from the relabelled key
+    alone; they are those of the relabelled graph, whose algebra is
+    ``g``'s up to renaming the letters, and a witness is renamed back.
+    The result is stored under both keys, and it is a function of the
+    first, so the memo stays exact and a batch's results do not depend
+    on its order.  Its bound and basis size are those of the relabelled
+    presentation, which equal those of ``g``'s own on every connected
+    graph with n <= 9.  A key of one class keeps its own labelling:
+    relabelling a vertex-transitive graph can make its completion
+    several times slower.  So a stripped key of one class never holds a
+    result of another labelling.  At most ``QSYM_MEMO_MAX`` results are
+    kept, the oldest evicted first; a ``ResourceCapError`` is never
+    stored, so it is raised again on every call.
     """
     group = automorphism_group(g)
     pair = find_disjoint_pair(group)
@@ -466,17 +531,12 @@ def classify(g: Graph, cfg: ClassifyConfig = ClassifyConfig()) -> Verdict:
         if not (are_disjoint(s, t) and is_automorphism(g, s) and is_automorphism(g, t)):
             raise AssertionError("disjoint pair evidence failed validation")
         return Verdict(VerdictKind.QUANTUM_SYMMETRIC, group.order, disjoint_pair=pair)
-    pattern = zero_pattern(g)
+    pattern = zero_pattern(g, group.orbits)
     rows = _blocks_up_to_complement(g.nbr, pattern.classes)
     key = (pattern.classes, rows, cfg)
     algebra = _memo.get(key)
     if algebra is None:
-        # one class keeps its labelling; with n singleton classes every
-        # block is 0, so the canonical key would be the first one
-        if 1 < len(set(pattern.classes)) < g.n:
-            algebra = _check_relabelled(pattern, rows, cfg)
-        else:
-            algebra = qsym_check(build_relations(g, pattern), cfg)
+        algebra = _check_key(pattern, rows, cfg)
         _remember(key, algebra)
     if algebra.status is CheckStatus.COMMUTATIVE:
         return Verdict(VerdictKind.NOT_QUANTUM_SYMMETRIC, group.order,

@@ -45,10 +45,13 @@ class ZeroPattern:
         return [(i, j) for i, ci in enumerate(cl) for j, cj in enumerate(cl) if ci == cj]
 
 
-def zero_pattern(g: Graph) -> ZeroPattern:
+def zero_pattern(g: Graph, orbits: int | None = None) -> ZeroPattern:
     """Compare diagonal walk counts for every power up to n - 1 (at least 1).
 
-    Stops early once every vertex is in a class of its own.
+    Stops early once there are as many classes as ``orbits``, the number
+    of orbits of Aut(g), or as vertices when it is not given.  Walk
+    counts are constant on orbits, so every class is a union of orbits,
+    and once the classes are the orbits no later power splits one.
 
     Row i of A^k is one int with a w-bit field per column, so that
     row_i(A^k) is the sum of row_l(A^(k-1)) over the neighbours l of i.
@@ -57,6 +60,7 @@ def zero_pattern(g: Graph) -> ZeroPattern:
     """
     n = g.n
     cap = max(n - 1, 1)
+    stop = n if orbits is None else orbits
     w = ((n - 1) ** (n - 1)).bit_length()
     mask = (1 << w) - 1
     nbrs = [[l for l in range(n) if x >> l & 1] for x in g.nbr]
@@ -67,7 +71,7 @@ def zero_pattern(g: Graph) -> ZeroPattern:
         if used > 1:
             rows = [sum([rows[l] for l in nb]) for nb in nbrs]
         keys = [key + ((rows[i] >> (w * i)) & mask,) for i, key in enumerate(keys)]
-        if len(set(keys)) == n:
+        if len(set(keys)) == stop:
             break
     first: dict = {}
     return ZeroPattern(tuple(first.setdefault(key, i) for i, key in enumerate(keys)), used)

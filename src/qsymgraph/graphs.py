@@ -278,8 +278,8 @@ def orbit(point: int, gens) -> set[int]:
     return reached
 
 
-def generators(search: Search) -> tuple[list[Permutation], int]:
-    """Generators of the automorphism group, and its order.
+def generators(search: Search) -> tuple[list[Permutation], int, int]:
+    """Generators of the automorphism group, its order and its number of orbits.
 
     The order is the product of the basic orbit lengths |i^(G_i)| along
     the stabiliser chain G = G_0 >= G_1 >= ... >= G_n = 1 with base
@@ -296,8 +296,9 @@ def generators(search: Search) -> tuple[list[Permutation], int]:
     order = 1
     # the orbits of the group the generators found so far generate, each
     # the set cell[v] of every point v in it: a new generator joins the
-    # cells of each point and its image
+    # cells of each point and its image; at the end they are G's orbits
     cell = [{v} for v in range(n)]
+    orbits = n
     forced = {v: v for v in range(n)}
     for i in reversed(range(n)):
         for j in _members(search.same_degree[i] & -(2 << i)):  # j > i
@@ -314,9 +315,10 @@ def generators(search: Search) -> tuple[list[Permutation], int]:
                             a |= b
                             for u in b:
                                 cell[u] = a
+                            orbits -= 1
         del forced[i]  # level i - 1 forces 0..i-2 only
         order *= len(cell[i])
-    return gens, order
+    return gens, order, orbits
 
 
 def is_connected(g: Graph) -> bool:
@@ -385,7 +387,7 @@ def _hood_representatives(base: list[int]) -> list[int]:
     isomorphism that fixes the new vertex, so the rule keeps all of them
     or none, and one of them is enough.
     """
-    gens, _ = generators(Search(base))
+    gens, _, _ = generators(Search(base))
     everyone = range(1, 1 << len(base))
     if not gens:
         return list(everyone)

@@ -47,16 +47,21 @@ def explicit_zero_relations(g: Graph, pattern: ZeroPattern) -> Presentation:
     return Presentation(pres.positions, tuple(relations))
 
 
-def relabelled_relations(g: Graph, pattern: ZeroPattern, order) -> Presentation:
-    """``build_relations`` of ``g`` and ``pattern`` with vertex ``order[p]``
-    moved to position p, from a relabelled ``Graph`` and ``ZeroPattern``."""
+def relabelled(g: Graph, pattern: ZeroPattern, order) -> tuple[Graph, ZeroPattern]:
+    """``g`` and ``pattern`` with vertex ``order[p]`` moved to position p."""
     at = [0] * g.n  # vertex -> its new position
     for p, v in enumerate(order):
         at[v] = p
     moved = tuple(sum(1 << at[u] for u in range(g.n) if g.nbr[v] >> u & 1) for v in order)
     least: dict[int, int] = {}
     classes = tuple(least.setdefault(pattern.classes[v], p) for p, v in enumerate(order))
-    return build_relations(Graph(g.n, moved), ZeroPattern(classes, pattern.max_power_used))
+    return Graph(g.n, moved), ZeroPattern(classes, pattern.max_power_used)
+
+
+def relabelled_relations(g: Graph, pattern: ZeroPattern, order) -> Presentation:
+    """``build_relations`` of ``g`` and ``pattern`` with vertex ``order[p]``
+    moved to position p, from a relabelled ``Graph`` and ``ZeroPattern``."""
+    return build_relations(*relabelled(g, pattern, order))
 
 
 def reference_relations(g: Graph, pattern: ZeroPattern) -> Presentation:

@@ -253,6 +253,8 @@ def test_order_and_pair_match_oracle_on_connected_graphs():
         for g in enumerate_connected(n):
             group = automorphism_group(g)
             assert (group.order, find_disjoint_pair(group)) == automorphism_oracle.order_and_pair(g)
+            elements = automorphism_oracle.elements(g)
+            assert group.orbits == len({frozenset(s[v] for s in elements) for v in range(g.n)})
 
 
 def disjoint_edges(k):

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,7 @@ from relations_oracle import (
     magic_unitary_relations,
     left_out,
     reference_relations,
+    relabelled,
     relabelled_relations,
 )
 from walk_oracle import adjacency
@@ -244,24 +246,24 @@ def test_left_out_relations_replay_on_random_graphs_and_patterns():
     assert one_class > 0 and replayed == 11143
 
 
-def test_left_out_relations_leave_every_basis_as_it_was(monkeypatch):
+def test_left_out_relations_leave_every_basis_as_it_was():
     # every omission is a degree-2 consequence of relations that stay, so
     # even the bases truncated at bound 2 do not move; the cases are the
     # 75 presentations of the graphs on <= 6 vertices and the distinct
-    # ones classify builds for the atlas graphs and the 7-vertex graphs,
-    # each from a memo key's rows, which are a graph with those relations
+    # ones of the memo keys of the pairless atlas and 7-vertex graphs:
+    # a key's rows are a graph with the key's relations, taken in their
+    # own labelling when the key has one class or only singletons, and
+    # otherwise relabelled by the key's canonical order
     built = {}
-    original = classify_module.build_relations
-
-    def recording(g, pattern):
-        p = original(g, pattern)
-        rows = classify_module._blocks_up_to_complement(g.nbr, pattern.classes)
-        built.setdefault(tuple(map(key, p.relations)), (Graph(g.n, rows), pattern))
-        return p
-
-    monkeypatch.setattr(classify_module, "build_relations", recording)
     for g in [*atlas_graphs(), *enumerate_connected(7)]:
-        classify(g)
+        if find_disjoint_pair(automorphism_group(g)) is not None:
+            continue
+        pattern = zero_pattern(g)
+        h = Graph(g.n, classify_module._blocks_up_to_complement(g.nbr, pattern.classes))
+        if 1 < len(set(pattern.classes)) < g.n:
+            h, pattern = relabelled(h, pattern, classify_module._canonical_order(
+                h.nbr, pattern.classes))
+        built.setdefault(tuple(map(key, build_relations(h, pattern).relations)), (h, pattern))
     cases = [(g, zero_pattern(g)) for g in _pairless_graphs(6)] + list(built.values())
     assert len(cases) == 75 + 35
     truncated = 0
@@ -461,10 +463,13 @@ def test_undecided_when_pairless_and_truncated(monkeypatch, tmp_path):
 
     verdict, record = classify_with_record(star4(), cfg)
     assert verdict.kind is VerdictKind.UNDECIDED
-    assert verdict.algebra is truncated and verdict.qsym_output is None
-    assert verdict.disjoint_pair is None and verdict.pattern == zero_pattern(star4())
+    # the check ran without the star's centre, which is pinned, so its
+    # rule u_cc -> 1 comes back in the basis
+    assert _fields(verdict.algebra) == _fields(replace(truncated, basis_size=8))
+    assert verdict.qsym_output is None and verdict.disjoint_pair is None
+    assert verdict.pattern == zero_pattern(star4(), automorphism_group(star4()).orbits)
     assert (record.verdict, record.qsym_output, record.gb_degree_bound, record.gb_size) == (
-        "Undecided", None, 2, 7)
+        "Undecided", None, 2, 8)
 
     src = tmp_path / "star-k4.g6"
     src.write_text(to_graph6(star4()) + "\n" + to_graph6(complete_graph(4)) + "\n")
@@ -580,14 +585,18 @@ def test_memo_hit_equals_fresh_check_on_small_graphs(monkeypatch):
     memoised = [classify(g).algebra for g in graphs]
     # 37 keys in the graphs' own labellings: 6 of one class, 1 of
     # singletons only (the 8 rigid 6-vertex graphs share it) and 30 of
-    # several classes.  Those 30 lead to 14 keys in the canonical
-    # labelling, 4 of which are own keys too, so the memo holds
-    # 37 + 14 - 4 = 47 entries.  21 checks run, 14 + 6 + 1; two are
-    # vacuous (the 1-vertex graph and the rigid graphs), so 19 reach the
-    # engine, each completed once
+    # several classes.  The 1-vertex key and the singletons' key have
+    # every vertex pinned, so they are vacuous; 22 of the 30 have pinned
+    # vertices and not only those, and strip to 5 keys, 4 of which are
+    # own keys too.  The 9 keys of several classes without pinned
+    # vertices, 8 own and 1 stripped, lead to 4 keys in the canonical
+    # labelling, 3 of which are own or stripped keys, so the memo holds
+    # 37 + 1 + 1 = 39 entries.  The engine completes the 5 keys of one
+    # class without pinned vertices in their own labellings and the 4
+    # canonical keys, each once
     assert len({_memo_key(g, zero_pattern(g)) for g in graphs}) == 37
-    assert len(classify_module._memo) == 47
-    assert len(calls) == 19
+    assert len(classify_module._memo) == 39
+    assert len(calls) == 9
     for g, got in zip(graphs, memoised):
         pattern = zero_pattern(g)
         p = build_relations(g, pattern)
@@ -764,6 +773,135 @@ def test_vacuous_check_reads_the_labels():
     assert not qsym_check(anti).vacuous
 
 
+# keys with pinned vertices against the presentations they stand for
+
+
+def _pinned(g, pattern):
+    """The vertices alone in their class whose key row is 0."""
+    rows = classify_module._blocks_up_to_complement(g.nbr, pattern.classes)
+    sizes = collections.Counter(pattern.classes)
+    return [v for v, c in enumerate(pattern.classes) if sizes[c] == 1 and not rows[v]]
+
+
+def _assert_stripping_exact(g, pattern):
+    """The presentation of a key with pinned vertices is that of ``g`` and
+    ``pattern`` without them, letters renumbered, with u_vv - 1 in the
+    row-sum slot of each pinned v.  Returns that graph and pattern (None
+    and None when every vertex is pinned), the letter map and the number
+    of pinned vertices."""
+    pinned = _pinned(g, pattern)
+    assert pinned, (to_graph6(g), pattern.classes)
+    full = build_relations(g, pattern)
+    index = {ij: a for a, ij in enumerate(full.positions)}
+    kept = [v for v in range(g.n) if v not in pinned]
+    h = stripped = None
+    to_full, renamed = [], []
+    if kept:
+        least: dict[int, int] = {}
+        h = Graph(len(kept), tuple(sum(1 << p for p, u in enumerate(kept) if g.nbr[v] >> u & 1)
+                                   for v in kept))
+        stripped = ZeroPattern(tuple(least.setdefault(pattern.classes[v], p)
+                                     for p, v in enumerate(kept)), pattern.max_power_used)
+        to_full = [index[kept[i], kept[j]] for i, j in stripped.alive()]
+        renamed = [{bytes(to_full[x] for x in w): c for w, c in r.items()}
+                   for r in build_relations(h, stripped).relations]
+    # the row sums are the first relations with a constant, one per row
+    first_sum = next(k for k, r in enumerate(full.relations) if EMPTY_WORD in r)
+    slots = {first_sum + v: {bytes((index[v, v],)): 1, EMPTY_WORD: -1} for v in pinned}
+    assert [r for k, r in enumerate(full.relations) if k not in slots] == renamed
+    for k, r in slots.items():
+        assert full.relations[k] == r
+    return h, stripped, to_full, len(pinned)
+
+
+def _pinned_cases():
+    """Every pairless atlas graph and connected graph with n <= 7 that has
+    a pinned vertex, with its walk classes."""
+    graphs = _pairless_graphs(7) + [
+        g for g in atlas_graphs() if find_disjoint_pair(automorphism_group(g)) is None]
+    cases = [(g, zero_pattern(g)) for g in graphs]
+    return [(g, pattern) for g, pattern in cases if _pinned(g, pattern)]
+
+
+def test_pinned_vertices_add_only_their_row_sums_on_pairless_graphs():
+    # and classify, which completes the key without its pinned vertices,
+    # gives the full presentation's result, field for field
+    cases = _pinned_cases()
+    assert len(cases) == 2 * 566
+    fresh = {}
+    for g, pattern in cases:
+        _assert_stripping_exact(g, pattern)
+        p = build_relations(g, pattern)
+        presentation = (p.positions, tuple(map(key, p.relations)))
+        if presentation not in fresh:
+            fresh[presentation] = _fields(qsym_check(p))
+        assert _fields(classify(g).algebra) == fresh[presentation], to_graph6(g)
+    assert len(fresh) == 180
+
+
+def _with_pinned_vertices(rng, n):
+    """A random graph on n vertices and a random partition in which some
+    singleton classes are adjacent to all or none of every other class,
+    and so pinned; the rest has at most 5 vertices in at most 2 classes."""
+    core = rng.randint(2, min(n - 1, 5))
+    pinned = set(rng.sample(range(n), n - core))
+    rest = [v for v in range(n) if v not in pinned]
+    classes = rng.randint(1, 2)
+    labels = {v: rng.randrange(classes) for v in rest}
+    labels.update((v, ("pinned", v)) for v in pinned)
+    first: dict = {}
+    pattern = ZeroPattern(tuple(first.setdefault(labels[v], v) for v in range(n)), 1)
+    edges = {(i, j) for i in rest for j in rest if i < j and rng.random() < 0.5}
+    for v in pinned:
+        for c in set(pattern.classes):
+            if c != v and rng.random() < 0.5:
+                edges |= {(min(u, v), max(u, v)) for u in range(n) if pattern.classes[u] == c}
+    return Graph.from_edges(n, sorted(edges), one_based=False), pattern
+
+
+def test_stripping_is_exact_on_random_graphs_with_pinned_vertices():
+    # the presentation identity, and the check of the full presentation
+    # is the stripped one's with one more basis rule per pinned vertex and
+    # the witness renamed
+    rng = random.Random(97)
+    witnesses = 0
+    for _ in range(200):
+        g, pattern = _with_pinned_vertices(rng, rng.randint(3, 12))
+        h, stripped, to_full, k = _assert_stripping_exact(g, pattern)
+        full = qsym_check(build_relations(g, pattern))
+        if h is None:  # every vertex pinned
+            assert full.vacuous
+            continue
+        part = qsym_check(build_relations(h, stripped))
+        assert (full.status, full.degree_bound, full.vacuous) == (
+            part.status, part.degree_bound, part.vacuous)
+        assert full.basis_size == (part.basis_size and part.basis_size + k)
+        assert full.witness == (part.witness and {
+            bytes(to_full[x] for x in w): c for w, c in part.witness.items()})
+        witnesses += full.witness is not None
+    assert witnesses > 0
+
+
+def test_memo_maps_a_witness_back_through_a_stripped_key(monkeypatch):
+    # K1,2,3 is K2,3 plus a hub, which is pinned; without its disjoint
+    # pair, classify checks K2,3's algebra, not commutative, and must give
+    # in each labelling the witness the full presentation's check gives
+    monkeypatch.setattr(classify_module, "find_disjoint_pair", lambda group: None)
+    k123 = Graph.from_edges(6, [(0, v) for v in range(1, 6)] + [
+        (i, j) for i in (1, 2) for j in (3, 4, 5)], one_based=False)
+    labellings = {permute(k123, perm) for perm in itertools.permutations(range(6))}
+    assert len(labellings) == 60
+    hubs = set()
+    for g in sorted(labellings, key=lambda g: g.nbr):
+        pattern = zero_pattern(g)
+        hubs.update(_pinned(g, pattern))
+        result = classify(g).algebra
+        fresh = qsym_check(build_relations(g, pattern))
+        assert result.status is CheckStatus.NOT_SHOWN_COMMUTATIVE
+        assert _fields(result) == _fields(fresh), to_graph6(g)
+    assert hubs == set(range(6))
+
+
 # the memo key against the presentations it stands for
 
 
@@ -871,7 +1009,8 @@ def test_classification_pinned_on_eight_vertices_shuffled():
 def test_classification_pinned_on_the_atlas(monkeypatch):
     # the benchmark's atlas-g6 input, in atlas labelling and atlas order:
     # its labels are not canonical, so presentations met again under other
-    # labels are looked up through _check_relabelled
+    # labels are looked up through _check_relabelled, and keys with pinned
+    # vertices through their stripped keys
     relabelled = classify_module._check_relabelled
     calls = []
 
@@ -880,12 +1019,18 @@ def test_classification_pinned_on_the_atlas(monkeypatch):
         return relabelled(*args)
 
     monkeypatch.setattr(classify_module, "_check_relabelled", counting)
+    completions = _counting_complete(monkeypatch)
     digest = hashlib.sha256()
     for g in atlas_graphs():
         rec = classify_with_record(g, ClassifyConfig())[1]
         digest.update(repr((rec.graph6, rec.aut_order, rec.disjoint_pair, rec.verdict,
                             rec.qsym_output, rec.gb_degree_bound, rec.gb_size)).encode() + b";")
-    assert len(calls) == 136
+    # each of the 149 keys misses once, and 131 of them have pinned
+    # vertices and strip to 42 keys.  Of the 40 keys of several classes
+    # without pinned vertices, own or stripped, 3 were stored by an
+    # earlier call as its canonical key, so _check_relabelled runs 37
+    # times, and a fresh memo completes 12 presentations
+    assert len(calls) == 37 and len(completions) == 12
     assert digest.hexdigest() == (
         "ff90dcae817cfbc749f94fe2495815b90a6285d468602787f6092fb14d9c46d7")
 

@@ -60,7 +60,7 @@ def test_is_automorphism_against_a_networkx_edge_check():
         G = nx.Graph()
         G.add_nodes_from(range(n))
         G.add_edges_from(g.edges())
-        gens, _ = generators(Search(g.nbr))
+        gens, _, _ = generators(Search(g.nbr))
         perms = [tuple(rng.sample(range(n), n)) for _ in range(5)]
         for _ in range(5 if gens else 0):
             perm = tuple(range(n))

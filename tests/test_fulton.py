@@ -7,10 +7,12 @@ import pytest
 from qsymgraph import (
     Graph,
     ZeroPattern,
+    automorphism_group,
     enumerate_connected,
     render_pattern,
     zero_pattern,
 )
+from qsymgraph.graphs import _connected_masks
 
 from conftest import complete_graph, cycle_graph, rigid6
 from walk_oracle import adjacency, matrix_power
@@ -145,6 +147,26 @@ def test_default_cap_agrees_with_n_squared_powers():
         pattern = zero_pattern(g)
         assert pattern.max_power_used <= max(g.n - 1, 1)
         assert _forced_pairs(pattern) == _split_pairs(g, g.n * g.n)
+
+
+def test_stopping_at_the_orbits_keeps_the_classes():
+    # walk classes are unions of orbits, so once there are as many as
+    # orbits no later power splits one; the stop only saves powers
+    graphs = [Graph.from_mask(n, m) for n in range(1, 9) for m in _connected_masks(n)]
+    assert len(graphs) == 11117 + 853 + 112 + 21 + 6 + 2 + 1 + 1
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        p = rng.choice((0.2, 0.5, 0.8))
+        graphs.append(Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                           if rng.random() < p], one_based=False))
+    saved = 0
+    for g in graphs:
+        full, stopped = zero_pattern(g), zero_pattern(g, automorphism_group(g).orbits)
+        assert stopped.classes == full.classes, g
+        assert stopped.max_power_used <= full.max_power_used, g
+        saved += full.max_power_used - stopped.max_power_used
+    assert saved > 0
 
 
 def test_first_power_already_splits_degree_one_vertices():

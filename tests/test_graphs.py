@@ -256,7 +256,8 @@ def test_search_skips_its_identity_prefix_without_changing_a_result():
 
 
 def _generators_from_level_0(search):
-    """``generators`` with each search walking every level from 0."""
+    """``generators`` with each search walking every level from 0, and the
+    orbits counted by closing each vertex under the generators."""
     gens, order = [], 1
     for i in reversed(range(search.n)):
         fixed = {v: v for v in range(i)}
@@ -268,7 +269,7 @@ def _generators_from_level_0(search):
                     gens.append(perm)
                     basic = graphs.orbit(i, gens)
         order *= len(basic)
-    return gens, order
+    return gens, order, len({min(graphs.orbit(v, gens)) for v in range(search.n)})
 
 
 def test_generators_list_the_same_generators_as_searches_from_level_0():
