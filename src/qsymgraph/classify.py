@@ -29,7 +29,7 @@ from .automorphisms import (
     is_automorphism,
 )
 from .fulton import ZeroPattern, zero_pattern
-from .graphs import Graph, Permutation, _canonical_labelling
+from .graphs import Graph, Permutation, _canonical_labelling, _relabelled
 from .groebner import EngineLimits, complete
 
 
@@ -407,19 +407,14 @@ def _check_relabelled(pattern: ZeroPattern, rows: tuple[int, ...],
     zero diagonal, which ``_blocks_up_to_complement`` maps to itself, so
     ``build_relations`` reads them as a graph of their own."""
     order = _canonical_order(rows, pattern.classes)
-    n = len(order)
-    at = [0] * n  # vertex -> its new position
-    for p, v in enumerate(order):
-        at[v] = p
     least: dict[int, int] = {}
     classes = tuple(least.setdefault(pattern.classes[v], p) for p, v in enumerate(order))
     moved = ZeroPattern(classes, pattern.max_power_used)
-    moved_rows = _blocks_up_to_complement(
-        [sum(1 << at[u] for u in range(n) if rows[v] >> u & 1) for v in order], classes)
+    moved_rows = _blocks_up_to_complement(_relabelled(rows, order), classes)
     key = (classes, moved_rows, cfg)
     result = _memo.get(key)
     if result is None:
-        result = qsym_check(build_relations(Graph(n, moved_rows), moved), cfg)
+        result = qsym_check(build_relations(Graph(len(order), moved_rows), moved), cfg)
         _remember(key, result)
     return _renamed(result, pattern, order, moved)
 

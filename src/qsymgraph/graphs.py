@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 MAX_VERTICES = 16
 
-# Enumeration by canonical deletion takes about 0.04 s at n = 7, 0.5 s at
-# n = 8 (11,117 graphs) and 12 s at n = 9 (261,080) on a 2-core machine,
-# and classifying the 11,117 graphs of n = 8, read from a graph6 file in
-# one process, about 0.9 s; the cap stays until n = 8 has a pinned table.
+# Enumeration by canonical deletion takes about 0.06 s at n = 7, 0.7 s at
+# n = 8 (11,117 graphs) and 18 s at n = 9 (261,080) on a shared 2-core
+# machine, and classifying the 11,117 graphs of n = 8, read from a graph6
+# file in one process, about 1.4 s; the cap stays until n = 8 has a
+# pinned table.
 MAX_ENUMERATE_VERTICES = 7
 
 # a permutation is a tuple of 0-based images
@@ -118,7 +119,25 @@ class Graph:
 
 def canonical_form(g: Graph) -> Graph:
     """Lexicographically minimal adjacency matrix over all relabelings."""
-    return Graph.from_mask(g.n, _canonical_labelling(g.nbr)[0])
+    return Graph(g.n, _relabelled(g.nbr, _canonical_labelling(g.nbr)[1]))
+
+
+def _relabelled(nbr, order) -> tuple[int, ...]:
+    """The neighbour bitmasks ``nbr`` with vertex ``order[p]`` moved to
+    position p, each row mapped bit by set bit."""
+    at = [0] * len(order)  # vertex -> the bit of its new position
+    for p, v in enumerate(order):
+        at[v] = 1 << p
+    rows = []
+    for v in order:
+        x = nbr[v]
+        row = 0
+        while x:
+            low = x & -x
+            row |= at[low.bit_length() - 1]
+            x ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def _canonical_labelling(nbr: list[int], start: tuple[int, ...] | None = None
@@ -290,8 +309,19 @@ def generators(search: Search) -> tuple[list[Permutation], int, int]:
     searched for; an automorphism fixing 0..i-1 and sending i to j
     becomes a new generator.  On exit the generators reach every image
     of i under G_i, so they generate G_i.
+
+    When j is a twin of i (the same neighbours, apart from each other),
+    the transposition (i j) is taken without a search, and it is the
+    automorphism the search would return.  The lex-first map with that
+    prefix could differ from it only by sending some k, i < k < j, to i
+    and every point between i and k to itself.  Such a map s sends k to
+    i, so some automorphism fixing 0..i-1 sends i to k, and k joined i's
+    cell earlier at this level; and (i j)s fixes 0..k-1 and sends k to
+    j, so j joined k's cell at level k.  Then j is in i's cell already
+    and is not searched for.
     """
     n = search.n
+    nbr = search.nbr
     gens: list[Permutation] = []
     order = 1
     # the orbits of the group the generators found so far generate, each
@@ -302,23 +332,36 @@ def generators(search: Search) -> tuple[list[Permutation], int, int]:
     forced = {v: v for v in range(n)}
     for i in reversed(range(n)):
         for j in _members(search.same_degree[i] & -(2 << i)):  # j > i
-            if j not in cell[i]:
+            if j in cell[i]:
+                continue
+            if _twins(nbr, i, j):
+                swap = list(range(n))
+                swap[i], swap[j] = j, i
+                perm = tuple(swap)
+            else:
                 forced[i] = j
                 perm = search.first(forced)
-                if perm is not None:
-                    gens.append(perm)
-                    for v, w in enumerate(perm):
-                        a, b = cell[v], cell[w]
-                        if a is not b:
-                            if len(a) < len(b):
-                                a, b = b, a
-                            a |= b
-                            for u in b:
-                                cell[u] = a
-                            orbits -= 1
+                if perm is None:
+                    continue
+            gens.append(perm)
+            for v, w in enumerate(perm):
+                a, b = cell[v], cell[w]
+                if a is not b:
+                    if len(a) < len(b):
+                        a, b = b, a
+                    a |= b
+                    for u in b:
+                        cell[u] = a
+                    orbits -= 1
         del forced[i]  # level i - 1 forces 0..i-2 only
         order *= len(cell[i])
     return gens, order, orbits
+
+
+def _twins(nbr, a: int, b: int) -> bool:
+    """Whether a and b have the same neighbours apart from each other, so
+    that swapping them is an automorphism."""
+    return not (nbr[a] ^ nbr[b]) & ~(1 << a | 1 << b)
 
 
 def is_connected(g: Graph) -> bool:
@@ -333,11 +376,17 @@ def enumerate_connected(n: int) -> list[Graph]:
     """
     if not 1 <= n <= MAX_ENUMERATE_VERTICES:
         raise GraphError(f"enumeration supports 1..{MAX_ENUMERATE_VERTICES} vertices")
-    return [Graph.from_mask(n, m) for m in _connected_masks(n)]
+    return [Graph(n, rows) for rows in _connected_rows(n).values()]
 
 
 def _connected_masks(n: int) -> list[int]:
-    """Canonical masks of the connected graphs on n vertices, ascending.
+    """Canonical masks of the connected graphs on n vertices, ascending."""
+    return list(_connected_rows(n))
+
+
+def _connected_rows(n: int) -> dict[int, tuple[int, ...]]:
+    """The canonical mask of each connected graph on n vertices, mapped to
+    its canonical neighbour bitmasks, in ascending mask order.
 
     Generation by canonical deletion (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 1998).  Removing a leaf of a spanning tree
@@ -354,47 +403,72 @@ def _connected_masks(n: int) -> list[int]:
     no parent but that mask, and it is kept from that parent: relabel G
     so that an accepted w comes last and G - w reads as P; the new vertex
     w then has the neighbourhood that makes the child.  Duplicates can
-    only come from one parent, a set per parent removes them, and the
-    parents' sets are disjoint.
+    only come from one parent, a dict per parent removes them, and the
+    parents' dicts are disjoint.
     """
     if n == 1:
-        return [0]
-    found: list[int] = []
-    for m in _connected_masks(n - 1):
-        found.extend(_children(n, m))
-    return sorted(found)
+        return {0: (0,)}
+    found: dict[int, tuple[int, ...]] = {}
+    for parent, rows in _connected_rows(n - 1).items():
+        found.update(_children(parent, rows))
+    return dict(sorted(found.items()))
 
 
-def _children(n: int, parent: int) -> set[int]:
-    """Canonical masks of the children of one canonical parent mask whose
-    new vertex is a canonical deletion vertex."""
-    base = Graph.from_mask(n - 1, parent).nbr
-    new = 1 << (n - 1)
-    kept = set()
+def _children(parent: int, base: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """The children of one canonical parent, its mask ``parent`` and its
+    rows ``base``, whose new vertex is a canonical deletion vertex: each
+    canonical mask mapped to the child's rows relabelled by the order
+    that reaches it."""
+    new = 1 << len(base)
+    kept = {}
     for hood in _hood_representatives(base):
         nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
         nbr.append(hood)
         if _deletes_canonically(nbr, parent):
-            kept.add(_canonical_labelling(nbr)[0])
+            mask, order = _canonical_labelling(nbr)
+            kept[mask] = _relabelled(nbr, order)
     return kept
 
 
-def _hood_representatives(base: list[int]) -> list[int]:
-    """One non-empty neighbourhood from each orbit of Aut(P) on them,
-    the least of each, in increasing order.
+def _hood_representatives(base: tuple[int, ...]) -> list[int]:
+    """One neighbourhood from each orbit of Aut(P) on the non-empty
+    neighbourhoods the degree bound keeps, the least of each, in
+    increasing order.
 
-    Neighbourhoods in one orbit give isomorphic children by an
-    isomorphism that fixes the new vertex, so the rule keeps all of them
-    or none, and one of them is enough.
+    Let m be the least degree of a non-cut vertex of P.  The bound keeps
+    the neighbourhoods of at most m vertices, and those of m + 1 that
+    hold every non-cut vertex of degree m.  Every other one makes a child
+    that the rule rejects.  A non-cut vertex u of P stays non-cut in the
+    child unless the new vertex v hangs on u alone, and its degree grows
+    by at most one.  So with more than m + 1 neighbours, v has a higher
+    degree than a non-cut vertex of degree m in P has in the child, and
+    with m + 1 that miss a non-cut u of degree m, v has a higher degree
+    than u, which keeps degree m.
+
+    Aut(P) keeps degrees and cut vertices, so it maps kept neighbourhoods
+    onto kept ones.  Neighbourhoods in one orbit give isomorphic children
+    by an isomorphism that fixes the new vertex, so the rule keeps all of
+    them or none, and one of them is enough.
     """
+    k = len(base)
+    everyone = (1 << k) - 1
+    m = k  # above every degree in P
+    least = 0  # bits of the non-cut vertices of degree m
+    for w, x in enumerate(base):
+        d = x.bit_count()
+        if d <= m and _connected(base, everyone ^ 1 << w):
+            if d < m:
+                m, least = d, 0
+            least |= 1 << w
+    hoods = [h for h in range(1, 1 << k)
+             if (size := h.bit_count()) <= m or size == m + 1 and h & least == least]
     gens, _, _ = generators(Search(base))
-    everyone = range(1, 1 << len(base))
     if not gens:
-        return list(everyone)
+        return hoods
     on_hoods = [_on_subsets(s) for s in gens]
     seen: set[int] = set()
     reps = []
-    for hood in everyone:
+    for hood in hoods:
         if hood not in seen:
             reps.append(hood)
             seen |= orbit(hood, on_hoods)
@@ -414,7 +488,15 @@ def _deletes_canonically(nbr: list[int], parent: int) -> bool:
     """Whether the last vertex v is a canonical deletion vertex of the
     connected graph ``nbr``, given that deleting v leaves the canonical
     mask ``parent``.  Ties on the invariant are settled by canonical
-    masks, which are computed only after every cheaper test passed."""
+    masks, which are computed only after every cheaper test passed.
+
+    A tie w is labelled only when it is not a twin of v (the same
+    neighbours, apart from each other) and not a twin of a tie labelled
+    before it.  Swapping two twins is an automorphism of the graph that
+    maps deleting the one onto deleting the other, so the graphs left
+    are isomorphic: deleting a twin of v leaves the mask ``parent``, and
+    deleting a twin of a labelled tie leaves the mask already compared.
+    """
     v = len(nbr) - 1
     everyone = (1 << len(nbr)) - 1
     deg = [x.bit_count() for x in nbr]
@@ -435,7 +517,14 @@ def _deletes_canonically(nbr: list[int], parent: int) -> bool:
             ties.append(w)
         elif _connected(nbr, everyone ^ 1 << w):
             return False
-    return all(_canonical_labelling(_delete(nbr, w))[0] >= parent for w in ties)
+    labelled = [v]
+    for w in ties:
+        if any(_twins(nbr, u, w) for u in labelled):
+            continue
+        if _canonical_labelling(_delete(nbr, w))[0] < parent:
+            return False
+        labelled.append(w)
+    return True
 
 
 def _neighbour_degrees(hood: int, deg: list[int]) -> list[int]:
@@ -443,8 +532,9 @@ def _neighbour_degrees(hood: int, deg: list[int]) -> list[int]:
 
 
 def _connected(nbr: list[int], rest: int) -> bool:
-    """Whether the vertices in the non-empty bitmask ``rest`` induce a
-    connected graph, by a breadth-first search over neighbour bitmasks."""
+    """Whether the vertices in the bitmask ``rest`` induce a connected
+    graph, by a breadth-first search over neighbour bitmasks; no vertex
+    counts as connected."""
     reach = frontier = rest & -rest
     while frontier:
         bit = frontier & -frontier

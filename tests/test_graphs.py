@@ -34,7 +34,13 @@ from conftest import (
     twinned_graph,
 )
 import automorphism_oracle
-from enumeration_oracle import all_children_masks, brute_force_canonical_mask, orbit_sweep_masks
+from enumeration_oracle import (
+    all_children_masks,
+    brute_force_canonical_mask,
+    degree_bound_keeps,
+    deletes_canonically_labelling_every_tie,
+    orbit_sweep_masks,
+)
 from graph_oracle import validation_error
 from walk_oracle import adjacency, matrix_power
 
@@ -542,19 +548,49 @@ def test_canonical_deletion_passes_over_a_cut_vertex_of_least_degree():
 
 
 def test_hood_representatives_are_the_least_of_each_orbit():
+    # the least of each orbit of Aut(P), by the element list, on the
+    # neighbourhoods the degree bound keeps, which Aut(P) maps onto each other
     for n in range(1, 6):
         for g in enumerate_connected(n):
             elements = automorphism_oracle.elements(g)
             least = {min(sum(1 << s[i] for i in range(n) if hood >> i & 1) for s in elements)
-                     for hood in range(1, 1 << n)}
+                     for hood in range(1, 1 << n) if degree_bound_keeps(g.nbr, hood)}
             assert graphs._hood_representatives(g.nbr) == sorted(least)
 
 
+def _check_shortcuts_against_long_forms(n: int) -> None:
+    """Every neighbourhood of every canonical parent on n vertices: the
+    degree bound skips only children the full rule rejects, and the
+    twin-aware rule agrees with labelling every tie."""
+    new = 1 << n
+    for parent, base in graphs._connected_rows(n).items():
+        for hood in range(1, new):
+            nbr = [x | new if hood >> i & 1 else x for i, x in enumerate(base)]
+            nbr.append(hood)
+            full = deletes_canonically_labelling_every_tie(nbr, parent)
+            assert graphs._deletes_canonically(nbr, parent) == full, (parent, hood)
+            assert degree_bound_keeps(base, hood) or not full, (parent, hood)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_shortcuts_match_their_long_forms(n):
+    _check_shortcuts_against_long_forms(n)
+
+
+@pytest.mark.skipif(not NIGHTLY, reason="extended check, set RUN_NIGHTLY=1")
+def test_enumeration_shortcuts_match_their_long_forms_on_seven_vertex_parents():
+    _check_shortcuts_against_long_forms(7)
+
+
 def test_parents_give_disjoint_children():
-    per_parent = [graphs._children(7, m) for m in graphs._connected_masks(6)]
-    union = set().union(*per_parent)
+    per_parent = [graphs._children(m, rows) for m, rows in graphs._connected_rows(6).items()]
+    union = {}
+    for kids in per_parent:
+        union.update(kids)
     assert sum(len(kids) for kids in per_parent) == len(union)
     assert sorted(union) == [g.mask() for g in enumerate_connected(7)]
+    # each child leaves with the rows of its canonical form
+    assert all(Graph(7, rows).mask() == mask for mask, rows in union.items())
 
 
 def test_enumerate_rejects_unsupported_n():
