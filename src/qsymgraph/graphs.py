@@ -443,7 +443,8 @@ def _hood_representatives(base: tuple[int, ...]) -> list[int]:
     by at most one.  So with more than m + 1 neighbours, v has a higher
     degree than a non-cut vertex of degree m in P has in the child, and
     with m + 1 that miss a non-cut u of degree m, v has a higher degree
-    than u, which keeps degree m.
+    than u, which keeps degree m; in both cases v does not hang on that
+    vertex alone, so it stays non-cut.
 
     Aut(P) keeps degrees and cut vertices, so it maps kept neighbourhoods
     onto kept ones.  Neighbourhoods in one orbit give isomorphic children
